@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowNetwork, min_st_cut
+from .flow import FlowNetwork, capacity_arcs, cut_capacities, min_st_cut
 from .instance import Instance, evaluate
 from .maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, change_sets, tau_loose_sets
 from .relations import (
@@ -369,14 +369,8 @@ def exact_bounds_tractable(
         return None
     opt = float(c[x_plus].sum())
 
-    arcs = []
-    for p, q in np.argwhere(offdiag):
-        p, q = int(p), int(q)
-        if pa.ones[p, q]:
-            arcs.append((p, q, math.inf))
-        elif not pa.zeros[p, q] and c[p, q] > 0.0:
-            arcs.append((p, q, float(c[p, q])))
-    value, _ = min_st_cut(FlowNetwork(n, tuple(arcs), i, j))
+    arcs = capacity_arcs(cut_capacities(instance, pa))
+    value, _ = min_st_cut(FlowNetwork(n, arcs, i, j))
     if math.isinf(value):
         return opt, -math.inf
     return opt, opt - value

@@ -237,7 +237,11 @@ def oracle_check(instance_path, conditions_text, partial_path):
         click.echo(f"oracle check needs n <= {oracle.MAX_ORACLE_N}, got {instance.n}", err=True)
         sys.exit(EXIT_USAGE)
     if partial_path is not None:
-        pa = load_partial(partial_path, instance.n)
+        try:
+            pa = load_partial(partial_path, instance.n)
+        except ValueError as exc:
+            click.echo(f"data error: {exc}", err=True)
+            sys.exit(EXIT_DATA)
     else:
         cfg = PipelineConfig(conditions=_parse_conditions(conditions_text))
         try:

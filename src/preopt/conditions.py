@@ -10,6 +10,25 @@ compose from a common snapshot.
 
 Condition inequalities only fire when they hold by more than the instance
 tolerance, so float noise can never turn a tie into an unsound fixation.
+
+Three deciders first test a necessary condition in O(n) and skip the
+expensive call when it fails, so the fixation set is the same as without
+the tests:
+
+- edge-join: every energy cost is nonnegative, so the costs of the terms
+  touching i and j, each minimized over the other element's label, bound
+  the minimum energy from below; when c_ij minus that floor is below the
+  tolerance, no labeling the swap moves can reach fixes the pair;
+- subset-u: zeroing all arcs leaving i (or all arcs entering j) inside the
+  subset keeps any relation transitive, so the sub-problem's lb - ub is at
+  most the positive value of those arcs, and the boundary bound is at least
+  the positive value of the flip set P10 that sharp and loose sets share;
+  when the first minus the second is below the tolerance, the variant
+  cannot fire;
+- edge-cut: the paths i->k->j through distinct k are arc-disjoint, so the
+  sum of their bottleneck capacities plus the direct arc is a feasible flow
+  and bounds every i-j cut from below; when it exceeds -c_ij minus the
+  tolerance, neither the pair's own cut nor a reused one can fix it.
 """
 
 from __future__ import annotations
@@ -29,10 +48,24 @@ from .bounds import (
     local_search_lower_bound,
     sign_greedy_relation,
 )
-from .energy import alpha_beta_swap_minimize, build_join_energy, IN_U, IN_U_PRIME
-from .flow import FlowNetwork, min_st_cut, reachability_sets
+from .energy import (
+    IN_U,
+    IN_U_PRIME,
+    EnergyModel,
+    alpha_beta_swap_minimize,
+    build_join_energy,
+)
+from .flow import FlowNetwork, capacity_arcs, cut_capacities, min_st_cut, reachability_sets
 from .instance import Instance
-from .maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, is_true_to, tau_trueness_loose
+from .maps import (
+    TAU_BOTH,
+    TAU_IN,
+    TAU_OUT,
+    MapSpec,
+    is_true_to,
+    tau_loose_sets,
+    tau_trueness_loose,
+)
 from .relations import (
     InconsistentAssignmentError,
     PartialAssignment,
@@ -138,18 +171,11 @@ def directed_cut_condition(instance: Instance, pa: PartialAssignment) -> list[Fi
     ]
 
 
-def _cut_network_arcs(instance: Instance, pa: PartialAssignment) -> tuple:
-    """Shared arc list for all per-pair minimum-cut problems: assigned ones
-    are uncuttable, assigned zeros free, everything else costs its positive part."""
-    arcs = []
-    c = instance.values
-    for p, q in np.argwhere(~np.eye(instance.n, dtype=bool)):
-        p, q = int(p), int(q)
-        if pa.ones[p, q]:
-            arcs.append((p, q, math.inf))
-        elif not pa.zeros[p, q] and c[p, q] > 0.0:
-            arcs.append((p, q, float(c[p, q])))
-    return tuple(arcs)
+def _two_hop_flow(cap: np.ndarray, i: int, j: int) -> float:
+    """Value of a feasible i-j flow: the arc ij plus every path i->k->j at its
+    bottleneck. The paths are arc-disjoint, so every i-j cut costs at least
+    this much; the zero diagonal drops k = i and k = j from the sum."""
+    return float(cap[i, j] + np.minimum(cap[i], cap[:, j]).sum())
 
 
 def edge_cut_condition(
@@ -157,18 +183,20 @@ def edge_cut_condition(
 ) -> list[Fixation]:
     """Fix x_ij = 0 whenever the cheapest dicut through ij costs at most c_ij-.
 
-    One minimum i-j cut per candidate pair; with candidate reuse each solved
-    cut is tested against every pair it separates, which saves most of the
-    remaining max-flow calls without changing the fixation set.
+    One minimum i-j cut per candidate pair whose two-hop flow does not
+    already exceed c_ij-; with candidate reuse each solved cut is tested
+    against every pair it separates, which saves most of the remaining
+    max-flow calls without changing the fixation set.
     """
     c = instance.values
     tol = instance.tolerance
-    arcs = _cut_network_arcs(instance, pa)
+    cap = cut_capacities(instance, pa)
+    arcs = capacity_arcs(cap)
     fixed = np.zeros((instance.n, instance.n), dtype=bool)
     fixations: list[Fixation] = []
     targets = [(i, j) for i, j in _undecided_pairs(pa) if c[i, j] < -tol]
     for i, j in targets:
-        if fixed[i, j]:
+        if fixed[i, j] or _two_hop_flow(cap, i, j) > -c[i, j] - tol:
             continue
         value, side = min_st_cut(FlowNetwork(instance.n, arcs, i, j))
         if math.isinf(value):
@@ -189,6 +217,22 @@ def edge_cut_condition(
     return fixations
 
 
+def _join_energy_floor(model: EnergyModel) -> float:
+    """Lower bound on the energy of every labeling with i in U and j in U'.
+
+    All costs are nonnegative, so dropping the terms between two elements
+    other than i and j leaves the ij terms plus, per other element p, the
+    cheapest of its costs against i and j as a member of U, U' or REST.
+    """
+    i, j = model.i, model.j
+    join, cut = model.join_cost, model.cut_cost
+    per_label = np.minimum(
+        np.minimum(join[:, j] + cut[j, :], cut[:, i] + join[i, :]), cut[:, i] + cut[j, :]
+    )
+    per_label[[i, j]] = 0.0
+    return float(join[i, j] + cut[j, i] + per_label.sum())
+
+
 def edge_join_condition(
     instance: Instance, pa: PartialAssignment, *, max_sweeps: int = 20
 ) -> list[Fixation]:
@@ -196,9 +240,10 @@ def edge_join_condition(
 
     For each undecided pair with positive value, the cheapest right-hand side
     over subset pairs (U, U') is minimized heuristically by alpha-beta swaps
-    on the three-label energy model; the fixation is emitted only after an
-    explicit trueness re-check of the composed map. Fixations apply
-    immediately, so later pairs are judged against the updated assignment.
+    on the three-label energy model, unless the model's energy floor already
+    leaves no margin; the fixation is emitted only after an explicit trueness
+    re-check of the composed map. Fixations apply immediately, so later
+    pairs are judged against the updated assignment.
     """
     c = instance.values
     tol = instance.tolerance
@@ -208,6 +253,8 @@ def edge_join_condition(
         if c[i, j] <= tol or working.value(i, j) is not None:
             continue
         model = build_join_energy(instance, working, i, j)
+        if c[i, j] - _join_energy_floor(model) < tol:
+            continue
         labeling, energy = alpha_beta_swap_minimize(model, max_sweeps=max_sweeps)
         margin = float(c[i, j]) - energy
         if margin < tol:
@@ -367,6 +414,17 @@ def _neighbor_subset(instance: Instance, i: int, j: int, k: int) -> list[int]:
     return sorted([i, j] + order[:k])
 
 
+def _subset_gain_cap(cap: np.ndarray, i: int, j: int, subset: list[int]) -> float:
+    """Upper bound on OPT1 - OPT0 of the sub-problem on the subset.
+
+    ``cap`` is the assignment's dicut capacity matrix. Cutting every arc
+    leaving i (or entering j) inside the subset turns an optimum with
+    x_ij = 1 into a completion with x_ij = 0 and loses at most these arcs'
+    capacities; an assigned one among them makes the bound infinite.
+    """
+    return float(min(cap[i, subset].sum(), cap[subset, j].sum()))
+
+
 def subset_fixation_pass(
     instance: Instance,
     pa: PartialAssignment,
@@ -377,21 +435,31 @@ def subset_fixation_pass(
     """Run the subset condition over all undecided positive pairs.
 
     Candidate subsets are the pair plus its strongest neighbors; all three
-    tau variants are tried. Fixations apply immediately.
+    tau variants are tried, except those whose boundary bound is known to
+    eat the largest gain ``_subset_gain_cap`` allows. Fixations apply
+    immediately.
     """
     tol = instance.tolerance
     working = pa
+    cap = cut_capacities(instance, working)
     fixations: list[Fixation] = []
     for i, j in _undecided_pairs(pa):
         if instance.values[i, j] <= tol or working.value(i, j) is not None:
             continue
         subset = _neighbor_subset(instance, i, j, neighbors)
+        gain_cap = _subset_gain_cap(cap, i, j, subset)
         for variant in (TAU_BOTH, TAU_OUT, TAU_IN):
+            # sharp and loose flip sets share P10, so every boundary bound
+            # subset_fixation_condition can compute is at least its value
+            _, p10 = tau_loose_sets(variant, frozenset(subset), working)
+            if gain_cap - float(instance.c_plus[p10].sum()) < tol:
+                continue
             fix, _ = subset_fixation_condition(
                 instance, working, (i, j), 1, subset, variant, greedy=greedy
             )
             if fix is not None:
                 working = close(working.with_assignments([(i, j, 1)]))
+                cap = cut_capacities(instance, working)
                 fixations.append(fix)
                 break
     return fixations

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowNetwork, min_st_cut
+from .flow import FlowNetwork, cut_capacities, min_st_cut
 from .instance import Instance
 from .relations import PartialAssignment
 
@@ -102,13 +102,10 @@ def build_join_energy(
     """
     if pa.value(i, j) is not None:
         raise ValueError("pair ij must be undecided")
-    inf = math.inf
-    cut = np.where(pa.ones, inf, np.where(pa.zeros, 0.0, instance.c_plus))
-    np.fill_diagonal(cut, 0.0)
-
+    cut = cut_capacities(instance, pa)
     reachable = np.outer(~pa.zeros[:, i], ~pa.zeros[j, :])
     join = np.where(
-        reachable, np.where(pa.ones, 0.0, np.where(pa.zeros, inf, instance.c_minus)), 0.0
+        reachable, np.where(pa.ones, 0.0, np.where(pa.zeros, math.inf, instance.c_minus)), 0.0
     )
     np.fill_diagonal(join, 0.0)
     return EnergyModel(i=i, j=j, join_cost=join, cut_cost=cut, tolerance=instance.tolerance)

@@ -1,6 +1,8 @@
 """Max-flow/min-cut, reachability and triple packing substrates.
 
-The min s-t cut solver is a push-relabel implementation with highest-label
+The dicut network of a partial assignment is built once, as a dense capacity
+matrix (``cut_capacities``), and read by every caller that needs it. The min
+s-t cut solver is a push-relabel implementation with highest-label
 selection, the gap heuristic and periodic global relabeling; the condition
 deciders solve O(n^2) cut problems per instance, so these heuristics matter.
 Infinite capacities are represented by a sentinel equal to the sum of all
@@ -12,10 +14,31 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+if TYPE_CHECKING:
+    from .instance import Instance
+    from .relations import PartialAssignment
+
 Arc = tuple[int, int, float]
+
+
+def cut_capacities(instance: "Instance", pa: "PartialAssignment") -> np.ndarray:
+    """Dense capacities of the dicut network of an assignment.
+
+    Assigned ones are uncuttable (inf), assigned zeros free (0), every other
+    pair costs its positive part c+; the diagonal is 0.
+    """
+    cap = np.where(pa.ones, math.inf, np.where(pa.zeros, 0.0, instance.c_plus))
+    np.fill_diagonal(cap, 0.0)
+    return cap
+
+
+def capacity_arcs(cap: np.ndarray) -> tuple[Arc, ...]:
+    """The positive entries of a dense capacity matrix as an arc list, row-major."""
+    return tuple((int(p), int(q), float(cap[p, q])) for p, q in np.argwhere(cap > 0.0))
 
 
 @dataclass(frozen=True)
@@ -144,6 +167,7 @@ def min_st_cut(net: FlowNetwork) -> tuple[float, set[int]]:
             activate(v)
             continue
         need_global = False
+        stranded = False
         while excess[v] > 0.0:
             if cur[v] == len(adj[v]):
                 old = height[v]
@@ -152,7 +176,11 @@ def min_st_cut(net: FlowNetwork) -> tuple[float, set[int]]:
                     if arc_cap[a] > 0.0 and height[arc_to[a]] + 1 < new_h:
                         new_h = height[arc_to[a]] + 1
                 if new_h > hmax:
+                    # no residual arc leads below height 2n, so the excess
+                    # (float residue) can reach neither sink nor source;
+                    # re-queueing v would pop it at this height forever
                     height[v] = hmax
+                    stranded = True
                     break
                 cnt[old] -= 1
                 height[v] = new_h
@@ -186,7 +214,7 @@ def min_st_cut(net: FlowNetwork) -> tuple[float, set[int]]:
                     cur[v] += 1
         if need_global:
             global_relabel()
-        else:
+        elif not stranded:
             activate(v)
 
     value = excess[t]

@@ -267,10 +267,16 @@ def save_partial(pa, path: str | Path) -> None:
 
 
 def load_partial(path: str | Path, n: int):
-    """Read "p,q,{0|1}" rows into a partial assignment on n elements."""
+    """Read "p,q,{0|1}" rows into a partial assignment on n elements.
+
+    Rejects, with a "path:line" message, rows that are malformed, hold a
+    non-integer field, an index outside 0..n-1, a diagonal pair, a value
+    other than 0 or 1, or a value that contradicts an earlier row.
+    """
     from .relations import PartialAssignment
 
     assignments = []
+    first_seen: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
         if not line:
@@ -278,8 +284,21 @@ def load_partial(path: str | Path, n: int):
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
-        p, q, v = int(parts[0]), int(parts[1]), int(parts[2])
+        try:
+            p, q, v = (int(part) for part in parts)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: non-integer field in row {line!r}") from exc
+        if not (0 <= p < n and 0 <= q < n):
+            raise ValueError(f"{path}:{lineno}: pair ({p}, {q}) out of range for n={n}")
+        if p == q:
+            raise ValueError(f"{path}:{lineno}: diagonal pair ({p}, {q}) forbidden")
         if v not in (0, 1):
             raise ValueError(f"{path}:{lineno}: value must be 0 or 1")
+        earlier = first_seen.setdefault((p, q), (v, lineno))
+        if earlier[0] != v:
+            raise ValueError(
+                f"{path}:{lineno}: pair ({p}, {q}) set to {v}, "
+                f"but line {earlier[1]} sets it to {earlier[0]}"
+            )
         assignments.append((p, q, v))
     return PartialAssignment.empty(n).with_assignments(assignments)

@@ -198,6 +198,27 @@ class TestOracleCheck:
         assert result.exit_code == 3
         assert "(0, 1)" in result.output
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("0,1,1\n0,x,0\n", 2),  # non-integer field
+            ("0,1,1.0\n", 1),  # non-integer value
+            ("0,1,1\n-1,0,1\n", 2),  # negative index, would pin (n-1, 0)
+            ("0,5,0\n", 1),  # index out of range
+            ("1,1,1\n", 1),  # diagonal row
+            ("0,1,1\n1,0,0\n0,1,0\n", 3),  # conflicting rows
+        ],
+        ids=["non-integer", "float-value", "negative", "out-of-range", "diagonal", "conflict"],
+    )
+    def test_malformed_partial_is_data_error(self, runner, tmp_path, rows, line):
+        inst = write_fig1(tmp_path)
+        partial = tmp_path / "partial.csv"
+        partial.write_text(rows)
+        result = runner.invoke(main, ["oracle-check", str(inst), "--partial", str(partial)])
+        assert result.exit_code == 2, result.output
+        assert f"{partial}:{line}:" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_large_instance_is_usage_error(self, runner, tmp_path):
         c = np.zeros((7, 7))
         path = tmp_path / "seven.csv"

@@ -1,8 +1,11 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from helpers import random_instance
-from preopt import Instance, PipelineConfig, oracle, run_joint
+from preopt import Instance, PipelineConfig, conditions, oracle, run_joint
 from preopt.conditions import (
     BBK_WEAK,
     DEFAULT_CONDITIONS,
@@ -13,9 +16,17 @@ from preopt.conditions import (
     subset_fixation_condition,
     subset_fixation_pass,
 )
+from preopt.energy import LABELS, build_join_energy
+from preopt.flow import FlowNetwork, capacity_arcs, cut_capacities, min_st_cut
 from preopt.instance import GeneratorConfig, generate_synthetic
-from preopt.maps import TAU_BOTH
-from preopt.relations import PartialAssignment, Relation, close
+from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, tau_loose_sets
+from preopt.relations import (
+    InconsistentAssignmentError,
+    PartialAssignment,
+    Relation,
+    close,
+    transitive_closure_matrix,
+)
 
 FIG1 = Instance(
     np.array(
@@ -305,3 +316,131 @@ class TestRunJoint:
         pa, fixations, stats = run_joint(Instance(np.zeros((1, 1))))
         assert stats.percent_fixed == 100.0
         assert fixations == []
+
+
+def _random_closed_pa(rng, n, density=0.3):
+    """Closed consistent assignment on any n: reveal pairs of a random preorder."""
+    x = transitive_closure_matrix(rng.random((n, n)) < 0.15)
+    reveal = rng.random((n, n)) < density
+    np.fill_diagonal(reveal, False)
+    return close(PartialAssignment(x & reveal, ~x & reveal))
+
+
+def _lifted_assignments(instances):
+    out = []
+    for inst in instances:
+        pa, _, _ = run_joint(inst)
+        out.append((pa.ones.tobytes(), pa.zeros.tobytes()))
+    return out
+
+
+def _gates_off(monkeypatch):
+    """Replace each gate's bound by a trivially valid one that never skips."""
+    monkeypatch.setattr(conditions, "_join_energy_floor", lambda model: 0.0)
+    monkeypatch.setattr(conditions, "_subset_gain_cap", lambda cap, i, j, subset: math.inf)
+    monkeypatch.setattr(conditions, "_two_hop_flow", lambda cap, i, j: 0.0)
+
+
+class TestSoundGates:
+    def test_join_energy_floor_below_every_labeling(self):
+        rng = np.random.default_rng(20)
+        checked = 0
+        for trial in range(36):
+            n = 3 + trial % 5  # 3..7
+            inst = random_instance(rng, n, "pm1" if trial % 3 == 0 else "grid")
+            pa = _random_closed_pa(rng, n)
+            pairs = conditions._undecided_pairs(pa)
+            for k in rng.permutation(len(pairs))[:3]:
+                i, j = pairs[k]
+                model = build_join_energy(inst, pa, i, j)
+                floor = conditions._join_energy_floor(model)
+                others = [p for p in range(n) if p not in (i, j)]
+                best = math.inf
+                for labels in itertools.product(LABELS, repeat=len(others)):
+                    lab = model.initial_labeling()
+                    lab[others] = labels
+                    best = min(best, model.energy(lab))
+                # grid and +-1 values sum exactly, so no slack is needed
+                assert best >= floor
+                checked += 1
+        assert checked > 50
+
+    def test_subset_gain_cap_bounds_exact_gain(self):
+        rng = np.random.default_rng(21)
+        for trial in range(60):
+            n = int(rng.integers(3, 7))
+            inst = random_instance(rng, n, "pm1" if trial % 4 == 0 else "grid")
+            pa = _random_closed_pa(rng, n)
+            pairs = conditions._undecided_pairs(pa)
+            if not pairs:
+                continue
+            i, j = pairs[int(rng.integers(len(pairs)))]
+            extra = [p for p in range(n) if p not in (i, j) and rng.random() < 0.6]
+            subset = sorted([i, j, *extra])
+            cap = conditions._subset_gain_cap(cut_capacities(inst, pa), i, j, subset)
+            sub, sub_pa = inst.restrict(subset), pa.restrict(subset)
+            si, sj = subset.index(i), subset.index(j)
+            opt_one = oracle.constrained_optimum(sub, sub_pa, (si, sj), 1).value
+            try:
+                opt_zero = oracle.constrained_optimum(sub, sub_pa, (si, sj), 0).value
+            except InconsistentAssignmentError:
+                assert math.isinf(cap)
+                continue
+            assert opt_one - opt_zero <= cap
+            # the gate's two inequalities hold for the bounds the condition computes
+            for variant in (TAU_BOTH, TAU_OUT, TAU_IN):
+                _, report = subset_fixation_condition(inst, pa, (i, j), 1, subset, variant)
+                _, p10 = tau_loose_sets(variant, frozenset(subset), pa)
+                assert report.lb - report.ub <= cap
+                assert report.ub_prime >= inst.c_plus[p10].sum()
+
+    def test_two_hop_flow_below_min_cut(self):
+        rng = np.random.default_rng(22)
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            cap = np.where(rng.random((n, n)) < 0.6, 10.0 ** rng.uniform(-3, 3, (n, n)), 0.0)
+            cap[rng.random((n, n)) < 0.08] = math.inf
+            np.fill_diagonal(cap, 0.0)
+            arcs = capacity_arcs(cap)
+            scale = max(1.0, float(cap[np.isfinite(cap)].sum()))
+            for s, t in itertools.permutations(range(n), 2):
+                value, _ = min_st_cut(FlowNetwork(n, arcs, s, t))
+                assert conditions._two_hop_flow(cap, s, t) <= value + 1e-9 * scale
+
+    def test_edge_cut_gate_keeps_fixed_set(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        cases = []
+        for trial in range(30):
+            n = int(rng.integers(3, 10))
+            inst = random_instance(rng, n, "pm1" if trial % 3 == 0 else "grid")
+            cases.append((inst, _random_closed_pa(rng, n, 0.2)))
+
+        def fixed_sets():
+            return [
+                {f.pair for f in edge_cut_condition(inst, pa, candidate_reuse=reuse)}
+                for inst, pa in cases
+                for reuse in (True, False)
+            ]
+
+        gated = fixed_sets()
+        _gates_off(monkeypatch)
+        assert fixed_sets() == gated
+
+    @pytest.mark.parametrize("ensemble", ["raw", "grid", "pm1"])
+    def test_gates_keep_lifted_assignment(self, monkeypatch, ensemble):
+        if ensemble == "pm1":
+            rng = np.random.default_rng(24)
+            instances = [random_instance(rng, 8, "pm1") for _ in range(8)]
+        else:
+            instances = []
+            for alpha in (0.1, 0.5, 0.9):
+                for seed in range(4):
+                    inst, _ = generate_synthetic(
+                        GeneratorConfig(n=9, p_edges=0.5, alpha=alpha, seed=seed)
+                    )
+                    if ensemble == "grid":
+                        inst = Instance(np.round(inst.values * 1024) / 1024)
+                    instances.append(inst)
+        gated = _lifted_assignments(instances)
+        _gates_off(monkeypatch)
+        assert _lifted_assignments(instances) == gated

@@ -1,4 +1,6 @@
 import math
+import signal
+from contextlib import contextmanager
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +14,7 @@ from preopt.flow import (
     reachability_sets,
     triple_arcs,
 )
+from preopt import GeneratorConfig, generate_synthetic, run_joint
 from preopt.relations import transitive_closure
 
 
@@ -29,6 +32,40 @@ def bruteforce_min_cut(net: FlowNetwork) -> float:
 
 def cut_capacity(net: FlowNetwork, side: set[int]) -> float:
     return sum(cap for u, v, cap in net.arcs if u in side and v not in side)
+
+
+class _TimeLimitExceeded(Exception):
+    pass
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the test when the body runs longer than ``seconds`` of wall time."""
+
+    def on_alarm(signum, frame):
+        raise _TimeLimitExceeded()
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _TimeLimitExceeded:
+        # no traceback: the interrupted frames may carry no line number
+        pytest.fail(f"no result within {seconds} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_min_cut(net: FlowNetwork, value: float, side: set[int]) -> None:
+    expected = bruteforce_min_cut(net)
+    scale = max(1.0, sum(c for _, _, c in net.arcs if not math.isinf(c)))
+    assert net.source in side and net.sink not in side
+    if math.isinf(expected):
+        assert math.isinf(value)
+    else:
+        assert abs(value - expected) <= 1e-9 * scale
+        assert abs(cut_capacity(net, side) - value) <= 1e-9 * scale
 
 
 class TestMinCutExamples:
@@ -108,6 +145,61 @@ class TestMinCutRandom:
                 scale = max(1.0, sum(c for _, _, c in arcs if not math.isinf(c)))
                 assert abs(value - expected) <= 1e-9 * scale
                 assert not math.isinf(cut_capacity(net, side))
+
+
+#: a swap network that edge-join builds on generate_synthetic(n=10,
+#: p_edges=0.5, alpha=0.5, seed=18): float residue is left at a node whose
+#: residual arcs all lead to height 2n, which once made min_st_cut re-queue
+#: that node forever
+STRANDING_ARCS = (
+    (7, 0, math.inf), (7, 1, 2.3141483870297117), (7, 2, 1.6009501281438099),
+    (7, 3, 0.8698529503856751), (7, 4, 1.6406514594576345), (5, 8, math.inf),
+    (7, 6, 1.6079551452709704), (0, 1, 0.01734985749808232), (0, 2, 0.6714389203647986),
+    (0, 3, 0.49101441712255756), (0, 4, 0.32977438179482516), (0, 6, 0.35428261345505296),
+    (1, 0, 0.9385915354481648), (1, 2, 0.2979947577981015), (1, 3, 0.6607805939350928),
+    (1, 4, 0.2553710456449313), (1, 5, 0.09955969369835016), (1, 6, 0.12490165206590848),
+    (2, 0, 0.8856145711539423), (2, 1, 0.34261535080181366), (2, 3, 0.8186699026476749),
+    (2, 4, 1.0851133800414785), (2, 6, 0.7442977177947709), (4, 3, 0.1901518218211929),
+    (5, 0, 0.253514553563619), (5, 2, 0.938893331363061), (5, 3, 0.8936682642621703),
+    (5, 4, 0.10171163816329193), (5, 6, 0.7104036815332423), (6, 0, 0.6019927482633298),
+    (6, 1, 0.9934526824175742), (6, 2, 0.7718159058258849), (6, 3, 0.3268762676419441),
+    (6, 4, 0.28068082922944654),
+)
+
+
+class TestMinCutRawFloats:
+    def test_stranded_residue_network(self):
+        net = FlowNetwork(9, STRANDING_ARCS, 7, 8)
+        with time_limit(10.0):
+            value, side = min_st_cut(net)
+        assert_min_cut(net, value, side)
+
+    @pytest.mark.parametrize(
+        "n, alpha", [(10, 0.5), (30, 0.5), (30, 0.1)], ids=["n10-a0.5", "n30-a0.5", "n30-a0.1"]
+    )
+    def test_generator_reproducers_finish(self, n, alpha):
+        seed = 0 if n == 30 else 18
+        instance, _ = generate_synthetic(GeneratorConfig(n=n, p_edges=0.5, alpha=alpha, seed=seed))
+        with time_limit(60.0):
+            pa, _, stats = run_joint(instance)
+        assert stats.fixed_zero + stats.fixed_one == pa.num_decided()
+
+    def test_seeded_scan_matches_bruteforce(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            n = int(rng.integers(3, 11))
+            density = rng.uniform(0.3, 1.0)
+            arcs = []
+            for u in range(n):
+                for v in range(n):
+                    if u != v and rng.random() < density:
+                        cap = math.inf if rng.random() < 0.05 else float(10.0 ** rng.uniform(-3, 3))
+                        arcs.append((u, v, cap))
+            s, t = rng.choice(n, size=2, replace=False)
+            net = FlowNetwork(n, tuple(arcs), int(s), int(t))
+            with time_limit(10.0):
+                value, side = min_st_cut(net)
+            assert_min_cut(net, value, side)
 
 
 class TestReachability:
