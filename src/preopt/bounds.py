@@ -178,14 +178,6 @@ class TriplePackingBound:
         return part + tri_part
 
 
-def triple_packing_upper_bound(
-    instance: Instance, pa: PartialAssignment, excluded=()
-) -> float:
-    """Upper bound on the optimum over all elements outside ``excluded``."""
-    pool = [p for p in range(instance.n) if p not in set(excluded)]
-    return TriplePackingBound(instance, pa, elements=pool).bound()
-
-
 def induced_value(instance: Instance, pa: PartialAssignment, i: int, j: int, b: int) -> float:
     """Upper bound on the total value of arcs incident to {i, j} over all
     completions with x_ij = b.
@@ -361,16 +353,13 @@ def exact_bounds_tractable(
     c = instance.values
     if c[i, j] < 0:
         raise ValueError("tractable bounds require c_ij >= 0")
-    n = instance.n
-    offdiag = ~np.eye(n, dtype=bool)
-    undecided = ~pa.decided & offdiag
-    x_plus = pa.ones | (undecided & (c >= 0))
-    if not Relation(x_plus).is_transitive():
+    x_plus = sign_greedy_relation(instance, pa)
+    if not x_plus.is_transitive():
         return None
-    opt = float(c[x_plus].sum())
+    opt = float(c[x_plus.matrix].sum())
 
     arcs = capacity_arcs(cut_capacities(instance, pa))
-    value, _ = min_st_cut(FlowNetwork(n, arcs, i, j))
+    value, _ = min_st_cut(FlowNetwork(instance.n, arcs, i, j))
     if math.isinf(value):
         return opt, -math.inf
     return opt, opt - value

@@ -11,6 +11,7 @@ import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -24,6 +25,7 @@ from .conditions import (
     run_joint,
 )
 from .instance import (
+    GeneratorConfig,
     draw_values,
     generate_ground_truth,
     ingest_ego_network,
@@ -77,16 +79,20 @@ def _stats_row(name: str, stats: RunStats, meta: dict | None = None) -> dict:
     return row
 
 
-def _parse_conditions(text: str | None) -> tuple[str, ...]:
-    if not text:
-        return DEFAULT_CONDITIONS
-    conditions = tuple(part.strip() for part in text.split(",") if part.strip())
-    for cond in conditions:
-        if cond not in ALL_CONDITIONS:
-            raise click.UsageError(
-                f"unknown condition {cond!r}; choose from {', '.join(ALL_CONDITIONS)}"
-            )
-    return conditions
+def _usage_error(message) -> NoReturn:
+    click.echo(f"usage error: {message}", err=True)
+    sys.exit(EXIT_USAGE)
+
+
+def _pipeline_config(conditions_text: str | None, **options) -> PipelineConfig:
+    """The run's config from the comma-separated condition ids; exit 1 if invalid."""
+    conditions = DEFAULT_CONDITIONS
+    if conditions_text:
+        conditions = tuple(part.strip() for part in conditions_text.split(",") if part.strip())
+    try:
+        return PipelineConfig(conditions=conditions, **options)
+    except ValueError as exc:
+        _usage_error(exc)
 
 
 def _manifest_meta(path: Path) -> dict:
@@ -105,7 +111,7 @@ def _manifest_meta(path: Path) -> dict:
     return {}
 
 
-def _run_one(args) -> tuple[str, dict, dict | None]:
+def _run_one(args) -> tuple[str, dict]:
     path, cfg, emit_dir = args
     instance = load_instance(path)
     name = Path(path).name
@@ -113,7 +119,7 @@ def _run_one(args) -> tuple[str, dict, dict | None]:
     if emit_dir is not None:
         out = Path(emit_dir) / (Path(path).stem + ".partial.csv")
         save_partial(pa, out)
-    return name, _stats_row(name, stats, _manifest_meta(Path(path))), None
+    return name, _stats_row(name, stats, _manifest_meta(Path(path)))
 
 
 @click.group()
@@ -131,6 +137,10 @@ def main():
 @click.option("--seed", type=int, default=0, show_default=True)
 def generate(out_dir, n, alpha, p_edges, truths, count, seed):
     """Write an ensemble of synthetic instances plus a manifest."""
+    try:
+        GeneratorConfig(n=n, p_edges=p_edges, alpha=alpha, seed=seed)
+    except ValueError as exc:
+        _usage_error(exc)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.csv"
@@ -179,12 +189,8 @@ def _quantiles(values: list[float]) -> tuple[float, float, float]:
 def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_csv):
     """Run the condition pipeline on instance files and report stats rows."""
     if not instances:
-        raise click.UsageError("no instance files given")
-    cfg = PipelineConfig(
-        conditions=_parse_conditions(conditions_text),
-        max_rounds=rounds,
-        single_pass=single_pass,
-    )
+        _usage_error("no instance files given")
+    cfg = _pipeline_config(conditions_text, max_rounds=rounds, single_pass=single_pass)
     if emit_dir is not None:
         Path(emit_dir).mkdir(parents=True, exist_ok=True)
     jobs = [(path, cfg, emit_dir) for path in instances]
@@ -192,12 +198,12 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
     try:
         if threads > 1:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for name, row, _ in pool.map(_run_one, jobs):
+                for name, row in pool.map(_run_one, jobs):
                     rows.append(row)
                     click.echo(f"{name}: {row['percent_fixed']}% fixed")
         else:
             for job in jobs:
-                name, row, _ = _run_one(job)
+                name, row = _run_one(job)
                 rows.append(row)
                 click.echo(f"{name}: {row['percent_fixed']}% fixed")
     except SoundnessError as exc:
@@ -228,6 +234,7 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
               help="certify a stored partial assignment instead of running the pipeline")
 def oracle_check(instance_path, conditions_text, partial_path):
     """Certify pipeline fixations against the exhaustive oracle (n <= 6)."""
+    cfg = _pipeline_config(conditions_text)
     try:
         instance = load_instance(instance_path)
     except ValueError as exc:
@@ -243,7 +250,6 @@ def oracle_check(instance_path, conditions_text, partial_path):
             click.echo(f"data error: {exc}", err=True)
             sys.exit(EXIT_DATA)
     else:
-        cfg = PipelineConfig(conditions=_parse_conditions(conditions_text))
         try:
             pa, _, _ = run_joint(instance, cfg)
         except SoundnessError as exc:

@@ -98,6 +98,9 @@ DEFAULT_CONDITIONS = (
 
 ALL_CONDITIONS = DEFAULT_CONDITIONS + (BBK_WEAK,)
 
+#: elements added to a pair to form subset-u's candidate subset
+SUBSET_NEIGHBORS = 4
+
 
 class SoundnessError(RuntimeError):
     """A condition produced fixations with no common transitive completion.
@@ -119,21 +122,18 @@ class Fixation:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Which conditions run, in which order, and their parameters."""
+    """Which conditions run, in which order, and how many rounds."""
 
     conditions: tuple[str, ...] = DEFAULT_CONDITIONS
     max_rounds: int | None = None  # None: iterate until no condition fixes a pair
     single_pass: bool = False
-    candidate_reuse: bool = True
-    swap_sweeps: int = 20
-    subset_neighbors: int = 4
-    greedy_lb: bool = True
-    merge: bool = True
 
     def __post_init__(self):
         for cond in self.conditions:
             if cond not in ALL_CONDITIONS:
-                raise ValueError(f"unknown condition id {cond!r}")
+                raise ValueError(
+                    f"unknown condition id {cond!r}; choose from {', '.join(ALL_CONDITIONS)}"
+                )
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be at least 1")
 
@@ -149,19 +149,16 @@ def directed_cut_condition(instance: Instance, pa: PartialAssignment) -> list[Fi
 
     The digraph keeps positive arcs and assigned-one arcs (minus assigned
     zeros); arcs leaving any node's reachable set are nonpositive and free of
-    assigned ones, so cutting all of them is improving. Like all cut
-    conditions, only pairs below minus the tolerance are fixed (ties at zero
-    are sound but useless and float-fragile).
+    assigned ones, so cutting all of them is improving. Reachability is
+    reflexive and transitive, so pq leaves some reachable set exactly when q
+    is not reachable from p. Like all cut conditions, only pairs below minus
+    the tolerance are fixed (ties at zero are sound but useless and
+    float-fragile).
     """
     c = instance.values
-    n = instance.n
     adjacency = ((c > 0.0) | pa.ones) & ~pa.zeros
     np.fill_diagonal(adjacency, False)
-    reach = reachability_sets(adjacency)
-    candidate = np.zeros((n, n), dtype=bool)
-    for u in range(n):
-        candidate |= np.outer(reach[u], ~reach[u])
-    candidate &= ~pa.zeros & (c < -instance.tolerance)
+    candidate = ~reachability_sets(adjacency) & ~pa.zeros & (c < -instance.tolerance)
     np.fill_diagonal(candidate, False)
     if (candidate & pa.ones).any():
         raise SoundnessError("directed cut crossed an assigned-one arc")
@@ -233,9 +230,7 @@ def _join_energy_floor(model: EnergyModel) -> float:
     return float(join[i, j] + cut[j, i] + per_label.sum())
 
 
-def edge_join_condition(
-    instance: Instance, pa: PartialAssignment, *, max_sweeps: int = 20
-) -> list[Fixation]:
+def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
     """Fix x_ij = 1 when some subset pair makes the join map improving.
 
     For each undecided pair with positive value, the cheapest right-hand side
@@ -255,7 +250,7 @@ def edge_join_condition(
         model = build_join_energy(instance, working, i, j)
         if c[i, j] - _join_energy_floor(model) < tol:
             continue
-        labeling, energy = alpha_beta_swap_minimize(model, max_sweeps=max_sweeps)
+        labeling, energy = alpha_beta_swap_minimize(model)
         margin = float(c[i, j]) - energy
         if margin < tol:
             continue
@@ -282,67 +277,66 @@ def _upper_bound_constrained(
     return induced_value(instance, pa, i, j, b) + packing.bound_excluding(i, j)
 
 
+def _pair_bounds(
+    instance: Instance,
+    pa: PartialAssignment,
+    packing: TriplePackingBound,
+    tractable: bool,
+    i: int,
+    j: int,
+    b: int,
+    lb: float | None = None,
+) -> tuple[float, float]:
+    """Lower bound on the optimum with x_ij = b, upper bound with x_ij = 1 - b.
+
+    ``lb``, when given, is an unconstrained lower bound used in place of a
+    constrained local search. For b = 1 and c_ij >= 0, exact values replace
+    both bounds when the sign-greedy relation is feasible.
+    """
+    if b == 1 and tractable and instance.values[i, j] >= 0.0:
+        exact = exact_bounds_tractable(instance, pa, (i, j))
+        if exact is not None:
+            opt_one, opt_zero = exact
+            return (opt_one if lb is None else max(lb, opt_one)), opt_zero
+    if lb is None:
+        lb, _ = local_search_lower_bound(instance, pa, ((i, j), b))
+    return lb, _upper_bound_constrained(instance, pa, packing, i, j, 1 - b)
+
+
 def boecker_conditions(
     instance: Instance,
     pa: PartialAssignment,
     strong: bool = True,
     bs: tuple[int, ...] = (0, 1),
-    *,
-    greedy: bool = True,
 ) -> list[Fixation]:
     """Bound-comparison conditions fixing pairs to either value.
 
     Strong: one unconstrained lower bound against per-pair constrained upper
-    bounds, strict inequality. Weak: per-pair constrained lower bounds with a
-    non-strict comparison, applied sequentially against the evolving
-    assignment. When the sign-greedy relation is feasible, its exact values
-    replace the heuristic bounds for pairs with nonnegative value.
+    bounds, every pair judged against pa. Weak: per-pair constrained lower
+    bounds, applied sequentially against the evolving assignment. Both
+    compare with the tolerance; ``_pair_bounds`` gives the bounds.
     """
-    c = instance.values
     tol = instance.tolerance
     packing = TriplePackingBound(instance, pa)
     tractable = sign_greedy_relation(instance, pa).is_transitive()
-    fixations: list[Fixation] = []
-
-    if strong:
-        lb, _ = local_search_lower_bound(instance, pa, greedy=greedy)
-        condition_by_b = {0: BBK_STRONG_ZERO, 1: BBK_STRONG_ONE}
-        for i, j in _undecided_pairs(pa):
-            for b in bs:
-                pair_lb = lb
-                if b == 1 and tractable and c[i, j] >= 0.0:
-                    exact = exact_bounds_tractable(instance, pa, (i, j))
-                    opt_one, opt_zero = exact
-                    pair_lb = max(pair_lb, opt_one)
-                    ub = opt_zero
-                else:
-                    ub = _upper_bound_constrained(instance, pa, packing, i, j, 1 - b)
-                margin = pair_lb - ub
-                if margin >= tol:
-                    fixations.append(Fixation((i, j), b, condition_by_b[b], margin))
-                    break
-        return fixations
-
+    lb = local_search_lower_bound(instance, pa)[0] if strong else None
     working = pa
+    fixations: list[Fixation] = []
     for i, j in _undecided_pairs(pa):
         if working.value(i, j) is not None:
             continue
         for b in bs:
-            if b == 1 and tractable and c[i, j] >= 0.0:
-                exact = exact_bounds_tractable(instance, working, (i, j))
-                if exact is not None:
-                    lb, ub = exact
-                else:
-                    lb, _ = local_search_lower_bound(instance, working, ((i, j), b), greedy=greedy)
-                    ub = _upper_bound_constrained(instance, working, packing, i, j, 1 - b)
+            pair_lb, ub = _pair_bounds(instance, working, packing, tractable, i, j, b, lb)
+            margin = pair_lb - ub
+            if margin < tol:
+                continue
+            if strong:
+                condition = (BBK_STRONG_ZERO, BBK_STRONG_ONE)[b]
             else:
-                lb, _ = local_search_lower_bound(instance, working, ((i, j), b), greedy=greedy)
-                ub = _upper_bound_constrained(instance, working, packing, i, j, 1 - b)
-            margin = lb - ub
-            if margin >= tol:
+                condition = BBK_WEAK
                 working = close(working.with_assignments([(i, j, b)]))
-                fixations.append(Fixation((i, j), b, BBK_WEAK, margin))
-                break
+            fixations.append(Fixation((i, j), b, condition, margin))
+            break
     return fixations
 
 
@@ -425,13 +419,7 @@ def _subset_gain_cap(cap: np.ndarray, i: int, j: int, subset: list[int]) -> floa
     return float(min(cap[i, subset].sum(), cap[subset, j].sum()))
 
 
-def subset_fixation_pass(
-    instance: Instance,
-    pa: PartialAssignment,
-    *,
-    neighbors: int = 4,
-    greedy: bool = True,
-) -> list[Fixation]:
+def subset_fixation_pass(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
     """Run the subset condition over all undecided positive pairs.
 
     Candidate subsets are the pair plus its strongest neighbors; all three
@@ -446,7 +434,7 @@ def subset_fixation_pass(
     for i, j in _undecided_pairs(pa):
         if instance.values[i, j] <= tol or working.value(i, j) is not None:
             continue
-        subset = _neighbor_subset(instance, i, j, neighbors)
+        subset = _neighbor_subset(instance, i, j, SUBSET_NEIGHBORS)
         gain_cap = _subset_gain_cap(cap, i, j, subset)
         for variant in (TAU_BOTH, TAU_OUT, TAU_IN):
             # sharp and loose flip sets share P10, so every boundary bound
@@ -454,9 +442,7 @@ def subset_fixation_pass(
             _, p10 = tau_loose_sets(variant, frozenset(subset), working)
             if gain_cap - float(instance.c_plus[p10].sum()) < tol:
                 continue
-            fix, _ = subset_fixation_condition(
-                instance, working, (i, j), 1, subset, variant, greedy=greedy
-            )
+            fix, _ = subset_fixation_condition(instance, working, (i, j), 1, subset, variant)
             if fix is not None:
                 working = close(working.with_assignments([(i, j, 1)]))
                 cap = cut_capacities(instance, working)
@@ -487,23 +473,21 @@ class RunStats:
     per_condition: dict[str, ConditionStats] = field(default_factory=dict)
 
 
-def _dispatch(cond: str, instance: Instance, pa: PartialAssignment, cfg: PipelineConfig):
+def _dispatch(cond: str, instance: Instance, pa: PartialAssignment) -> list[Fixation]:
     if cond == DIRECTED_CUT:
         return directed_cut_condition(instance, pa)
     if cond == EDGE_CUT:
-        return edge_cut_condition(instance, pa, candidate_reuse=cfg.candidate_reuse)
+        return edge_cut_condition(instance, pa)
     if cond == BBK_STRONG_ZERO:
-        return boecker_conditions(instance, pa, strong=True, bs=(0,), greedy=cfg.greedy_lb)
+        return boecker_conditions(instance, pa, strong=True, bs=(0,))
     if cond == BBK_STRONG_ONE:
-        return boecker_conditions(instance, pa, strong=True, bs=(1,), greedy=cfg.greedy_lb)
+        return boecker_conditions(instance, pa, strong=True, bs=(1,))
     if cond == BBK_WEAK:
-        return boecker_conditions(instance, pa, strong=False, greedy=cfg.greedy_lb)
+        return boecker_conditions(instance, pa, strong=False)
     if cond == EDGE_JOIN:
-        return edge_join_condition(instance, pa, max_sweeps=cfg.swap_sweeps)
+        return edge_join_condition(instance, pa)
     if cond == SUBSET_FIX:
-        return subset_fixation_pass(
-            instance, pa, neighbors=cfg.subset_neighbors, greedy=cfg.greedy_lb
-        )
+        return subset_fixation_pass(instance, pa)
     raise ValueError(f"unknown condition id {cond!r}")
 
 
@@ -557,7 +541,7 @@ def run_joint(
             if current.n <= 1:
                 break
             tick = time.perf_counter_ns()
-            fixations = _dispatch(cond, current, pa, cfg)
+            fixations = _dispatch(cond, current, pa)
             if fixations:
                 try:
                     new_pa = close(
@@ -580,16 +564,15 @@ def run_joint(
                     for op in groups[p]:
                         for oq in groups[q]:
                             all_fixations.append(replace(f, pair=(op, oq)))
-                if cfg.merge:
+                classes = mutual_one_classes(pa)
+                while classes:
+                    current, pa, _, old_to_new = merge_classes(current, pa, classes[0])
+                    stats.merged_classes += 1
+                    regrouped: list[list[int]] = [[] for _ in range(current.n)]
+                    for old_el, members in enumerate(groups):
+                        regrouped[int(old_to_new[old_el])].extend(members)
+                    groups = regrouped
                     classes = mutual_one_classes(pa)
-                    while classes:
-                        current, pa, _, old_to_new = merge_classes(current, pa, classes[0])
-                        stats.merged_classes += 1
-                        regrouped: list[list[int]] = [[] for _ in range(current.n)]
-                        for old_el, members in enumerate(groups):
-                            regrouped[int(old_to_new[old_el])].extend(members)
-                        groups = regrouped
-                        classes = mutual_one_classes(pa)
             stats.per_condition[cond].time_ns += time.perf_counter_ns() - tick
         if round_added == 0 or current.n <= 1:
             break

@@ -1,4 +1,4 @@
-"""Max-flow/min-cut, reachability and triple packing substrates.
+"""Max-flow/min-cut and reachability substrates.
 
 The dicut network of a partial assignment is built once, as a dense capacity
 matrix (``cut_capacities``), and read by every caller that needs it. The min
@@ -13,19 +13,20 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .relations import PartialAssignment, reach_or_equal
+
 if TYPE_CHECKING:
     from .instance import Instance
-    from .relations import PartialAssignment
 
 Arc = tuple[int, int, float]
 
 
-def cut_capacities(instance: "Instance", pa: "PartialAssignment") -> np.ndarray:
+def cut_capacities(instance: "Instance", pa: PartialAssignment) -> np.ndarray:
     """Dense capacities of the dicut network of an assignment.
 
     Assigned ones are uncuttable (inf), assigned zeros free (0), every other
@@ -233,79 +234,9 @@ def min_st_cut(net: FlowNetwork) -> tuple[float, set[int]]:
 
 
 def reachability_sets(adjacency: np.ndarray) -> np.ndarray:
-    """Per-node reachable sets of a digraph, via breadth-first search.
+    """Per-node reachable sets of a digraph.
 
     Row u of the returned boolean matrix marks every node with a u->q path,
     including u itself.
     """
-    adj = np.asarray(adjacency, dtype=bool)
-    n = adj.shape[0]
-    succ = [np.flatnonzero(adj[u]).tolist() for u in range(n)]
-    reach = np.eye(n, dtype=bool)
-    for u in range(n):
-        row = reach[u]
-        queue = deque([u])
-        while queue:
-            v = queue.popleft()
-            for w in succ[v]:
-                if not row[w]:
-                    row[w] = True
-                    queue.append(w)
-    return reach
-
-
-Triple = tuple[int, int, int]
-
-
-def triple_arcs(t: Triple) -> tuple[tuple[int, int], ...]:
-    """The three arcs pq, qr, pr a triple contributes to the objective."""
-    p, q, r = t
-    return ((p, q), (q, r), (p, r))
-
-
-@dataclass
-class TriplePacking:
-    """An edge-disjoint set of triples."""
-
-    triples: list[Triple] = field(default_factory=list)
-
-    def __post_init__(self):
-        seen: set[tuple[int, int]] = set()
-        for t in self.triples:
-            for e in triple_arcs(t):
-                if e in seen:
-                    raise ValueError(f"packing is not edge-disjoint at arc {e}")
-                seen.add(e)
-
-    def covered_arcs(self) -> set[tuple[int, int]]:
-        return {e for t in self.triples for e in triple_arcs(t)}
-
-
-def greedy_triple_packing(n: int, weight, elements=None) -> TriplePacking:
-    """Maximal edge-disjoint packing, greedily by descending weight.
-
-    Only triples with strictly positive weight are taken; ties break
-    lexicographically on (p, q, r). ``elements`` restricts the ground set.
-    """
-    pool = list(range(n)) if elements is None else sorted(elements)
-    scored: list[tuple[float, Triple]] = []
-    for p in pool:
-        for q in pool:
-            if q == p:
-                continue
-            for r in pool:
-                if r == p or r == q:
-                    continue
-                w = weight(p, q, r)
-                if w > 0.0:
-                    scored.append((w, (p, q, r)))
-    scored.sort(key=lambda item: (-item[0], item[1]))
-    used: set[tuple[int, int]] = set()
-    chosen: list[Triple] = []
-    for _, t in scored:
-        arcs = triple_arcs(t)
-        if any(e in used for e in arcs):
-            continue
-        used.update(arcs)
-        chosen.append(t)
-    return TriplePacking(chosen)
+    return reach_or_equal(np.asarray(adjacency, dtype=bool))

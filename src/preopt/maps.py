@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .relations import Pair, PartialAssignment, Relation, _bool_matmul
+from .relations import Pair, PartialAssignment, Relation, _bool_matmul, insert_arc_closed
 
 DICUT = "dicut"
 JOIN = "join"
@@ -105,13 +105,7 @@ def apply_join(x: Relation, i: int, j: int) -> Relation:
     """
     if i == j:
         raise ValueError("join needs two distinct elements")
-    src = x.matrix[:, i].copy()
-    src[i] = True
-    dst = x.matrix[j].copy()
-    dst[j] = True
-    out = x.matrix | np.outer(src, dst)
-    np.fill_diagonal(out, False)
-    return Relation(out, copy=False)
+    return Relation(insert_arc_closed(x.matrix, i, j), copy=False)
 
 
 def _apply_tau(spec: MapSpec, x: Relation) -> Relation:
@@ -255,19 +249,17 @@ def change_sets(spec: MapSpec, pa: PartialAssignment) -> ChangeSets:
     raise ValueError(f"change sets are not defined for map kind {spec.kind!r}")
 
 
-def is_true_to(spec: MapSpec, pa: PartialAssignment, *, loose: bool = False) -> bool:
+def is_true_to(spec: MapSpec, pa: PartialAssignment) -> bool:
     """Sufficient check that the map preserves the constrained feasible set.
 
     Dicut: no arc assigned one may cross the cut. Gamma/tau: no pair that may
     flip to zero is assigned one and no pair that may flip to one is assigned
-    zero. With ``loose=True`` the y-free supersets are used for tau.
+    zero.
     """
     if spec.kind == DICUT:
         u = _subset_mask(pa.n, spec.subset)
         return not pa.ones[np.ix_(u, ~u)].any()
     if spec.kind == GAMMA or spec.kind in _TAU_KINDS:
         sets = change_sets(spec, pa)
-        p01 = sets.p01_loose if loose else sets.p01
-        p10 = sets.p10_loose if loose else sets.p10
-        return not (p10 & pa.ones).any() and not (p01 & pa.zeros).any()
+        return not (sets.p10 & pa.ones).any() and not (sets.p01 & pa.zeros).any()
     raise ValueError(f"trueness is not defined for map kind {spec.kind!r}")

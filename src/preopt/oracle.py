@@ -178,15 +178,3 @@ def constrained_optimum(
 
 def count_preorders(n: int) -> int:
     return relation_stack(n).shape[0]
-
-
-def _sanity_example() -> None:
-    # quick self-check used by __main__ debugging sessions only
-    for n, expect in ((1, 1), (2, 4), (3, 29)):
-        assert count_preorders(n) == expect
-
-
-if __name__ == "__main__":
-    _sanity_example()
-    for n in range(1, MAX_ORACLE_N + 1):
-        print(n, count_preorders(n))

@@ -13,7 +13,6 @@ from preopt.bounds import (
     induced_value,
     local_search_lower_bound,
     sign_greedy_relation,
-    triple_packing_upper_bound,
 )
 from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, apply_map
 from preopt.relations import InconsistentAssignmentError, PartialAssignment, Relation
@@ -147,7 +146,7 @@ class TestTriplePackingBound:
         inst = Instance(c)
         pa = PartialAssignment.from_pairs(2, one_pairs=[(1, 0)])
         # no triples on 2 elements; bound = c_01+ + c_10 * 1
-        assert triple_packing_upper_bound(inst, pa) == pytest.approx(2.0 - 1.0)
+        assert TriplePackingBound(inst, pa).bound() == pytest.approx(2.0 - 1.0)
 
     def test_single_triangle_max(self):
         c = np.zeros((3, 3))
@@ -158,7 +157,7 @@ class TestTriplePackingBound:
         pa = PartialAssignment.empty(3)
         # termwise gives 2; the triangle constraint caps pq+qr at 1 with pr
         # free, and the packed triple tightens the bound to 1
-        assert triple_packing_upper_bound(inst, pa) == pytest.approx(1.0)
+        assert TriplePackingBound(inst, pa).bound() == pytest.approx(1.0)
 
     def test_dominates_oracle(self):
         rng = np.random.default_rng(11)
@@ -166,7 +165,7 @@ class TestTriplePackingBound:
             n = int(rng.integers(3, 6))
             inst = random_instance(rng, n)
             pa = random_closed_pa(rng, n, density=0.2)
-            bound = triple_packing_upper_bound(inst, pa)
+            bound = TriplePackingBound(inst, pa).bound()
             assert bound >= oracle.solve_exact(inst, pa).value - 1e-12
 
     def test_excluding_matches_restricted(self):

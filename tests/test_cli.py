@@ -56,6 +56,22 @@ class TestGenerate:
         assert result.exit_code == 0
         assert len(list(out.glob("synthetic_*.csv"))) == 4
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--alpha", "2"], "alpha must lie in [0, 1]"),
+            (["--n", "0"], "n must be positive"),
+        ],
+        ids=["alpha-out-of-range", "n-zero"],
+    )
+    def test_invalid_parameters_are_usage_errors(self, runner, tmp_path, args, message):
+        out = tmp_path / "ens"
+        result = runner.invoke(main, ["generate", "--out", str(out), *args])
+        assert result.exit_code == 1, result.output
+        assert message in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not list(out.glob("*.csv"))
+
     def test_reproducible_bytes(self, runner, tmp_path):
         args = ["--n", "5", "--truths", "1", "--count", "2", "--seed", "11"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -171,7 +187,15 @@ class TestFix:
     def test_unknown_condition_is_usage_error(self, runner, tmp_path):
         inst = write_fig1(tmp_path)
         result = runner.invoke(main, ["fix", str(inst), "--conditions", "bogus"])
-        assert result.exit_code != 0
+        assert result.exit_code == 1
+        assert "unknown condition id 'bogus'" in result.output
+
+    def test_zero_rounds_is_usage_error(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        result = runner.invoke(main, ["fix", str(inst), "--rounds", "0"])
+        assert result.exit_code == 1, result.output
+        assert "max_rounds must be at least 1" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_malformed_instance_is_data_error(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

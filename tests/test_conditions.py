@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -138,6 +139,32 @@ class TestDirectedCut:
             inst = random_instance(rng, n)
             fixations = directed_cut_condition(inst, PartialAssignment.empty(n))
             assert fixations_sound(inst, fixations)
+
+    def test_matches_cut_of_every_reachable_set(self):
+        # the definition: fix every negative pair leaving some node's
+        # reachable set, with each set grown by its own search
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 12))
+            c = np.round(rng.normal(size=(n, n)) * 8) / 8
+            np.fill_diagonal(c, 0.0)
+            inst = Instance(c)
+            pa = _random_closed_pa(rng, n)
+            adjacency = ((c > 0.0) | pa.ones) & ~pa.zeros
+            expected = np.zeros((n, n), dtype=bool)
+            for u in range(n):
+                reach, frontier = {u}, [u]
+                while frontier:
+                    v = frontier.pop()
+                    for w in np.flatnonzero(adjacency[v]):
+                        if int(w) not in reach:
+                            reach.add(int(w))
+                            frontier.append(int(w))
+                inside = np.isin(np.arange(n), sorted(reach))
+                expected |= np.outer(inside, ~inside)
+            expected &= ~pa.zeros & (c < -inst.tolerance)
+            fixations = directed_cut_condition(inst, pa)
+            assert [f.pair for f in fixations] == [(int(p), int(q)) for p, q in np.argwhere(expected)]
 
 
 class TestEdgeJoin:
@@ -444,3 +471,31 @@ class TestSoundGates:
         gated = _lifted_assignments(instances)
         _gates_off(monkeypatch)
         assert _lifted_assignments(instances) == gated
+
+
+def _ensemble_digest(n, conditions, seeds):
+    """SHA-256 over the lifted (ones, zeros) of run_joint on seeded raw-float
+    instances, alpha-major."""
+    cfg = PipelineConfig(conditions=conditions)
+    digest = hashlib.sha256()
+    for alpha in (0.1, 0.5, 0.9):
+        for seed in range(seeds):
+            inst, _ = generate_synthetic(GeneratorConfig(n=n, p_edges=0.5, alpha=alpha, seed=seed))
+            pa, _, _ = run_joint(inst, cfg)
+            digest.update(pa.ones.tobytes() + pa.zeros.tobytes())
+    return digest.hexdigest()
+
+
+class TestPinnedFixations:
+    """Exact outputs past the oracle's reach. A change meant to alter
+    fixations updates these pins and states both values."""
+
+    def test_default_pipeline_n12(self):
+        assert _ensemble_digest(12, DEFAULT_CONDITIONS, 24) == (
+            "25a6f9ba46fbc2e9923c12984ffade04a79a58881d96804a9d000b69e8deade3"
+        )
+
+    def test_weak_boecker_n10(self):
+        assert _ensemble_digest(10, (BBK_WEAK,), 8) == (
+            "ce8193b8ff16f4eaedb5dc8de5179c93ce6958c3aae05410c01ae442d47d5603"
+        )

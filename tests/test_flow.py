@@ -1,21 +1,16 @@
 import math
 import signal
 from contextlib import contextmanager
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
-from preopt.flow import (
-    FlowNetwork,
-    TriplePacking,
-    greedy_triple_packing,
-    min_st_cut,
-    reachability_sets,
-    triple_arcs,
-)
-from preopt import GeneratorConfig, generate_synthetic, run_joint
-from preopt.relations import transitive_closure
+from helpers import random_closed_pa, random_instance
+from preopt.bounds import TriplePackingBound
+from preopt.flow import FlowNetwork, min_st_cut, reachability_sets
+from preopt import GeneratorConfig, Instance, generate_synthetic, run_joint
+from preopt.relations import PartialAssignment, transitive_closure
 
 
 def bruteforce_min_cut(net: FlowNetwork) -> float:
@@ -227,41 +222,90 @@ class TestReachability:
                 assert set(np.flatnonzero(reach[u])) == expected
 
 
+def triple_arcs(t) -> tuple[tuple[int, int], ...]:
+    p, q, r = t
+    return ((p, q), (q, r), (p, r))
+
+
+def triple_improvement(inst, pa, t) -> float:
+    """Termwise maximum of a triple's arcs minus its true maximum under the
+    triangle constraint and the pinned pairs, by enumeration."""
+    arcs = triple_arcs(t)
+    c = inst.values
+    termwise = 0.0
+    for e in arcs:
+        v = pa.value(*e)
+        termwise += max(c[e], 0.0) if v is None else c[e] * v
+    best = max(
+        sum(c[e] * x for e, x in zip(arcs, combo))
+        for combo in product((0, 1), repeat=3)
+        if combo[0] + combo[1] - combo[2] <= 1
+        and all(pa.value(*e) in (None, x) for e, x in zip(arcs, combo))
+    )
+    return termwise - best
+
+
+def chain_instance(n: int) -> Instance:
+    """c = +1 on the arcs p -> p+1 and -1 elsewhere: exactly the triples
+    (p, p+1, p+2) improve, all by 1, and consecutive ones share an arc."""
+    c = -np.ones((n, n))
+    for p in range(n - 1):
+        c[p, p + 1] = 1.0
+    np.fill_diagonal(c, 0.0)
+    return Instance(c)
+
+
 class TestTriplePacking:
+    """The greedy edge-disjoint packing behind ``TriplePackingBound``."""
+
     def test_three_elements_at_most_one_per_orientation(self):
         # a triple consumes one full orientation class of the 6 arcs, so a
         # packing on 3 elements holds at most two triples
-        packing = greedy_triple_packing(3, lambda p, q, r: 1.0)
-        assert 1 <= len(packing.triples) <= 2
-        assert packing.triples[0] == (0, 1, 2)
+        rng = np.random.default_rng(9)
+        for _ in range(30):
+            inst = random_instance(rng, 3)
+            assert len(TriplePackingBound(inst, PartialAssignment.empty(3)).triples) <= 2
+        packing = TriplePackingBound(chain_instance(3), PartialAssignment.empty(3))
+        assert packing.triples == [(0, 1, 2)]
 
     def test_zero_weights_empty(self):
-        packing = greedy_triple_packing(5, lambda p, q, r: 0.0)
-        assert packing.triples == []
+        # all-zero or all-positive values leave no triple that improves
+        for c in (np.zeros((5, 5)), np.ones((5, 5))):
+            np.fill_diagonal(c, 0.0)
+            assert TriplePackingBound(Instance(c), PartialAssignment.empty(5)).triples == []
 
     def test_disjoint_and_maximal(self):
         rng = np.random.default_rng(10)
         for _ in range(30):
             n = 5
-            weights = {}
-            for p in range(n):
-                for q in range(n):
-                    for r in range(n):
-                        if len({p, q, r}) == 3:
-                            weights[(p, q, r)] = float(rng.normal())
-            packing = greedy_triple_packing(n, lambda p, q, r: weights[(p, q, r)])
-            used = packing.covered_arcs()
+            inst = random_instance(rng, n)
+            pa = random_closed_pa(rng, n, density=0.2)
+            packing = TriplePackingBound(inst, pa)
+            used = {e for t in packing.triples for e in triple_arcs(t)}
             assert len(used) == 3 * len(packing.triples)  # disjoint
-            for t, w in weights.items():
-                if w > 0 and t not in packing.triples:
-                    assert any(e in used for e in triple_arcs(t))  # not addable
+            for t in packing.triples:
+                assert triple_improvement(inst, pa, t) > 0.0
+            for t in product(range(n), repeat=3):
+                if len(set(t)) == 3 and t not in packing.triples:
+                    if triple_improvement(inst, pa, t) > 0.0:
+                        assert any(e in used for e in triple_arcs(t))  # not addable
 
     def test_deterministic_tie_break(self):
-        a = greedy_triple_packing(4, lambda p, q, r: 1.0)
-        b = greedy_triple_packing(4, lambda p, q, r: 1.0)
-        assert a.triples == b.triples
-        assert a.triples[0] == (0, 1, 2)
+        # (0, 1, 2) and (1, 2, 3) tie and share the arc 12
+        a = TriplePackingBound(chain_instance(4), PartialAssignment.empty(4))
+        b = TriplePackingBound(chain_instance(4), PartialAssignment.empty(4))
+        assert a.triples == b.triples == [(0, 1, 2)]
 
     def test_packing_validates_disjointness(self):
-        with pytest.raises(ValueError):
-            TriplePacking([(0, 1, 2), (0, 1, 3)])
+        # dense positive-improvement instances: many candidate triples overlap
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n = 6
+            inst = random_instance(rng, n, kind="pm1")
+            packing = TriplePackingBound(inst, PartialAssignment.empty(n))
+            covered = np.zeros((n, n), dtype=int)
+            for t in packing.triples:
+                for e in triple_arcs(t):
+                    covered[e] += 1
+            assert covered.max(initial=0) <= 1
+            assert np.array_equal(covered.astype(bool), packing.covered)
