@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flow import FlowNetwork, capacity_arcs, cut_capacities, min_st_cut
+from .flow import FlowNetwork, cut_capacities, min_st_cut
 from .instance import Instance, evaluate
 from .maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, change_sets, tau_loose_sets
 from .relations import (
@@ -358,8 +358,7 @@ def exact_bounds_tractable(
         return None
     opt = float(c[x_plus.matrix].sum())
 
-    arcs = capacity_arcs(cut_capacities(instance, pa))
-    value, _ = min_st_cut(FlowNetwork(instance.n, arcs, i, j))
+    value, _ = min_st_cut(FlowNetwork(cut_capacities(instance, pa)), i, j)
     if math.isinf(value):
         return opt, -math.inf
     return opt, opt - value

@@ -10,10 +10,12 @@ import csv
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NoReturn
 
 import click
+from click.exceptions import NoArgsIsHelpError
 
 from . import oracle
 from .conditions import (
@@ -122,7 +124,31 @@ def _run_one(args) -> tuple[str, dict]:
     return name, _stats_row(name, stats, _manifest_meta(Path(path)))
 
 
-@click.group()
+@contextmanager
+def _click_usage_errors():
+    """Arguments click itself rejects are usage errors too: exit 1, not 2."""
+    try:
+        yield
+    except NoArgsIsHelpError as exc:
+        exc.exit_code = EXIT_USAGE  # keep click's help text
+        raise
+    except click.UsageError as exc:
+        _usage_error(exc.format_message())
+
+
+class _Group(click.Group):
+    """The command group, with click's argument errors as usage errors."""
+
+    def make_context(self, *args, **kwargs):
+        with _click_usage_errors():
+            return super().make_context(*args, **kwargs)
+
+    def invoke(self, ctx):
+        with _click_usage_errors():
+            return super().invoke(ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Partial-optimality preprocessing for preordering instances."""
 
@@ -132,8 +158,10 @@ def main():
 @click.option("--n", "n", type=int, default=20, show_default=True)
 @click.option("--alpha", type=float, default=0.5, show_default=True)
 @click.option("--p-edges", type=float, default=0.5, show_default=True)
-@click.option("--truths", type=int, default=5, show_default=True, help="ground truths per setting")
-@click.option("--count", type=int, default=20, show_default=True, help="value draws per truth")
+@click.option("--truths", type=click.IntRange(min=1), default=5, show_default=True,
+              help="ground truths per setting")
+@click.option("--count", type=click.IntRange(min=1), default=20, show_default=True,
+              help="value draws per truth")
 @click.option("--seed", type=int, default=0, show_default=True)
 def generate(out_dir, n, alpha, p_edges, truths, count, seed):
     """Write an ensemble of synthetic instances plus a manifest."""

@@ -55,7 +55,7 @@ from .energy import (
     alpha_beta_swap_minimize,
     build_join_energy,
 )
-from .flow import FlowNetwork, capacity_arcs, cut_capacities, min_st_cut, reachability_sets
+from .flow import FlowNetwork, cut_capacities, min_st_cut, reachability_sets
 from .instance import Instance
 from .maps import (
     TAU_BOTH,
@@ -181,21 +181,24 @@ def edge_cut_condition(
     """Fix x_ij = 0 whenever the cheapest dicut through ij costs at most c_ij-.
 
     One minimum i-j cut per candidate pair whose two-hop flow does not
-    already exceed c_ij-; with candidate reuse each solved cut is tested
-    against every pair it separates, which saves most of the remaining
-    max-flow calls without changing the fixation set.
+    already exceed c_ij-, all on one network built at the first cut; with
+    candidate reuse each solved cut is tested against every pair it
+    separates, which saves most of the remaining max-flow calls without
+    changing the fixation set.
     """
     c = instance.values
     tol = instance.tolerance
     cap = cut_capacities(instance, pa)
-    arcs = capacity_arcs(cap)
+    net = None
     fixed = np.zeros((instance.n, instance.n), dtype=bool)
     fixations: list[Fixation] = []
     targets = [(i, j) for i, j in _undecided_pairs(pa) if c[i, j] < -tol]
     for i, j in targets:
         if fixed[i, j] or _two_hop_flow(cap, i, j) > -c[i, j] - tol:
             continue
-        value, side = min_st_cut(FlowNetwork(instance.n, arcs, i, j))
+        if net is None:
+            net = FlowNetwork(cap)
+        value, side = min_st_cut(net, i, j)
         if math.isinf(value):
             continue
         if candidate_reuse:

@@ -25,8 +25,14 @@ IN_U_PRIME = 1
 REST = 2
 LABELS = (IN_U, IN_U_PRIME, REST)
 
-#: label pairs (a, b) whose ordered cost is the "may turn 1 -> 0" plane
-_CUT_POSITIONS = ((IN_U_PRIME, IN_U), (REST, IN_U), (IN_U_PRIME, REST))
+#: the cost plane each ordered label pair (label of p, label of q) reads;
+#: every other pair costs nothing
+_PLANES = {
+    (IN_U, IN_U_PRIME): "join_cost",
+    (IN_U_PRIME, IN_U): "cut_cost",
+    (REST, IN_U): "cut_cost",
+    (IN_U_PRIME, REST): "cut_cost",
+}
 
 
 @dataclass(eq=False)
@@ -34,7 +40,7 @@ class EnergyModel:
     """Pairwise costs for the join condition's subset search.
 
     ``join_cost[p, q]`` applies when p is labeled IN_U and q IN_U_PRIME;
-    ``cut_cost[p, q]`` applies on the three label pairs of _CUT_POSITIONS.
+    ``cut_cost[p, q]`` applies on the three other label pairs of _PLANES.
     All other label combinations cost nothing. The elements i and j are
     pinned to IN_U and IN_U_PRIME by infinite unary costs.
     """
@@ -56,12 +62,14 @@ class EnergyModel:
             return 0.0 if label == IN_U_PRIME else math.inf
         return 0.0
 
+    def plane(self, label_p: int, label_q: int) -> np.ndarray | None:
+        """The cost matrix read when p has label_p and q has label_q, or None."""
+        name = _PLANES.get((label_p, label_q))
+        return None if name is None else getattr(self, name)
+
     def pair_cost(self, p: int, q: int, label_p: int, label_q: int) -> float:
-        if label_p == IN_U and label_q == IN_U_PRIME:
-            return float(self.join_cost[p, q])
-        if (label_p, label_q) in _CUT_POSITIONS:
-            return float(self.cut_cost[p, q])
-        return 0.0
+        costs = self.plane(label_p, label_q)
+        return 0.0 if costs is None else float(costs[p, q])
 
     def energy(self, labeling: np.ndarray) -> float:
         lab = np.asarray(labeling)
@@ -69,17 +77,12 @@ class EnergyModel:
             raise ValueError("labeling has wrong shape")
         if lab[self.i] != IN_U or lab[self.j] != IN_U_PRIME:
             return math.inf
+        members = [np.flatnonzero(lab == label) for label in LABELS]
         total = 0.0
-        join_mask = np.outer(lab == IN_U, lab == IN_U_PRIME)
-        np.fill_diagonal(join_mask, False)
-        total += float(self.join_cost[join_mask].sum())
-        cut_mask = (
-            np.outer(lab == IN_U_PRIME, lab == IN_U)
-            | np.outer(lab == REST, lab == IN_U)
-            | np.outer(lab == IN_U_PRIME, lab == REST)
-        )
-        np.fill_diagonal(cut_mask, False)
-        total += float(self.cut_cost[cut_mask].sum())
+        # label classes are disjoint, so no block touches the diagonal
+        for (label_p, label_q), name in _PLANES.items():
+            block = getattr(self, name)[members[label_p]][:, members[label_q]]
+            total += float(block.sum())
         return total
 
     def initial_labeling(self) -> np.ndarray:
@@ -119,36 +122,36 @@ def optimal_swap(model: EnergyModel, labeling: np.ndarray, alpha: int, beta: int
     has higher energy than the input.
     """
     lab = labeling.copy()
-    members = np.flatnonzero((lab == alpha) | (lab == beta))
-    if members.size == 0:
-        return lab
-    outside = np.flatnonzero((lab != alpha) & (lab != beta))
+    in_swap = (lab == alpha) | (lab == beta)
+    members = np.flatnonzero(in_swap)
     k = members.size
+    if k == 0:
+        return lab
+    outside = np.flatnonzero(~in_swap)
+    (third,) = set(LABELS) - {alpha, beta}  # the label of every outside node
     source, sink = k, k + 1  # source side keeps alpha, sink side beta
-    arcs = []
-    for a_idx, p in enumerate(members):
-        w_source = model.unary(int(p), beta)
-        w_sink = model.unary(int(p), alpha)
-        for q in outside:
-            w_source += model.pair_cost(int(p), int(q), beta, int(lab[q]))
-            w_source += model.pair_cost(int(q), int(p), int(lab[q]), beta)
-            w_sink += model.pair_cost(int(p), int(q), alpha, int(lab[q]))
-            w_sink += model.pair_cost(int(q), int(p), int(lab[q]), alpha)
-        if w_source > 0.0:
-            arcs.append((source, a_idx, w_source))
-        if w_sink > 0.0:
-            arcs.append((a_idx, sink, w_sink))
-    for a_idx, p in enumerate(members):
-        for b_idx, q in enumerate(members):
-            if a_idx == b_idx:
-                continue
-            w = model.pair_cost(int(p), int(q), alpha, beta)
-            w += model.pair_cost(int(q), int(p), beta, alpha)
-            if w > 0.0:
-                arcs.append((a_idx, b_idx, w))
-    _, source_side = min_st_cut(FlowNetwork(k + 2, tuple(arcs), source, sink))
-    for a_idx, p in enumerate(members):
-        lab[p] = alpha if a_idx in source_side else beta
+    cap = np.zeros((k + 2, k + 2))
+    # terminal arcs: source -> p is cut when p takes beta, p -> sink when it
+    # takes alpha; each prices p's label against every outside node
+    for label, terminal in ((beta, cap[source, :k]), (alpha, cap[:k, sink])):
+        costs = model.plane(label, third)
+        if costs is not None:
+            terminal += costs[members][:, outside].sum(axis=1)
+        costs = model.plane(third, label)
+        if costs is not None:
+            terminal += costs[outside][:, members].sum(axis=0)
+        for pinned in (model.i, model.j):
+            terminal[members == pinned] += model.unary(pinned, label)
+    # pairwise arcs: p -> q is cut when p keeps alpha and q takes beta
+    block = cap[:k, :k]
+    costs = model.plane(alpha, beta)
+    if costs is not None:
+        block += costs[members][:, members]
+    costs = model.plane(beta, alpha)
+    if costs is not None:
+        block += costs[members][:, members].T
+    _, source_side = min_st_cut(FlowNetwork(cap), source, sink)
+    lab[members] = [alpha if a in source_side else beta for a in range(k)]
     return lab
 
 

@@ -1,8 +1,11 @@
 """Max-flow/min-cut and reachability substrates.
 
 The dicut network of a partial assignment is built once, as a dense capacity
-matrix (``cut_capacities``), and read by every caller that needs it. The min
-s-t cut solver is a push-relabel implementation with highest-label
+matrix (``cut_capacities``), and read by every caller that needs it. A
+``FlowNetwork`` takes such a matrix, checks it and builds its residual
+adjacency once; ``min_st_cut(net, source, sink)`` copies the residual
+capacities, so one network serves every source-sink pair the caller asks
+about. The solver is a push-relabel implementation with highest-label
 selection, the gap heuristic and periodic global relabeling; the condition
 deciders solve O(n^2) cut problems per instance, so these heuristics matter.
 Infinite capacities are represented by a sentinel equal to the sum of all
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -37,60 +40,70 @@ def cut_capacities(instance: "Instance", pa: PartialAssignment) -> np.ndarray:
     return cap
 
 
-def capacity_arcs(cap: np.ndarray) -> tuple[Arc, ...]:
-    """The positive entries of a dense capacity matrix as an arc list, row-major."""
-    return tuple((int(p), int(q), float(cap[p, q])) for p, q in np.argwhere(cap > 0.0))
-
-
-@dataclass(frozen=True)
 class FlowNetwork:
-    """Directed capacitated graph with a source and a sink.
+    """Directed capacitated graph given as a dense capacity matrix.
 
-    Capacities must be nonnegative; math.inf marks uncuttable arcs. The arc
-    list may be shared between networks that differ only in source/sink.
+    ``capacities[u, v]`` is the capacity of the arc u -> v; entries must be
+    nonnegative, math.inf marks uncuttable arcs, and the diagonal is
+    ignored. The matrix is checked and turned into residual adjacency once,
+    so one network serves minimum cuts between any source and sink.
     """
 
-    n: int
-    arcs: tuple[Arc, ...]
-    source: int
-    sink: int
+    def __init__(self, capacities: np.ndarray):
+        cap = np.array(capacities, dtype=float)
+        if cap.ndim != 2 or cap.shape[0] != cap.shape[1]:
+            raise ValueError(f"capacities must be a square matrix, got shape {cap.shape}")
+        if not (cap >= 0.0).all():
+            raise ValueError("capacities must be nonnegative and not NaN")
+        cap.flags.writeable = False
+        self.capacities = cap
+        self.n = n = cap.shape[0]
+        positive = cap > 0.0
+        positive.flat[:: n + 1] = False
+        tails, heads = positive.nonzero()
+        self._tails, self._heads = tails.tolist(), heads.tolist()
+        self._caps = cap[positive].tolist()
+        # the same float sum, in the same row-major order, as an arc list gives
+        self._finite_total = sum([c for c in self._caps if c != math.inf])
+        sentinel = self._finite_total + 1.0
+        # residual arc 2m is arc m and 2m + 1 its reverse; each node's list
+        # keeps row-major arc order
+        adj: list[list[int]] = [[] for _ in range(n)]
+        arc_to: list[int] = []
+        residual: list[float] = []
+        a = 0
+        for u, v, c in zip(self._tails, self._heads, self._caps):
+            adj[u].append(a)
+            adj[v].append(a + 1)
+            a += 2
+            arc_to.append(v)
+            arc_to.append(u)
+            residual.append(sentinel if c == math.inf else c)
+            residual.append(0.0)
+        self._adj, self._arc_to, self._residual = adj, arc_to, residual
 
-    def __post_init__(self):
-        if not (0 <= self.source < self.n and 0 <= self.sink < self.n):
-            raise ValueError("source/sink out of range")
-        if self.source == self.sink:
-            raise ValueError("source and sink must differ")
-        for u, v, cap in self.arcs:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"arc ({u}, {v}) out of range")
-            if cap < 0 or math.isnan(cap):
-                raise ValueError(f"arc ({u}, {v}) has invalid capacity {cap}")
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The positive off-diagonal capacities as (u, v, cap), row-major."""
+        return tuple(zip(self._tails, self._heads, self._caps))
 
 
-def min_st_cut(net: FlowNetwork) -> tuple[float, set[int]]:
-    """Minimum s-t cut value and the source side of one minimum cut.
+def min_st_cut(net: FlowNetwork, source: int, sink: int) -> tuple[float, set[int]]:
+    """Minimum source-sink cut value and the source side of one minimum cut.
 
     Returns (value, U) with source in U and sink not in U; the value equals
-    the maximum flow. If every s-t cut crosses an infinite arc the value is
-    math.inf and U is the residual-reachable set of the source.
+    the maximum flow. If every cut crosses an infinite arc the value is
+    math.inf and U is the residual-reachable set of the source. The network
+    is not changed, so it can be solved again for another pair.
     """
-    n, s, t = net.n, net.source, net.sink
-    finite_total = sum(cap for _, _, cap in net.arcs if not math.isinf(cap))
-    sentinel = finite_total + 1.0
-
-    arc_to: list[int] = []
-    arc_cap: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, cap in net.arcs:
-        if u == v or cap == 0.0:
-            continue
-        c = sentinel if math.isinf(cap) else cap
-        adj[u].append(len(arc_to))
-        arc_to.append(v)
-        arc_cap.append(c)
-        adj[v].append(len(arc_to))
-        arc_to.append(u)
-        arc_cap.append(0.0)
+    n, s, t = net.n, source, sink
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"source/sink ({s}, {t}) out of range for {n} nodes")
+    if s == t:
+        raise ValueError("source and sink must differ")
+    finite_total = net._finite_total
+    adj, arc_to = net._adj, net._arc_to
+    arc_cap = net._residual.copy()
 
     hmax = 2 * n
     height = [0] * n

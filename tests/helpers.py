@@ -45,6 +45,15 @@ def random_closed_pa(
     return close(random_consistent_pa(rng, n, density))
 
 
+def arc_matrix(n: int, arcs) -> np.ndarray:
+    """Dense n x n capacity matrix of an arc list (u, v, cap), summing
+    parallel arcs."""
+    cap = np.zeros((n, n))
+    for u, v, c in arcs:
+        cap[u, v] += c
+    return cap
+
+
 def completions(pa: PartialAssignment) -> np.ndarray:
     """All transitive completions of pa, as a boolean stack (oracle-backed)."""
     stack = oracle.relation_stack(pa.n)

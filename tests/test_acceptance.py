@@ -13,7 +13,13 @@ from itertools import combinations
 import numpy as np
 from click.testing import CliRunner
 
-from helpers import completions, random_consistent_pa, random_closed_pa, random_instance
+from helpers import (
+    arc_matrix,
+    completions,
+    random_closed_pa,
+    random_consistent_pa,
+    random_instance,
+)
 from preopt import (
     Instance,
     PartialAssignment,
@@ -338,8 +344,7 @@ def test_criterion_09_max_flow_oracle():
                 if u != v and rng.random() < density:
                     arcs.append((u, v, float(rng.integers(0, 64)) / 8.0))
         s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
-        net = FlowNetwork(n, tuple(arcs), s, t)
-        value, side = min_st_cut(net)
+        value, side = min_st_cut(FlowNetwork(arc_matrix(n, arcs)), s, t)
         others = [v for v in range(n) if v not in (s, t)]
         best = math.inf
         for k in range(len(others) + 1):

@@ -72,6 +72,25 @@ class TestGenerate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not list(out.glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--out", "OUT", "--n", "abc"], "usage error: Invalid value for '--n'"),
+            ([], "usage error: Missing option '--out'"),
+            (["--out", "OUT", "--truths", "-1"], "usage error: Invalid value for '--truths'"),
+            (["--out", "OUT", "--count", "0"], "usage error: Invalid value for '--count'"),
+        ],
+        ids=["n-not-integer", "out-missing", "truths-negative", "count-zero"],
+    )
+    def test_rejected_arguments_are_usage_errors(self, runner, tmp_path, args, message):
+        out = tmp_path / "ens"
+        args = [str(out) if arg == "OUT" else arg for arg in args]
+        result = runner.invoke(main, ["generate", *args])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith(message)
+        assert result.output.count("\n") == 1
+        assert not out.exists()
+
     def test_reproducible_bytes(self, runner, tmp_path):
         args = ["--n", "5", "--truths", "1", "--count", "2", "--seed", "11"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -18,7 +18,7 @@ from preopt.conditions import (
     subset_fixation_pass,
 )
 from preopt.energy import LABELS, build_join_energy
-from preopt.flow import FlowNetwork, capacity_arcs, cut_capacities, min_st_cut
+from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.instance import GeneratorConfig, generate_synthetic
 from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, tau_loose_sets
 from preopt.relations import (
@@ -428,10 +428,10 @@ class TestSoundGates:
             cap = np.where(rng.random((n, n)) < 0.6, 10.0 ** rng.uniform(-3, 3, (n, n)), 0.0)
             cap[rng.random((n, n)) < 0.08] = math.inf
             np.fill_diagonal(cap, 0.0)
-            arcs = capacity_arcs(cap)
+            net = FlowNetwork(cap)
             scale = max(1.0, float(cap[np.isfinite(cap)].sum()))
             for s, t in itertools.permutations(range(n), 2):
-                value, _ = min_st_cut(FlowNetwork(n, arcs, s, t))
+                value, _ = min_st_cut(net, s, t)
                 assert conditions._two_hop_flow(cap, s, t) <= value + 1e-9 * scale
 
     def test_edge_cut_gate_keeps_fixed_set(self, monkeypatch):

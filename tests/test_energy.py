@@ -45,6 +45,69 @@ def random_model(rng, n):
     return build_join_energy(inst, pa, i, j), inst, pa, i, j
 
 
+def outer_mask_energy(model: EnergyModel, lab: np.ndarray) -> float:
+    """Reference energy: the masked sum over the join plane and the three
+    cut-plane label pairs."""
+    if lab[model.i] != IN_U or lab[model.j] != IN_U_PRIME:
+        return math.inf
+    join_mask = np.outer(lab == IN_U, lab == IN_U_PRIME)
+    np.fill_diagonal(join_mask, False)
+    cut_mask = (
+        np.outer(lab == IN_U_PRIME, lab == IN_U)
+        | np.outer(lab == REST, lab == IN_U)
+        | np.outer(lab == IN_U_PRIME, lab == REST)
+    )
+    np.fill_diagonal(cut_mask, False)
+    return 0.0 + float(model.join_cost[join_mask].sum()) + float(model.cut_cost[cut_mask].sum())
+
+
+def random_costs(rng, n: int, kind: str) -> np.ndarray:
+    """Nonnegative costs: raw floats over six decades, or multiples of 2^-10,
+    with some infinite entries for kind "inf"."""
+    if kind == "grid":
+        costs = rng.integers(0, 1025, size=(n, n)) / 1024.0
+    else:
+        costs = 10.0 ** rng.uniform(-3, 3, size=(n, n))
+    costs[rng.random((n, n)) < 0.3] = 0.0
+    if kind == "inf":
+        costs[rng.random((n, n)) < 0.1] = math.inf
+    np.fill_diagonal(costs, 0.0)
+    return costs
+
+
+def swap_models(rng, count: int):
+    """Random models with n <= 7 of four kinds: raw floats, 2^-10 values,
+    infinite costs, and join energies of instances with pinned pairs (n <= 6,
+    the oracle's limit for drawing a closed assignment)."""
+    kinds = ("raw", "grid", "inf", "pinned")
+    made = 0
+    while made < count:
+        kind = kinds[made % len(kinds)]
+        if kind == "pinned":
+            built = random_model(rng, int(rng.integers(2, 7)))
+            if built is None:
+                continue
+            model = built[0]
+        else:
+            n = int(rng.integers(2, 8))
+            i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
+            model = EnergyModel(
+                i=i, j=j,
+                join_cost=random_costs(rng, n, kind),
+                cut_cost=random_costs(rng, n, kind),
+                tolerance=1e-9,
+            )
+        made += 1
+        yield kind, model
+
+
+def random_labeling(rng, model: EnergyModel) -> np.ndarray:
+    lab = rng.integers(0, 3, size=model.n).astype(np.int8)
+    lab[model.i] = IN_U
+    lab[model.j] = IN_U_PRIME
+    return lab
+
+
 class TestBuildJoinEnergy:
     def test_join_plane_is_negative_part_when_unconstrained(self):
         rng = np.random.default_rng(1)
@@ -118,6 +181,52 @@ class TestBuildJoinEnergy:
             else:
                 assert not trueness_broken
                 assert energy == pytest.approx(rhs)
+
+
+class TestEnergyFormula:
+    def test_matches_outer_mask_reference(self):
+        rng = np.random.default_rng(15)
+        for kind, model in swap_models(rng, 400):
+            for _ in range(5):
+                lab = random_labeling(rng, model)
+                if rng.random() < 0.1:
+                    lab[model.i] = REST  # a forbidden labeling
+                expected = outer_mask_energy(model, lab)
+                energy = model.energy(lab)
+                if kind == "grid":
+                    assert energy == expected
+                elif math.isinf(expected):
+                    assert math.isinf(energy)
+                else:
+                    assert energy == pytest.approx(expected, rel=1e-12)
+
+
+class TestOptimalSwapExact:
+    def test_matches_every_resplit(self):
+        rng = np.random.default_rng(16)
+        seen = set()
+        for kind, model in swap_models(rng, 300):
+            lab = random_labeling(rng, model)
+            for alpha, beta in ((IN_U, IN_U_PRIME), (IN_U, REST), (IN_U_PRIME, REST)):
+                members = np.flatnonzero((lab == alpha) | (lab == beta))
+                best = math.inf
+                for split in product((alpha, beta), repeat=members.size):
+                    trial = lab.copy()
+                    trial[members] = split
+                    best = min(best, model.energy(trial))
+                swapped = optimal_swap(model, lab, alpha, beta)
+                assert set(swapped[members].tolist()) <= {alpha, beta}
+                outside = (lab != alpha) & (lab != beta)
+                assert np.array_equal(swapped[outside], lab[outside])
+                energy = model.energy(swapped)
+                if math.isinf(best):
+                    assert math.isinf(energy)
+                else:
+                    finite = np.concatenate([model.join_cost.ravel(), model.cut_cost.ravel()])
+                    scale = max(1.0, float(finite[np.isfinite(finite)].sum()))
+                    assert abs(energy - best) <= 1e-9 * scale
+                    seen.add(kind)
+        assert seen == {"raw", "grid", "inf", "pinned"}
 
 
 class TestAlphaBetaSwap:

@@ -1,32 +1,37 @@
 import math
 import signal
 from contextlib import contextmanager
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
-from helpers import random_closed_pa, random_instance
+from helpers import arc_matrix, random_closed_pa, random_instance
 from preopt.bounds import TriplePackingBound
 from preopt.flow import FlowNetwork, min_st_cut, reachability_sets
 from preopt import GeneratorConfig, Instance, generate_synthetic, run_joint
 from preopt.relations import PartialAssignment, transitive_closure
 
 
-def bruteforce_min_cut(net: FlowNetwork) -> float:
+def bruteforce_min_cut(n: int, arcs, source: int, sink: int) -> float:
     """Minimum over all source-side subsets; exponential, test-only."""
-    others = [v for v in range(net.n) if v not in (net.source, net.sink)]
+    others = [v for v in range(n) if v not in (source, sink)]
     best = math.inf
     for k in range(len(others) + 1):
         for extra in combinations(others, k):
-            side = {net.source, *extra}
-            value = sum(cap for u, v, cap in net.arcs if u in side and v not in side)
+            side = {source, *extra}
+            value = sum(cap for u, v, cap in arcs if u in side and v not in side)
             best = min(best, value)
     return best
 
 
-def cut_capacity(net: FlowNetwork, side: set[int]) -> float:
-    return sum(cap for u, v, cap in net.arcs if u in side and v not in side)
+def cut_capacity(arcs, side: set[int]) -> float:
+    return sum(cap for u, v, cap in arcs if u in side and v not in side)
+
+
+def solve(n: int, arcs, source: int, sink: int) -> tuple[float, set[int]]:
+    """min_st_cut on a fresh network built from an arc list."""
+    return min_st_cut(FlowNetwork(arc_matrix(n, arcs)), source, sink)
 
 
 class _TimeLimitExceeded(Exception):
@@ -52,52 +57,49 @@ def time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def assert_min_cut(net: FlowNetwork, value: float, side: set[int]) -> None:
-    expected = bruteforce_min_cut(net)
-    scale = max(1.0, sum(c for _, _, c in net.arcs if not math.isinf(c)))
-    assert net.source in side and net.sink not in side
+def assert_min_cut(n: int, arcs, source: int, sink: int, value: float, side: set[int]) -> None:
+    expected = bruteforce_min_cut(n, arcs, source, sink)
+    scale = max(1.0, sum(c for _, _, c in arcs if not math.isinf(c)))
+    assert source in side and sink not in side
     if math.isinf(expected):
         assert math.isinf(value)
     else:
         assert abs(value - expected) <= 1e-9 * scale
-        assert abs(cut_capacity(net, side) - value) <= 1e-9 * scale
+        assert abs(cut_capacity(arcs, side) - value) <= 1e-9 * scale
 
 
 class TestMinCutExamples:
     def test_single_arc(self):
-        value, side = min_st_cut(FlowNetwork(2, ((0, 1, 3.0),), 0, 1))
+        value, side = solve(2, ((0, 1, 3.0),), 0, 1)
         assert value == pytest.approx(3.0)
         assert side == {0}
 
     def test_two_paths_with_bottleneck(self):
         arcs = ((0, 1, 2.0), (1, 3, 2.0), (0, 2, 5.0), (2, 3, 1.0))
-        net = FlowNetwork(4, arcs, 0, 3)
-        value, side = min_st_cut(net)
-        assert value == pytest.approx(bruteforce_min_cut(net)) == pytest.approx(3.0)
-        assert cut_capacity(net, side) == pytest.approx(value)
+        value, side = solve(4, arcs, 0, 3)
+        assert value == pytest.approx(bruteforce_min_cut(4, arcs, 0, 3)) == pytest.approx(3.0)
+        assert cut_capacity(arcs, side) == pytest.approx(value)
 
     def test_no_path(self):
-        net = FlowNetwork(3, ((1, 0, 2.0), (1, 2, 1.0)), 0, 2)
-        value, side = min_st_cut(net)
+        value, side = solve(3, ((1, 0, 2.0), (1, 2, 1.0)), 0, 2)
         assert value == 0.0
         assert side == {0}
 
     def test_infinite_when_unavoidable(self):
-        net = FlowNetwork(2, ((0, 1, math.inf),), 0, 1)
-        value, _ = min_st_cut(net)
+        value, _ = solve(2, ((0, 1, math.inf),), 0, 1)
         assert math.isinf(value)
 
     def test_infinite_arc_avoided_when_possible(self):
         arcs = ((0, 1, math.inf), (1, 2, 4.0), (0, 2, 1.0))
-        value, side = min_st_cut(FlowNetwork(3, arcs, 0, 2))
+        value, side = solve(3, arcs, 0, 2)
         assert value == pytest.approx(5.0)
         assert side == {0, 1}
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FlowNetwork(2, (), 0, 0)
+            solve(2, (), 0, 0)
         with pytest.raises(ValueError):
-            FlowNetwork(2, ((0, 1, -1.0),), 0, 1)
+            FlowNetwork(arc_matrix(2, ((0, 1, -1.0),)))
 
 
 class TestMinCutRandom:
@@ -112,13 +114,12 @@ class TestMinCutRandom:
                     if u != v and rng.random() < density:
                         arcs.append((u, v, float(rng.integers(0, 50)) / 4.0))
             s, t = rng.choice(n, size=2, replace=False)
-            net = FlowNetwork(n, tuple(arcs), int(s), int(t))
-            value, side = min_st_cut(net)
-            expected = bruteforce_min_cut(net)
+            value, side = solve(n, arcs, int(s), int(t))
+            expected = bruteforce_min_cut(n, arcs, int(s), int(t))
             scale = max(1.0, sum(c for _, _, c in arcs))
             assert abs(value - expected) <= 1e-9 * scale
-            assert net.source in side and net.sink not in side
-            assert abs(cut_capacity(net, side) - value) <= 1e-9 * scale
+            assert s in side and t not in side
+            assert abs(cut_capacity(arcs, side) - value) <= 1e-9 * scale
 
     def test_with_infinite_arcs(self):
         rng = np.random.default_rng(4)
@@ -131,15 +132,50 @@ class TestMinCutRandom:
                         cap = math.inf if rng.random() < 0.15 else float(rng.integers(0, 20))
                         arcs.append((u, v, cap))
             s, t = rng.choice(n, size=2, replace=False)
-            net = FlowNetwork(n, tuple(arcs), int(s), int(t))
-            value, side = min_st_cut(net)
-            expected = bruteforce_min_cut(net)
+            value, side = solve(n, arcs, int(s), int(t))
+            expected = bruteforce_min_cut(n, arcs, int(s), int(t))
             if math.isinf(expected):
                 assert math.isinf(value)
             else:
                 scale = max(1.0, sum(c for _, _, c in arcs if not math.isinf(c)))
                 assert abs(value - expected) <= 1e-9 * scale
-                assert not math.isinf(cut_capacity(net, side))
+                assert not math.isinf(cut_capacity(arcs, side))
+
+
+class TestNetworkReuse:
+    def test_one_network_for_every_pair(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(2, 8))
+            cap = np.where(rng.random((n, n)) < 0.6, 10.0 ** rng.uniform(-3, 3, (n, n)), 0.0)
+            cap[rng.random((n, n)) < 0.08] = math.inf
+            np.fill_diagonal(cap, 0.0)
+            arcs = [(u, v, float(cap[u, v])) for u in range(n) for v in range(n) if cap[u, v] > 0]
+            before = cap.copy()
+            net = FlowNetwork(cap)
+            for s, t in permutations(range(n), 2):
+                value, side = min_st_cut(net, s, t)
+                assert (value, side) == min_st_cut(FlowNetwork(cap), s, t)
+                assert_min_cut(n, arcs, s, t, value, side)
+            assert np.array_equal(net.capacities, before)
+            assert np.array_equal(cap, before)
+            assert net.arcs == tuple(arcs)
+
+    def test_rejects_bad_capacities(self):
+        for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                FlowNetwork(bad)
+        for value in (-1.0, -math.inf, math.nan):
+            cap = np.ones((3, 3))
+            cap[1, 2] = value
+            with pytest.raises(ValueError, match="nonnegative"):
+                FlowNetwork(cap)
+
+    def test_rejects_bad_terminals(self):
+        net = FlowNetwork(np.ones((3, 3)))
+        for s, t in ((0, 0), (2, 2), (-1, 1), (0, 3), (3, 0)):
+            with pytest.raises(ValueError):
+                min_st_cut(net, s, t)
 
 
 #: a swap network that edge-join builds on generate_synthetic(n=10,
@@ -164,10 +200,9 @@ STRANDING_ARCS = (
 
 class TestMinCutRawFloats:
     def test_stranded_residue_network(self):
-        net = FlowNetwork(9, STRANDING_ARCS, 7, 8)
         with time_limit(10.0):
-            value, side = min_st_cut(net)
-        assert_min_cut(net, value, side)
+            value, side = solve(9, STRANDING_ARCS, 7, 8)
+        assert_min_cut(9, STRANDING_ARCS, 7, 8, value, side)
 
     @pytest.mark.parametrize(
         "n, alpha", [(10, 0.5), (30, 0.5), (30, 0.1)], ids=["n10-a0.5", "n30-a0.5", "n30-a0.1"]
@@ -191,10 +226,9 @@ class TestMinCutRawFloats:
                         cap = math.inf if rng.random() < 0.05 else float(10.0 ** rng.uniform(-3, 3))
                         arcs.append((u, v, cap))
             s, t = rng.choice(n, size=2, replace=False)
-            net = FlowNetwork(n, tuple(arcs), int(s), int(t))
             with time_limit(10.0):
-                value, side = min_st_cut(net)
-            assert_min_cut(net, value, side)
+                value, side = solve(n, arcs, int(s), int(t))
+            assert_min_cut(n, arcs, int(s), int(t), value, side)
 
 
 class TestReachability:
