@@ -211,7 +211,7 @@ def _quantiles(values: list[float]) -> tuple[float, float, float]:
 @click.option("--conditions", "conditions_text", default=None, help="comma-separated condition ids")
 @click.option("--rounds", type=int, default=None, help="cap on fixpoint rounds")
 @click.option("--single-pass", is_flag=True, help="one pass per condition, no fixpoint")
-@click.option("--threads", type=int, default=1, show_default=True)
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--emit-partial", "emit_dir", type=click.Path(file_okay=False), default=None)
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), default=None)
 def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_csv):

@@ -5,9 +5,10 @@ matrix (``cut_capacities``), and read by every caller that needs it. A
 ``FlowNetwork`` takes such a matrix, checks it and builds its residual
 adjacency once; ``min_st_cut(net, source, sink)`` copies the residual
 capacities, so one network serves every source-sink pair the caller asks
-about. The solver is a push-relabel implementation with highest-label
-selection, the gap heuristic and periodic global relabeling; the condition
-deciders solve O(n^2) cut problems per instance, so these heuristics matter.
+about. The solver finds shortest augmenting paths by breadth-first search
+(Edmonds-Karp); every network here is dense with a few dozen nodes, where
+this plain loop beats push-relabel's bookkeeping. Each augmentation empties
+its bottleneck arc exactly, so float capacities cannot make it loop.
 Infinite capacities are represented by a sentinel equal to the sum of all
 finite capacities plus one, which can never be part of a finite minimum cut.
 """
@@ -92,156 +93,54 @@ def min_st_cut(net: FlowNetwork, source: int, sink: int) -> tuple[float, set[int
     """Minimum source-sink cut value and the source side of one minimum cut.
 
     Returns (value, U) with source in U and sink not in U; the value equals
-    the maximum flow. If every cut crosses an infinite arc the value is
-    math.inf and U is the residual-reachable set of the source. The network
-    is not changed, so it can be solved again for another pair.
+    the maximum flow. U is the set the source reaches in the final residual
+    graph, which is the inclusion-minimal minimum cut. If every cut crosses
+    an infinite arc the value is math.inf and U is that reachable set. The
+    network is not changed, so it can be solved again for another pair.
+
+    Shortest augmenting paths (Edmonds & Karp, J. ACM 1972): a breadth-first
+    search finds a path with the fewest arcs, the bottleneck is pushed along
+    it, and this repeats until the sink is unreachable. The bottleneck arc
+    is left at exactly 0.0 (x - x is exact in floating point), every other
+    residual stays nonnegative, and positive residual appears only on the
+    reverse arcs of the path, so the O(V E) bound on augmentations holds in
+    floating point too: float residue cannot keep the loop going.
     """
     n, s, t = net.n, source, sink
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"source/sink ({s}, {t}) out of range for {n} nodes")
     if s == t:
         raise ValueError("source and sink must differ")
-    finite_total = net._finite_total
     adj, arc_to = net._adj, net._arc_to
-    arc_cap = net._residual.copy()
-
-    hmax = 2 * n
-    height = [0] * n
-    excess = [0.0] * n
-    cur = [0] * n
-    buckets: list[list[int]] = [[] for _ in range(hmax + 2)]
-    cnt = [0] * (hmax + 2)
-    highest = 0
-
-    def activate(v: int) -> None:
-        nonlocal highest
-        if v not in (s, t) and excess[v] > 0.0:
-            buckets[height[v]].append(v)
-            if height[v] > highest:
-                highest = height[v]
-
-    def rebuild_buckets() -> None:
-        nonlocal highest
-        for b in buckets:
-            b.clear()
-        for h in range(len(cnt)):
-            cnt[h] = 0
-        for v in range(n):
-            cnt[height[v]] += 1
-        highest = 0
-        for v in range(n):
-            activate(v)
-
-    def global_relabel() -> None:
-        unset = hmax + 1
-        h = [unset] * n
-        h[s] = n
-        h[t] = 0
-        queue = deque([t])
-        while queue:
-            v = queue.popleft()
-            for a in adj[v]:
-                w = arc_to[a]
-                if h[w] == unset and arc_cap[a ^ 1] > 0.0:
-                    h[w] = h[v] + 1
-                    queue.append(w)
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for a in adj[v]:
-                w = arc_to[a]
-                if h[w] == unset and arc_cap[a ^ 1] > 0.0:
-                    h[w] = h[v] + 1
-                    queue.append(w)
-        for v in range(n):
-            height[v] = h[v] if h[v] != unset else hmax
-        rebuild_buckets()
-
-    # saturate the source's out-arcs, then discharge by highest label
-    height[s] = n
-    for a in adj[s]:
-        d = arc_cap[a]
-        if d > 0.0:
-            arc_cap[a] = 0.0
-            arc_cap[a ^ 1] += d
-            excess[arc_to[a]] += d
-            excess[s] -= d
-    global_relabel()
-
-    relabels = 0
+    residual = net._residual.copy()
+    value = 0.0
     while True:
-        while highest >= 0 and not buckets[highest]:
-            highest -= 1
-        if highest < 0:
-            break
-        v = buckets[highest].pop()
-        if v in (s, t) or excess[v] <= 0.0:
-            continue
-        if height[v] != highest:
-            activate(v)
-            continue
-        need_global = False
-        stranded = False
-        while excess[v] > 0.0:
-            if cur[v] == len(adj[v]):
-                old = height[v]
-                new_h = hmax + 1
-                for a in adj[v]:
-                    if arc_cap[a] > 0.0 and height[arc_to[a]] + 1 < new_h:
-                        new_h = height[arc_to[a]] + 1
-                if new_h > hmax:
-                    # no residual arc leads below height 2n, so the excess
-                    # (float residue) can reach neither sink nor source;
-                    # re-queueing v would pop it at this height forever
-                    height[v] = hmax
-                    stranded = True
-                    break
-                cnt[old] -= 1
-                height[v] = new_h
-                cnt[new_h] += 1
-                cur[v] = 0
-                if cnt[old] == 0 and old < n:
-                    # gap: nodes stranded above the hole can never reach t
-                    for w in range(n):
-                        if old < height[w] < n:
-                            cnt[height[w]] -= 1
-                            height[w] = n + 1
-                            cnt[n + 1] += 1
-                relabels += 1
-                if relabels >= n:
-                    relabels = 0
-                    need_global = True
-                    break
-            else:
-                a = adj[v][cur[v]]
+        # via[v]: the residual arc v was reached by; -1 for the source
+        via = [-2] * n
+        via[s] = -1
+        queue = deque([s])
+        while queue and via[t] == -2:
+            v = queue.popleft()
+            for a in adj[v]:
                 w = arc_to[a]
-                if arc_cap[a] > 0.0 and height[v] == height[w] + 1:
-                    d = min(excess[v], arc_cap[a])
-                    arc_cap[a] -= d
-                    arc_cap[a ^ 1] += d
-                    excess[v] -= d
-                    had = excess[w]
-                    excess[w] += d
-                    if had <= 0.0:
-                        activate(w)
-                else:
-                    cur[v] += 1
-        if need_global:
-            global_relabel()
-        elif not stranded:
-            activate(v)
-
-    value = excess[t]
-    reachable = {s}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for a in adj[v]:
-            w = arc_to[a]
-            if w not in reachable and arc_cap[a] > 0.0:
-                reachable.add(w)
-                queue.append(w)
-    if value > finite_total + 0.5:
+                if via[w] == -2 and residual[a] > 0.0:
+                    via[w] = a
+                    queue.append(w)
+        if via[t] == -2:
+            break
+        path = []
+        v = t
+        while v != s:
+            a = via[v]
+            path.append(a)
+            v = arc_to[a ^ 1]
+        d = min([residual[a] for a in path])
+        for a in path:
+            residual[a] -= d
+            residual[a ^ 1] += d
+        value += d
+    reachable = {v for v in range(n) if via[v] != -2}
+    if value > net._finite_total + 0.5:
         return math.inf, reachable
     return value, reachable
 

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .relations import InconsistentAssignmentError, PartialAssignment, Relation
+from .relations import (
+    InconsistentAssignmentError,
+    PartialAssignment,
+    Relation,
+    close,
+    is_consistent,
+)
 
 MAX_ORACLE_N = 6
 
@@ -120,6 +126,28 @@ def completion_mask(stack: np.ndarray, pa: PartialAssignment) -> np.ndarray:
     if pa.zeros.any():
         mask &= ~stack[:, pa.zeros].any(axis=1)
     return mask
+
+
+def is_closed(pa: PartialAssignment) -> bool:
+    return is_consistent(pa) and close(pa) == pa
+
+
+def decided_pairs_bruteforce(pa: PartialAssignment) -> PartialAssignment:
+    """Ground-truth decided pairs by exhaustive enumeration of completions.
+
+    Only for validating close() on small instances; guards n <= 6.
+    """
+    if pa.n > MAX_ORACLE_N:
+        raise ValueError("brute-force decided pairs only supported for n <= 6")
+    stack = relation_stack(pa.n)
+    mask = completion_mask(stack, pa)
+    completions = stack[mask]
+    if completions.shape[0] == 0:
+        raise InconsistentAssignmentError("assignment has no transitive completion")
+    all_one = completions.all(axis=0)
+    all_zero = ~completions.any(axis=0)
+    np.fill_diagonal(all_zero, False)
+    return PartialAssignment(all_one, all_zero, copy=False)
 
 
 @dataclass

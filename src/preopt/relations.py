@@ -276,30 +276,6 @@ def close(pa: PartialAssignment) -> PartialAssignment:
     return PartialAssignment(ones_c, zeros_c, copy=False)
 
 
-def is_closed(pa: PartialAssignment) -> bool:
-    return is_consistent(pa) and close(pa) == pa
-
-
-def decided_pairs_bruteforce(pa: PartialAssignment) -> PartialAssignment:
-    """Ground-truth decided pairs by exhaustive enumeration of completions.
-
-    Only for validating close() on small instances; guards n <= 6.
-    """
-    if pa.n > 6:
-        raise ValueError("brute-force decided pairs only supported for n <= 6")
-    from . import oracle
-
-    stack = oracle.relation_stack(pa.n)
-    mask = oracle.completion_mask(stack, pa)
-    completions = stack[mask]
-    if completions.shape[0] == 0:
-        raise InconsistentAssignmentError("assignment has no transitive completion")
-    all_one = completions.all(axis=0)
-    all_zero = ~completions.any(axis=0)
-    np.fill_diagonal(all_zero, False)
-    return PartialAssignment(all_one, all_zero, copy=False)
-
-
 def mutual_one_classes(pa: PartialAssignment) -> list[list[int]]:
     """Element classes of size >= 2 whose internal pairs are all assigned one.
 

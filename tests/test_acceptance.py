@@ -41,7 +41,8 @@ from preopt.energy import LABELS, alpha_beta_swap_minimize, build_join_energy
 from preopt.flow import FlowNetwork, min_st_cut
 from preopt.instance import GeneratorConfig, generate_synthetic
 from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, apply_map, change_sets, is_true_to
-from preopt.relations import close, decided_pairs_bruteforce
+from preopt.oracle import decided_pairs_bruteforce
+from preopt.relations import close
 
 FIG1 = Instance(
     np.array(
@@ -359,7 +360,7 @@ def test_criterion_09_max_flow_oracle():
         assert s in side and t not in side
         cut_value = sum(cap for u, v, cap in arcs if u in side and v not in side)
         assert abs(cut_value - value) <= 1e-9 * scale
-    report(9, "1000 random networks: push-relabel equals exhaustive minimum cut")
+    report(9, "1000 random networks: shortest augmenting paths equal exhaustive minimum cut")
 
 
 @criterion(10)

@@ -216,6 +216,14 @@ class TestFix:
         assert "max_rounds must be at least 1" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_is_usage_error(self, runner, tmp_path, threads):
+        inst = write_fig1(tmp_path)
+        result = runner.invoke(main, ["fix", str(inst), "--threads", threads])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: Invalid value for '--threads'")
+        assert result.output.count("\n") == 1
+
     def test_malformed_instance_is_data_error(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("n=2\np,q,c\n0,0,1\n")

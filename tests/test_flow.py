@@ -13,16 +13,21 @@ from preopt import GeneratorConfig, Instance, generate_synthetic, run_joint
 from preopt.relations import PartialAssignment, transitive_closure
 
 
-def bruteforce_min_cut(n: int, arcs, source: int, sink: int) -> float:
-    """Minimum over all source-side subsets; exponential, test-only."""
+def bruteforce_min_cut(n: int, arcs, source: int, sink: int) -> tuple[float, set[int]]:
+    """Minimum over all source-side subsets, and the intersection of the
+    source sides that attain it (the inclusion-minimal minimum cut);
+    exponential, test-only."""
     others = [v for v in range(n) if v not in (source, sink)]
-    best = math.inf
+    best, minimal = math.inf, set(range(n))
     for k in range(len(others) + 1):
         for extra in combinations(others, k):
             side = {source, *extra}
             value = sum(cap for u, v, cap in arcs if u in side and v not in side)
-            best = min(best, value)
-    return best
+            if value < best:
+                best, minimal = value, side
+            elif value == best:
+                minimal = minimal & side
+    return best, minimal
 
 
 def cut_capacity(arcs, side: set[int]) -> float:
@@ -58,7 +63,7 @@ def time_limit(seconds: float):
 
 
 def assert_min_cut(n: int, arcs, source: int, sink: int, value: float, side: set[int]) -> None:
-    expected = bruteforce_min_cut(n, arcs, source, sink)
+    expected, _ = bruteforce_min_cut(n, arcs, source, sink)
     scale = max(1.0, sum(c for _, _, c in arcs if not math.isinf(c)))
     assert source in side and sink not in side
     if math.isinf(expected):
@@ -77,7 +82,7 @@ class TestMinCutExamples:
     def test_two_paths_with_bottleneck(self):
         arcs = ((0, 1, 2.0), (1, 3, 2.0), (0, 2, 5.0), (2, 3, 1.0))
         value, side = solve(4, arcs, 0, 3)
-        assert value == pytest.approx(bruteforce_min_cut(4, arcs, 0, 3)) == pytest.approx(3.0)
+        assert value == pytest.approx(bruteforce_min_cut(4, arcs, 0, 3)[0]) == pytest.approx(3.0)
         assert cut_capacity(arcs, side) == pytest.approx(value)
 
     def test_no_path(self):
@@ -115,11 +120,12 @@ class TestMinCutRandom:
                         arcs.append((u, v, float(rng.integers(0, 50)) / 4.0))
             s, t = rng.choice(n, size=2, replace=False)
             value, side = solve(n, arcs, int(s), int(t))
-            expected = bruteforce_min_cut(n, arcs, int(s), int(t))
+            expected, minimal = bruteforce_min_cut(n, arcs, int(s), int(t))
             scale = max(1.0, sum(c for _, _, c in arcs))
             assert abs(value - expected) <= 1e-9 * scale
             assert s in side and t not in side
             assert abs(cut_capacity(arcs, side) - value) <= 1e-9 * scale
+            assert side == minimal
 
     def test_with_infinite_arcs(self):
         rng = np.random.default_rng(4)
@@ -133,7 +139,7 @@ class TestMinCutRandom:
                         arcs.append((u, v, cap))
             s, t = rng.choice(n, size=2, replace=False)
             value, side = solve(n, arcs, int(s), int(t))
-            expected = bruteforce_min_cut(n, arcs, int(s), int(t))
+            expected, _ = bruteforce_min_cut(n, arcs, int(s), int(t))
             if math.isinf(expected):
                 assert math.isinf(value)
             else:

@@ -6,14 +6,13 @@ from hypothesis import strategies as st
 from helpers import completions, random_consistent_pa, random_instance
 from preopt import Instance
 from preopt import oracle
+from preopt.oracle import decided_pairs_bruteforce, is_closed
 from preopt.relations import (
     InconsistentAssignmentError,
     PartialAssignment,
     Relation,
     close,
-    decided_pairs_bruteforce,
     insert_arc_closed,
-    is_closed,
     is_consistent,
     merge_classes,
     mutual_one_classes,
