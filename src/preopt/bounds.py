@@ -65,14 +65,13 @@ _TRIPLE_COMBOS = np.array(
 
 
 def _triple_table(
-    instance: Instance, pa: PartialAssignment, pool: list[int]
+    instance: Instance, pa: PartialAssignment
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ordered triples over pool with their termwise sums and true maxima
-    under the single triangle constraint plus the pinned pairs."""
-    k = len(pool)
-    if k < 3:
+    """All ordered triples of distinct elements with their termwise sums and
+    true maxima under the single triangle constraint plus the pinned pairs."""
+    if instance.n < 3:
         return np.empty((0, 3), dtype=np.int64), np.empty(0), np.empty(0)
-    arr = np.array(pool, dtype=np.int64)
+    arr = np.arange(instance.n, dtype=np.int64)
     p, q, r = np.meshgrid(arr, arr, arr, indexing="ij")
     mask = (p != q) & (q != r) & (p != r)
     triples = np.stack([p[mask], q[mask], r[mask]], axis=1)
@@ -122,20 +121,17 @@ def _greedy_select(
 class TriplePackingBound:
     """Reusable triple-packing upper bound with fast per-pair exclusion.
 
-    Builds one packing for the whole element pool; ``bound_excluding(i, j)``
-    then bounds the optimum of the sub-problem on pool minus {i, j} without
-    recomputing the packing (a packing restricted to fewer elements is still
+    Builds one packing over all elements; ``bound_excluding(i, j)`` then
+    bounds the optimum of the sub-problem without i and j without recomputing
+    the packing (a packing restricted to fewer elements is still
     edge-disjoint, so the bound stays valid).
     """
 
-    def __init__(self, instance: Instance, pa: PartialAssignment, elements=None):
+    def __init__(self, instance: Instance, pa: PartialAssignment):
         n = instance.n
-        self.pool = sorted(range(n) if elements is None else elements)
-        pool_mask = np.zeros(n, dtype=bool)
-        pool_mask[self.pool] = True
         self.m_vals = arc_max_values(instance, pa)
 
-        triples, tri_sum, tri_max = _triple_table(instance, pa, self.pool)
+        triples, tri_sum, tri_max = _triple_table(instance, pa)
         chosen = _greedy_select(triples, tri_sum - tri_max)
         self.triples = [tuple(int(v) for v in triples[k]) for k in chosen]
         self.tri_max = [float(tri_max[k]) for k in chosen]
@@ -145,23 +141,22 @@ class TriplePackingBound:
             covered[p, q] = covered[q, r] = covered[p, r] = True
         self.covered = covered
 
-        eligible = np.outer(pool_mask, pool_mask)
-        np.fill_diagonal(eligible, False)
-        self._uncovered = eligible & ~covered
-        self._uncovered_total = float(self.m_vals[self._uncovered].sum())
-        self._incident = self.m_vals * self._uncovered
+        uncovered = ~covered
+        np.fill_diagonal(uncovered, False)
+        self._uncovered_total = float(self.m_vals[uncovered].sum())
+        self._incident = self.m_vals * uncovered
         self._tri_max_total = float(sum(self.tri_max))
-        self._touching: dict[int, list[int]] = {p: [] for p in self.pool}
+        self._touching: list[list[int]] = [[] for _ in range(n)]
         for k, t in enumerate(self.triples):
             for p in set(t):
                 self._touching[p].append(k)
 
     def bound(self) -> float:
-        """Upper bound on the optimum over the full pool."""
+        """Upper bound on the optimum over all elements."""
         return self._uncovered_total + self._tri_max_total
 
     def bound_excluding(self, i: int, j: int) -> float:
-        """Upper bound on the optimum over pool minus {i, j}."""
+        """Upper bound on the optimum over the elements other than i and j."""
         part = self._uncovered_total
         part -= float(self._incident[i].sum() + self._incident[:, i].sum())
         part -= float(self._incident[j].sum() + self._incident[:, j].sum())
@@ -392,8 +387,7 @@ def boundary_bound(
     if exact:
         if y is None:
             raise ValueError("exact boundary bound needs the planted relation y")
-        sets = change_sets(MapSpec.tau(variant, subset, y), pa)
-        p01, p10 = sets.p01, sets.p10
+        p01, p10 = change_sets(MapSpec.tau(variant, subset, y), pa)
     else:
         p01, p10 = tau_loose_sets(variant, frozenset(subset), pa)
     return float(instance.c_minus[p01].sum() + instance.c_plus[p10].sum())

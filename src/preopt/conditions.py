@@ -498,16 +498,12 @@ def _lift_assignment(
     pa: PartialAssignment, groups: list[list[int]], orig_n: int
 ) -> PartialAssignment:
     """Expand a contracted assignment back to original element indices."""
-    member = np.zeros((pa.n, orig_n), dtype=bool)
+    group = np.empty(orig_n, dtype=np.intp)  # element -> its contracted index
     for cur, members in enumerate(groups):
-        member[cur, members] = True
-    ones = member.T.astype(np.int32) @ pa.ones.astype(np.int32) @ member.astype(np.int32) > 0
-    zeros = member.T.astype(np.int32) @ pa.zeros.astype(np.int32) @ member.astype(np.int32) > 0
-    for members in groups:
-        if len(members) > 1:
-            block = np.zeros(orig_n, dtype=bool)
-            block[members] = True
-            ones |= np.outer(block, block)
+        group[members] = cur
+    ones = pa.ones[np.ix_(group, group)]
+    zeros = pa.zeros[np.ix_(group, group)]
+    ones |= group[:, None] == group  # the members of a merged group
     np.fill_diagonal(ones, False)
     np.fill_diagonal(zeros, False)
     return PartialAssignment(ones, zeros, copy=False)

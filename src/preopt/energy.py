@@ -25,6 +25,9 @@ IN_U_PRIME = 1
 REST = 2
 LABELS = (IN_U, IN_U_PRIME, REST)
 
+#: the most swap sweeps one minimization runs
+MAX_SWEEPS = 20
+
 #: the cost plane each ordered label pair (label of p, label of q) reads;
 #: every other pair costs nothing
 _PLANES = {
@@ -66,10 +69,6 @@ class EnergyModel:
         """The cost matrix read when p has label_p and q has label_q, or None."""
         name = _PLANES.get((label_p, label_q))
         return None if name is None else getattr(self, name)
-
-    def pair_cost(self, p: int, q: int, label_p: int, label_q: int) -> float:
-        costs = self.plane(label_p, label_q)
-        return 0.0 if costs is None else float(costs[p, q])
 
     def energy(self, labeling: np.ndarray) -> float:
         lab = np.asarray(labeling)
@@ -156,27 +155,20 @@ def optimal_swap(model: EnergyModel, labeling: np.ndarray, alpha: int, beta: int
 
 
 def alpha_beta_swap_minimize(
-    model: EnergyModel,
-    init: np.ndarray | None = None,
-    *,
-    max_sweeps: int = 20,
-    history: list[float] | None = None,
+    model: EnergyModel, *, history: list[float] | None = None
 ) -> tuple[np.ndarray, float]:
-    """Sweep optimal swaps over all label pairs until no sweep improves.
+    """Sweep optimal swaps over all label pairs from the initial labeling
+    until no sweep improves, at most MAX_SWEEPS times.
 
-    Returns the labeling and its energy; the energy never increases from the
-    initial labeling and is non-increasing across sweeps. ``history``, when
-    given, collects the energy after the initial labeling and each sweep.
+    Returns the labeling and its energy; the energy is non-increasing across
+    sweeps. ``history``, when given, collects the energy after the initial
+    labeling and each sweep.
     """
-    lab = model.initial_labeling() if init is None else np.array(init, dtype=np.int8)
-    if model.unary(model.i, int(lab[model.i])) == math.inf or model.unary(
-        model.j, int(lab[model.j])
-    ) == math.inf:
-        raise ValueError("initial labeling violates a forbidden unary cost")
+    lab = model.initial_labeling()
     energy = model.energy(lab)
     if history is not None:
         history.append(energy)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         improved = False
         for alpha, beta in ((IN_U, IN_U_PRIME), (IN_U, REST), (IN_U_PRIME, REST)):
             candidate = optimal_swap(model, lab, alpha, beta)

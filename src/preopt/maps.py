@@ -156,27 +156,6 @@ def apply_map(spec: MapSpec, x: Relation) -> Relation:
     return _apply_unconditional(spec, x)
 
 
-@dataclass(eq=False)
-class ChangeSets:
-    """Declared supersets of the pairs a map may flip.
-
-    ``p01``/``p10`` are the sharp sets (using the planted relation y where
-    the map has one); ``p01_loose``/``p10_loose`` are the y-free supersets
-    available before y is known. For gamma both versions coincide.
-    """
-
-    p01: np.ndarray
-    p10: np.ndarray
-    p01_loose: np.ndarray
-    p10_loose: np.ndarray
-
-    def p01_pairs(self) -> set[Pair]:
-        return {(int(p), int(q)) for p, q in np.argwhere(self.p01)}
-
-    def p10_pairs(self) -> set[Pair]:
-        return {(int(p), int(q)) for p, q in np.argwhere(self.p10)}
-
-
 def tau_loose_sets(
     kind: str, subset: frozenset[int], pa: PartialAssignment
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -204,11 +183,12 @@ def tau_trueness_loose(kind: str, subset: frozenset[int], pa: PartialAssignment)
     return not (p10 & pa.ones).any() and not (p01 & pa.zeros).any()
 
 
-def change_sets(spec: MapSpec, pa: PartialAssignment) -> ChangeSets:
-    """The pairs the map may turn 0->1 (p01) and 1->0 (p10), as supersets.
+def change_sets(spec: MapSpec, pa: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs the map may turn 0->1 and 1->0, as supersets (P01, P10).
 
     Supported for gamma and the tau variants, whose change sets have closed
-    forms relative to a partial assignment.
+    forms relative to a partial assignment. For tau they use the planted
+    relation, so they are contained in ``tau_loose_sets``.
     """
     n = pa.n
     if spec.kind == GAMMA:
@@ -224,12 +204,12 @@ def change_sets(spec: MapSpec, pa: PartialAssignment) -> ChangeSets:
         ) & ~pa.zeros
         np.fill_diagonal(p01, False)
         np.fill_diagonal(p10, False)
-        return ChangeSets(p01, p10, p01.copy(), p10.copy())
+        return p01, p10
 
     if spec.kind in _TAU_KINDS:
         p01_loose, p10 = tau_loose_sets(spec.kind, spec.subset, pa)
         if spec.kind == TAU_BOTH:
-            return ChangeSets(p01_loose, p10, p01_loose.copy(), p10.copy())
+            return p01_loose, p10
         u = _subset_mask(n, spec.subset)
         y_aug = spec.inner.matrix.copy()
         y_aug[u, u] = True
@@ -244,7 +224,7 @@ def change_sets(spec: MapSpec, pa: PartialAssignment) -> ChangeSets:
                 y_aug[np.ix_(u, u)], not_zero[np.ix_(u, ~u)]
             )
         p01 &= p01_loose
-        return ChangeSets(p01, p10, p01_loose, p10.copy())
+        return p01, p10
 
     raise ValueError(f"change sets are not defined for map kind {spec.kind!r}")
 
@@ -260,6 +240,6 @@ def is_true_to(spec: MapSpec, pa: PartialAssignment) -> bool:
         u = _subset_mask(pa.n, spec.subset)
         return not pa.ones[np.ix_(u, ~u)].any()
     if spec.kind == GAMMA or spec.kind in _TAU_KINDS:
-        sets = change_sets(spec, pa)
-        return not (sets.p10 & pa.ones).any() and not (sets.p01 & pa.zeros).any()
+        p01, p10 = change_sets(spec, pa)
+        return not (p10 & pa.ones).any() and not (p01 & pa.zeros).any()
     raise ValueError(f"trueness is not defined for map kind {spec.kind!r}")

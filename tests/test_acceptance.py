@@ -177,7 +177,7 @@ def test_criterion_03_map_lemmas():
             assert apply_map(spec, Relation(m)).is_transitive()
         if spec.kind in ("dicut", "join"):
             continue
-        sets = change_sets(spec, pa)
+        p01, p10 = change_sets(spec, pa)
         comp = completions(pa)
         observed01 = np.zeros((n, n), dtype=bool)
         observed10 = np.zeros((n, n), dtype=bool)
@@ -186,13 +186,13 @@ def test_criterion_03_map_lemmas():
             observed01 |= ~m & out
             observed10 |= m & ~out
         if spec.kind == "gamma":
-            assert not (observed01 & ~sets.p01).any()
-            assert not (observed10 & ~sets.p10).any()
+            assert not (observed01 & ~p01).any()
+            assert not (observed10 & ~p10).any()
         else:
             inside = np.array([p in spec.subset for p in range(n)])
             delta = np.outer(inside, ~inside) | np.outer(~inside, inside)
-            assert not (observed01 & delta & ~sets.p01).any()
-            assert not (observed10 & delta & ~sets.p10).any()
+            assert not (observed01 & delta & ~p01).any()
+            assert not (observed10 & delta & ~p10).any()
         if is_true_to(spec, pa):
             for m in comp:
                 assert pa.agrees_with(apply_map(spec, Relation(m)))

@@ -10,6 +10,8 @@ from preopt import Instance, PipelineConfig, conditions, oracle, run_joint
 from preopt.conditions import (
     BBK_WEAK,
     DEFAULT_CONDITIONS,
+    DIRECTED_CUT,
+    EDGE_CUT,
     boecker_conditions,
     directed_cut_condition,
     edge_cut_condition,
@@ -498,4 +500,9 @@ class TestPinnedFixations:
     def test_weak_boecker_n10(self):
         assert _ensemble_digest(10, (BBK_WEAK,), 8) == (
             "ce8193b8ff16f4eaedb5dc8de5179c93ce6958c3aae05410c01ae442d47d5603"
+        )
+
+    def test_cut_conditions_n30(self):
+        assert _ensemble_digest(30, (DIRECTED_CUT, EDGE_CUT), 4) == (
+            "fe797b38b499cc9234f32716b8646b9aa6a90493937ef999437f423b2ddb8333"
         )

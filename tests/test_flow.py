@@ -167,6 +167,23 @@ class TestNetworkReuse:
             assert np.array_equal(cap, before)
             assert net.arcs == tuple(arcs)
 
+    def test_diagonal_ignored(self):
+        rng = np.random.default_rng(15)
+        for _ in range(30):
+            n = int(rng.integers(2, 7))
+            cap = np.where(rng.random((n, n)) < 0.6, 10.0 ** rng.uniform(-3, 3, (n, n)), 0.0)
+            cap[rng.random((n, n)) < 0.08] = math.inf
+            np.fill_diagonal(cap, 0.0)
+            plain = FlowNetwork(cap)
+            for diagonal in (10.0 ** rng.uniform(-3, 3, n), np.full(n, math.inf)):
+                looped = cap.copy()
+                np.fill_diagonal(looped, diagonal)
+                net = FlowNetwork(looped)
+                assert all(u != v for u, v, _ in net.arcs)
+                assert net.arcs == plain.arcs
+                for s, t in permutations(range(n), 2):
+                    assert min_st_cut(net, s, t) == min_st_cut(plain, s, t)
+
     def test_rejects_bad_capacities(self):
         for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(ValueError, match="square"):

@@ -13,6 +13,7 @@ from preopt.maps import (
     apply_map,
     change_sets,
     is_true_to,
+    tau_loose_sets,
     tau_trueness_loose,
 )
 from preopt.relations import PartialAssignment, Relation
@@ -188,9 +189,9 @@ class TestApplyMap:
 class TestChangeSets:
     def test_two_element_gamma(self):
         pa = PartialAssignment.empty(2)
-        sets = change_sets(MapSpec.gamma({0}, {1}, 0, 1), pa)
-        assert sets.p01_pairs() == {(0, 1)}
-        assert sets.p10_pairs() == {(1, 0)}
+        p01, p10 = change_sets(MapSpec.gamma({0}, {1}, 0, 1), pa)
+        assert np.argwhere(p01).tolist() == [[0, 1]]
+        assert np.argwhere(p10).tolist() == [[1, 0]]
 
     def test_tau_both_p01_empty(self):
         rng = np.random.default_rng(9)
@@ -202,8 +203,8 @@ class TestChangeSets:
             y_full = np.zeros((n, n), dtype=bool)
             y_full[np.ix_(sub, sub)] = completions(pa.restrict(sub))[0]
             spec = MapSpec.tau(TAU_BOTH, subset, Relation(y_full))
-            sets = change_sets(spec, pa)
-            assert not sets.p01.any() and not sets.p01_loose.any()
+            p01, _ = change_sets(spec, pa)
+            assert not p01.any() and not tau_loose_sets(TAU_BOTH, subset, pa)[0].any()
 
     def _observed_changes(self, spec, pa):
         stack = completions(pa)
@@ -232,10 +233,10 @@ class TestChangeSets:
                 continue
             trials += 1
             spec = MapSpec.gamma(u, u_prime, i, j)
-            sets = change_sets(spec, pa)
+            sharp01, sharp10 = change_sets(spec, pa)
             p01, p10 = self._observed_changes(spec, pa)
-            assert not (p01 & ~sets.p01).any()
-            assert not (p10 & ~sets.p10).any()
+            assert not (p01 & ~sharp01).any()
+            assert not (p10 & ~sharp10).any()
 
     @pytest.mark.parametrize("variant", [TAU_OUT, TAU_IN, TAU_BOTH])
     def test_tau_change_sets_sound_on_boundary(self, variant):
@@ -249,15 +250,16 @@ class TestChangeSets:
             comp = completions(pa.restrict(sub))
             y_full[np.ix_(sub, sub)] = comp[int(rng.integers(0, len(comp)))]
             spec = MapSpec.tau(variant, subset, Relation(y_full))
-            sets = change_sets(spec, pa)
+            sharp01, sharp10 = change_sets(spec, pa)
             p01, p10 = self._observed_changes(spec, pa)
             inside = np.array([p in subset for p in range(n)])
             boundary = np.outer(inside, ~inside) | np.outer(~inside, inside)
-            assert not (p01 & boundary & ~sets.p01).any()
-            assert not (p10 & boundary & ~sets.p10).any()
+            assert not (p01 & boundary & ~sharp01).any()
+            assert not (p10 & boundary & ~sharp10).any()
             # sharp sets refine the loose ones
-            assert not (sets.p01 & ~sets.p01_loose).any()
-            assert not (sets.p10 & ~sets.p10_loose).any()
+            loose01, loose10 = tau_loose_sets(variant, subset, pa)
+            assert not (sharp01 & ~loose01).any()
+            assert not (sharp10 & ~loose10).any()
 
 
 class TestTrueness:
