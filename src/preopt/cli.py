@@ -209,7 +209,13 @@ def _quantiles(values: list[float]) -> tuple[float, float, float]:
 @main.command()
 @click.argument("instances", nargs=-1, type=click.Path(exists=True, dir_okay=False))
 @click.option("--conditions", "conditions_text", default=None, help="comma-separated condition ids")
-@click.option("--rounds", type=int, default=None, help="cap on fixpoint rounds")
+@click.option(
+    "--rounds",
+    type=int,
+    default=None,
+    help="cap on fixpoint rounds; one round settles the cut and bbk conditions, "
+    "then runs edge-join and subset-u once each, settling again after each that fixes a pair",
+)
 @click.option("--single-pass", is_flag=True, help="one pass per condition, no fixpoint")
 @click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True)
 @click.option("--emit-partial", "emit_dir", type=click.Path(file_okay=False), default=None)

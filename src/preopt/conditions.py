@@ -98,6 +98,10 @@ DEFAULT_CONDITIONS = (
 
 ALL_CONDITIONS = DEFAULT_CONDITIONS + (BBK_WEAK,)
 
+#: the expensive conditions; in fixpoint mode every other (tier-0) condition
+#: is settled before each of them runs
+TIER_ONE = (EDGE_JOIN, SUBSET_FIX)
+
 #: elements added to a pair to form subset-u's candidate subset
 SUBSET_NEIGHBORS = 4
 
@@ -122,7 +126,14 @@ class Fixation:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Which conditions run, in which order, and how many rounds."""
+    """Which conditions run, in which order, and how many rounds.
+
+    In fixpoint mode one round runs the tier-0 conditions (all but
+    ``TIER_ONE``) to a fixpoint, then each tier-1 condition in the given
+    order, settling tier 0 again after any tier-1 condition that fixes a
+    pair. ``max_rounds`` caps these rounds. ``single_pass`` runs the
+    conditions once each in the given order.
+    """
 
     conditions: tuple[str, ...] = DEFAULT_CONDITIONS
     max_rounds: int | None = None  # None: iterate until no condition fixes a pair
@@ -255,7 +266,7 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
             continue
         labeling, energy = alpha_beta_swap_minimize(model)
         margin = float(c[i, j]) - energy
-        if margin < tol:
+        if not margin >= tol:  # a NaN margin never fixes
             continue
         subset = frozenset(int(p) for p in np.flatnonzero(labeling == IN_U))
         subset_prime = frozenset(int(p) for p in np.flatnonzero(labeling == IN_U_PRIME))
@@ -331,7 +342,7 @@ def boecker_conditions(
         for b in bs:
             pair_lb, ub = _pair_bounds(instance, working, packing, tractable, i, j, b, lb)
             margin = pair_lb - ub
-            if margin < tol:
+            if not margin >= tol:  # a NaN margin never fixes
                 continue
             if strong:
                 condition = (BBK_STRONG_ZERO, BBK_STRONG_ONE)[b]
@@ -459,6 +470,7 @@ class ConditionStats:
     fixed_zero: int = 0
     fixed_one: int = 0
     time_ns: int = 0
+    skipped: int = 0  # runs left out because the assignment had not changed
 
 
 @dataclass
@@ -514,7 +526,11 @@ def run_joint(
 ) -> tuple[PartialAssignment, list[Fixation], RunStats]:
     """Iterate the configured conditions to a fixpoint and lift the result.
 
-    Fixed mutual-one classes are contracted as soon as they appear; the
+    Cheap conditions run first: see ``PipelineConfig`` for one round. Every
+    decider is deterministic in (instance, assignment), so a condition is
+    skipped when the assignment has not changed since it last ran; the run
+    ends once every condition has seen the current assignment. Fixed
+    mutual-one classes are contracted as soon as they appear; the
     returned assignment is expressed on the original elements, with every
     fixation expanded to the original pairs it pins. Aborts with
     SoundnessError if a batch of fixations has no common completion.
@@ -531,50 +547,74 @@ def run_joint(
     current = instance
     pa = PartialAssignment.empty(orig_n)
     all_fixations: list[Fixation] = []
-    limit = cfg.max_rounds if cfg.max_rounds is not None else max(1, pair_count)
+    version = 0  # goes up with every applied batch of fixations
+    seen: dict[str, int] = {}  # condition -> the version it last ran on
 
-    for _ in range(1 if cfg.single_pass else limit):
-        stats.rounds += 1
-        round_added = 0
-        for cond in cfg.conditions:
-            if current.n <= 1:
-                break
-            tick = time.perf_counter_ns()
-            fixations = _dispatch(cond, current, pa)
-            if fixations:
-                try:
-                    new_pa = close(
-                        pa.with_assignments([(f.pair[0], f.pair[1], f.value) for f in fixations])
-                    )
-                except InconsistentAssignmentError as exc:
-                    raise SoundnessError(
-                        f"condition {cond!r} emitted fixations with no common completion"
-                    ) from exc
-                round_added += new_pa.num_decided() - pa.num_decided()
-                pa = new_pa
-                record = stats.per_condition[cond]
-                for f in fixations:
-                    p, q = f.pair
-                    weight = len(groups[p]) * len(groups[q])
-                    if f.value == 0:
-                        record.fixed_zero += weight
-                    else:
-                        record.fixed_one += weight
-                    for op in groups[p]:
-                        for oq in groups[q]:
-                            all_fixations.append(replace(f, pair=(op, oq)))
+    def step(cond: str) -> bool:
+        """Run one condition unless it already saw this assignment; True
+        when its fixations moved the version."""
+        nonlocal current, pa, groups, version
+        if current.n <= 1:
+            return False
+        record = stats.per_condition[cond]
+        if seen.get(cond) == version:
+            record.skipped += 1
+            return False
+        seen[cond] = version
+        tick = time.perf_counter_ns()
+        fixations = _dispatch(cond, current, pa)
+        if fixations:
+            try:
+                pa = close(
+                    pa.with_assignments([(f.pair[0], f.pair[1], f.value) for f in fixations])
+                )
+            except InconsistentAssignmentError as exc:
+                raise SoundnessError(
+                    f"condition {cond!r} emitted fixations with no common completion"
+                ) from exc
+            version += 1
+            for f in fixations:
+                p, q = f.pair
+                weight = len(groups[p]) * len(groups[q])
+                if f.value == 0:
+                    record.fixed_zero += weight
+                else:
+                    record.fixed_one += weight
+                for op in groups[p]:
+                    for oq in groups[q]:
+                        all_fixations.append(replace(f, pair=(op, oq)))
+            classes = mutual_one_classes(pa)
+            while classes:
+                current, pa, _, old_to_new = merge_classes(current, pa, classes[0])
+                stats.merged_classes += 1
+                regrouped: list[list[int]] = [[] for _ in range(current.n)]
+                for old_el, members in enumerate(groups):
+                    regrouped[int(old_to_new[old_el])].extend(members)
+                groups = regrouped
                 classes = mutual_one_classes(pa)
-                while classes:
-                    current, pa, _, old_to_new = merge_classes(current, pa, classes[0])
-                    stats.merged_classes += 1
-                    regrouped: list[list[int]] = [[] for _ in range(current.n)]
-                    for old_el, members in enumerate(groups):
-                        regrouped[int(old_to_new[old_el])].extend(members)
-                    groups = regrouped
-                    classes = mutual_one_classes(pa)
-            stats.per_condition[cond].time_ns += time.perf_counter_ns() - tick
-        if round_added == 0 or current.n <= 1:
-            break
+        record.time_ns += time.perf_counter_ns() - tick
+        return bool(fixations)
+
+    def settle(tier: list[str]) -> None:
+        """Pass over the tier in order until a pass fixes nothing."""
+        while any([step(cond) for cond in tier]):
+            pass
+
+    if cfg.single_pass:
+        stats.rounds = 1
+        for cond in cfg.conditions:
+            step(cond)
+    else:
+        tier_zero = [cond for cond in cfg.conditions if cond not in TIER_ONE]
+        limit = cfg.max_rounds if cfg.max_rounds is not None else max(1, pair_count)
+        for _ in range(limit):
+            stats.rounds += 1
+            settle(tier_zero)
+            for cond in cfg.conditions:
+                if cond in TIER_ONE and step(cond):
+                    settle(tier_zero)
+            if current.n <= 1 or all(seen.get(cond) == version for cond in cfg.conditions):
+                break
 
     lifted = _lift_assignment(pa, groups, orig_n)
     stats.fixed_zero = int(lifted.zeros.sum())

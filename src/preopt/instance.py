@@ -36,11 +36,15 @@ class Instance:
             raise ValueError("instance values must be finite")
         if np.diagonal(v).any():
             raise ValueError("diagonal values must be zero")
+        with np.errstate(over="ignore"):
+            mass = float(np.abs(v).sum())
+        if not math.isfinite(mass):
+            raise ValueError("the sum of absolute instance values overflows")
         v.flags.writeable = False
         self.values = v
         self._c_plus = None
         self._c_minus = None
-        self._tolerance = None
+        self._tolerance = TOLERANCE_SCALE * max(1.0, mass)
 
     @property
     def n(self) -> int:
@@ -67,8 +71,6 @@ class Instance:
     @property
     def tolerance(self) -> float:
         """Slack below which condition inequalities are treated as ties."""
-        if self._tolerance is None:
-            self._tolerance = TOLERANCE_SCALE * max(1.0, float(np.abs(self.values).sum()))
         return self._tolerance
 
     def pair_count(self) -> int:
@@ -224,7 +226,8 @@ def load_instance(path: str | Path) -> Instance:
     """Read the CSV instance format written by save_instance.
 
     Unlisted pairs default to value zero. Rejects malformed rows, duplicate
-    pairs, diagonal entries and non-finite values.
+    pairs, diagonal entries, non-finite values and values whose absolute
+    sum overflows.
     """
     lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
@@ -257,7 +260,10 @@ def load_instance(path: str | Path) -> Instance:
             raise ValueError(f"{path}:{lineno}: non-finite value {parts[2]!r}")
         seen.add((p, q))
         c[p, q] = value
-    return Instance(c, copy=False)
+    try:
+        return Instance(c, copy=False)
+    except ValueError as exc:  # the rows are valid one by one; their sum is not
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_partial(pa, path: str | Path) -> None:

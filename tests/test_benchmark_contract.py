@@ -15,7 +15,7 @@ from preopt import GeneratorConfig, generate_synthetic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-#: spans that must record at least one call across the two runs
+#: spans that must record at least one call across the three runs
 EXPECTED_SPANS = (
     "conditions.run_joint",
     "conditions.directed_cut_condition",
@@ -47,7 +47,8 @@ def test_traced_names_present_and_called(tracer):
 
     # looked up after install: a name bound before it is not traced
     run_joint = preopt.conditions.run_joint
-    for alpha in (0.1, 0.5):
+    # alpha 0.9 is the run that reaches edge-join's swap engine
+    for alpha in (0.1, 0.5, 0.9):
         instance, _ = generate_synthetic(GeneratorConfig(n=12, p_edges=0.5, alpha=alpha, seed=0))
         run_joint(instance)
     totals = tracer.totals()

@@ -230,6 +230,14 @@ class TestFix:
         result = runner.invoke(main, ["fix", str(bad)])
         assert result.exit_code == 2
 
+    def test_overflowing_values_are_data_error(self, runner, tmp_path):
+        bad = tmp_path / "overflow.csv"
+        bad.write_text("n=3\np,q,c\n0,1,1e308\n1,2,1e308\n2,0,-1e308\n")
+        result = runner.invoke(main, ["fix", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"data error: {bad}: the sum of absolute instance values overflows" in result.output
+        assert "fixed" not in result.output
+
 
 class TestOracleCheck:
     def test_pipeline_certified(self, runner, tmp_path):

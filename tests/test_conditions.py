@@ -12,6 +12,8 @@ from preopt.conditions import (
     DEFAULT_CONDITIONS,
     DIRECTED_CUT,
     EDGE_CUT,
+    EDGE_JOIN,
+    TIER_ONE,
     boecker_conditions,
     directed_cut_condition,
     edge_cut_condition,
@@ -345,6 +347,95 @@ class TestRunJoint:
         pa, fixations, stats = run_joint(Instance(np.zeros((1, 1))))
         assert stats.percent_fixed == 100.0
         assert fixations == []
+
+
+def _recorded_run(monkeypatch, inst, cfg=None):
+    """run_joint with every dispatched condition recorded with its input."""
+    calls = []
+    dispatch = conditions._dispatch
+
+    def recording(cond, instance, pa):
+        calls.append((cond, instance, pa))
+        return dispatch(cond, instance, pa)
+
+    monkeypatch.setattr(conditions, "_dispatch", recording)
+    _, _, stats = run_joint(inst, cfg)
+    monkeypatch.setattr(conditions, "_dispatch", dispatch)
+    return calls, stats
+
+
+def _state(inst, pa):
+    return inst.values.tobytes(), pa.ones.tobytes(), pa.zeros.tobytes()
+
+
+def _n12(alpha, seed=0):
+    inst, _ = generate_synthetic(GeneratorConfig(n=12, p_edges=0.5, alpha=alpha, seed=seed))
+    return inst
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_no_condition_reruns_on_same_input(self, monkeypatch, alpha):
+        for seed in range(3):
+            calls, _ = _recorded_run(monkeypatch, _n12(alpha, seed))
+            keys = [(cond, *_state(inst, pa)) for cond, inst, pa in calls]
+            assert len(set(keys)) == len(keys)
+
+    def test_single_pass_runs_given_order_once(self, monkeypatch):
+        order = tuple(reversed(DEFAULT_CONDITIONS))
+        calls, stats = _recorded_run(
+            monkeypatch, _n12(0.5), PipelineConfig(conditions=order, single_pass=True)
+        )
+        assert tuple(cond for cond, _, _ in calls) == order
+        assert stats.rounds == 1
+        assert all(rec.skipped == 0 for rec in stats.per_condition.values())
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_tier_zero_settled_before_tier_one(self, monkeypatch, alpha):
+        calls, _ = _recorded_run(monkeypatch, _n12(alpha))
+        tier_zero = [cond for cond in DEFAULT_CONDITIONS if cond not in TIER_ONE]
+        tier_one_calls = [(inst, pa) for cond, inst, pa in calls if cond in TIER_ONE]
+        assert tier_one_calls
+        for inst, pa in tier_one_calls:
+            for cond in tier_zero:
+                assert conditions._dispatch(cond, inst, pa) == []
+
+    def test_tier_one_fixation_resettles_tier_zero(self, monkeypatch):
+        calls, stats = _recorded_run(monkeypatch, _n12(0.8, 5))
+        assert stats.per_condition[EDGE_JOIN].fixed_one > 0
+        for (cond, _, _), (after, _, _) in zip(calls, calls[1:]):
+            if cond in TIER_ONE and after not in TIER_ONE:
+                assert after == DIRECTED_CUT
+        # a fixpoint: every condition's last run saw the final assignment
+        final = _state(*calls[-1][1:])
+        for cond in DEFAULT_CONDITIONS:
+            _, inst, pa = [call for call in calls if call[0] == cond][-1]
+            assert _state(inst, pa) == final
+
+    def test_skips_counted_in_fixpoint_mode(self):
+        _, _, stats = run_joint(_n12(0.8, 5))
+        assert sum(rec.skipped for rec in stats.per_condition.values()) > 0
+
+
+class TestNanMargin:
+    """A NaN margin compares False both ways, so it must never fix."""
+
+    def test_boecker_nan_bound_fixes_nothing(self, monkeypatch):
+        inst = _n12(0.1)
+        assert boecker_conditions(inst, PartialAssignment.empty(12), bs=(0,))
+        monkeypatch.setattr(conditions, "_pair_bounds", lambda *args: (math.nan, 0.0))
+        for strong in (True, False):
+            assert boecker_conditions(inst, PartialAssignment.empty(12), strong=strong) == []
+
+    def test_edge_join_nan_energy_fixes_nothing(self, monkeypatch):
+        pa = PartialAssignment.empty(FIG1.n)
+        assert edge_join_condition(FIG1, pa)
+        minimize = conditions.alpha_beta_swap_minimize
+        monkeypatch.setattr(conditions, "_join_energy_floor", lambda model: 0.0)
+        monkeypatch.setattr(
+            conditions, "alpha_beta_swap_minimize", lambda model: (minimize(model)[0], math.nan)
+        )
+        assert edge_join_condition(FIG1, pa) == []
 
 
 def _random_closed_pa(rng, n, density=0.3):

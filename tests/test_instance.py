@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,20 @@ class TestInstance:
             Instance(np.array([[1.0, 0.0], [0.0, 0.0]]))  # nonzero diagonal
         with pytest.raises(ValueError):
             Instance(np.zeros((2, 3)))
+
+    def test_overflowing_value_mass_rejected(self):
+        # every value is finite, but sum |c| overflows and would make the
+        # tolerance and every bound built on it inf or NaN
+        c = np.zeros((3, 3))
+        c[0, 1] = c[1, 2] = 1e308
+        c[2, 0] = -1e308
+        with pytest.raises(ValueError, match="overflows"):
+            Instance(c)
+        c[2, 0] = -1e307
+        with pytest.raises(ValueError, match="overflows"):
+            Instance(c)
+        c[0, 1] = 0.0
+        assert math.isfinite(Instance(c).tolerance)
 
     def test_positive_negative_parts(self):
         inst = Instance(np.array([[0.0, 2.0], [-3.0, 0.0]]))
