@@ -4,7 +4,8 @@ Lower bounds come from local search (greedy arc insertion and greedy arc
 fixation) and always carry a feasible witness. Upper bounds combine the
 induced values of exclusion/inclusion for arcs incident to a pair with an
 edge-disjoint triple-packing bound for the rest, or are exact in the
-tractable special case where the sign-greedy relation is itself feasible.
+tractable special case where the sign-greedy relation is itself feasible,
+derived once per assignment and then one minimum cut per pair.
 Boundary bounds cap how much value the boundary of a subset can lose when a
 tau map replants the subset's interior.
 """
@@ -330,33 +331,38 @@ def local_search_lower_bound(
     return best_value, witness
 
 
-def exact_bounds_tractable(
-    instance: Instance, pa: PartialAssignment, pair: Pair
-) -> tuple[float, float] | None:
-    """Exact constrained optima in the tractable special case, else None.
+class TractableBounds:
+    """Exact constrained optima of one assignment in the tractable case.
 
-    Requires c_ij >= 0 and pair undecided. When the sign-greedy completion
-    (ones where undecided and c >= 0) is itself transitive, it maximizes the
-    unconstrained problem and the x_ij = 1 branch; the x_ij = 0 branch then
-    reduces to one minimum i-j cut over positive parts, with assigned-one
-    arcs uncuttable. Returns (optimum with x_ij = 1, optimum with x_ij = 0);
-    the latter is -inf when no completion has x_ij = 0.
+    The sign-greedy relation ``y`` is transitive, so it maximizes the problem
+    and every x_ij = 1 branch with c_ij >= 0; ``opt`` is its value. The
+    x_ij = 0 branch is one minimum i-j cut over positive parts, assigned-one
+    arcs uncuttable, on a network built once for all pairs.
     """
-    i, j = pair
-    if pa.value(i, j) is not None:
-        raise ValueError("pair ij must be undecided")
-    c = instance.values
-    if c[i, j] < 0:
-        raise ValueError("tractable bounds require c_ij >= 0")
-    x_plus = sign_greedy_relation(instance, pa)
-    if not x_plus.is_transitive():
-        return None
-    opt = float(c[x_plus.matrix].sum())
 
-    value, _ = min_st_cut(FlowNetwork(cut_capacities(instance, pa)), i, j)
-    if math.isinf(value):
-        return opt, -math.inf
-    return opt, opt - value
+    def __init__(self, instance: Instance, pa: PartialAssignment, y: Relation):
+        self.y = y
+        self.opt = float(instance.values[y.matrix].sum())
+        self.net = FlowNetwork(cut_capacities(instance, pa))
+        self._eligible = ~pa.decided & (instance.values >= 0)
+
+    def optima(self, i: int, j: int) -> tuple[float, float]:
+        """(optimum with x_ij = 1, optimum with x_ij = 0) for an undecided
+        pair with c_ij >= 0; the latter is -inf (an infinite cut) when no
+        completion has x_ij = 0."""
+        if not self._eligible[i, j]:
+            raise ValueError("tractable bounds need pair ij undecided with c_ij >= 0")
+        value, _ = min_st_cut(self.net, i, j)
+        return self.opt, self.opt - value
+
+
+def exact_bounds_tractable(instance: Instance, pa: PartialAssignment) -> TractableBounds | None:
+    """The assignment's tractable case, or None when the sign-greedy
+    completion (ones where undecided and c >= 0) is not transitive."""
+    y = sign_greedy_relation(instance, pa)
+    if not y.is_transitive():
+        return None
+    return TractableBounds(instance, pa, y)
 
 
 def sign_greedy_relation(instance: Instance, pa: PartialAssignment) -> Relation:

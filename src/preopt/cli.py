@@ -86,6 +86,12 @@ def _usage_error(message) -> NoReturn:
     sys.exit(EXIT_USAGE)
 
 
+def _check_out_parent(out_path: str | None) -> None:
+    """Exit 1 before any work when an output file's directory is missing."""
+    if out_path is not None and not Path(out_path).parent.is_dir():
+        _usage_error(f"output directory {str(Path(out_path).parent)!r} does not exist")
+
+
 def _pipeline_config(conditions_text: str | None, **options) -> PipelineConfig:
     """The run's config from the comma-separated condition ids; exit 1 if invalid."""
     conditions = DEFAULT_CONDITIONS
@@ -225,8 +231,12 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
     if not instances:
         _usage_error("no instance files given")
     cfg = _pipeline_config(conditions_text, max_rounds=rounds, single_pass=single_pass)
-    if emit_dir is not None:
-        Path(emit_dir).mkdir(parents=True, exist_ok=True)
+    if emit_dir is not None:  # before the --out check, which may name this directory
+        try:
+            Path(emit_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _usage_error(f"cannot create --emit-partial directory {emit_dir!r}: {exc}")
+    _check_out_parent(out_csv)
     jobs = [(path, cfg, emit_dir) for path in instances]
     rows = []
     try:
@@ -310,6 +320,7 @@ def oracle_check(instance_path, conditions_text, partial_path):
 @click.option("--out", "out_csv", type=click.Path(dir_okay=False), required=True)
 def ingest_ego(edge_file, out_csv):
     """Convert a "src dst" edge list into an instance file."""
+    _check_out_parent(out_csv)
     try:
         nodes, edges = read_edge_list(edge_file)
         instance = ingest_ego_network(edges, nodes)

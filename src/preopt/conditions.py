@@ -41,12 +41,12 @@ import numpy as np
 
 from .bounds import (
     BoundReport,
+    TractableBounds,
     TriplePackingBound,
     boundary_bound,
     exact_bounds_tractable,
     induced_value,
     local_search_lower_bound,
-    sign_greedy_relation,
 )
 from .energy import (
     IN_U,
@@ -278,24 +278,11 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
     return fixations
 
 
-def _upper_bound_constrained(
-    instance: Instance,
-    pa: PartialAssignment,
-    packing: TriplePackingBound,
-    i: int,
-    j: int,
-    b: int,
-) -> float:
-    """Upper bound on the optimum over completions with x_ij = b: induced
-    value of the incident arcs plus the packing bound on the rest."""
-    return induced_value(instance, pa, i, j, b) + packing.bound_excluding(i, j)
-
-
 def _pair_bounds(
     instance: Instance,
     pa: PartialAssignment,
     packing: TriplePackingBound,
-    tractable: bool,
+    tractable: TractableBounds | None,
     i: int,
     j: int,
     b: int,
@@ -304,17 +291,16 @@ def _pair_bounds(
     """Lower bound on the optimum with x_ij = b, upper bound with x_ij = 1 - b.
 
     ``lb``, when given, is an unconstrained lower bound used in place of a
-    constrained local search. For b = 1 and c_ij >= 0, exact values replace
-    both bounds when the sign-greedy relation is feasible.
+    constrained local search. For b = 1 and c_ij >= 0, the exact optima of
+    ``tractable`` replace both bounds; otherwise the upper bound is the
+    induced value of the incident arcs plus the packing bound on the rest.
     """
-    if b == 1 and tractable and instance.values[i, j] >= 0.0:
-        exact = exact_bounds_tractable(instance, pa, (i, j))
-        if exact is not None:
-            opt_one, opt_zero = exact
-            return (opt_one if lb is None else max(lb, opt_one)), opt_zero
+    if b == 1 and tractable is not None and instance.values[i, j] >= 0.0:
+        opt_one, opt_zero = tractable.optima(i, j)
+        return (opt_one if lb is None else max(lb, opt_one)), opt_zero
     if lb is None:
         lb, _ = local_search_lower_bound(instance, pa, ((i, j), b))
-    return lb, _upper_bound_constrained(instance, pa, packing, i, j, 1 - b)
+    return lb, induced_value(instance, pa, i, j, 1 - b) + packing.bound_excluding(i, j)
 
 
 def boecker_conditions(
@@ -328,11 +314,13 @@ def boecker_conditions(
     Strong: one unconstrained lower bound against per-pair constrained upper
     bounds, every pair judged against pa. Weak: per-pair constrained lower
     bounds, applied sequentially against the evolving assignment. Both
-    compare with the tolerance; ``_pair_bounds`` gives the bounds.
+    compare with the tolerance; ``_pair_bounds`` gives the bounds. The tractable
+    case is derived for pa, and in the weak branch again after each fixation.
     """
     tol = instance.tolerance
     packing = TriplePackingBound(instance, pa)
-    tractable = sign_greedy_relation(instance, pa).is_transitive()
+    tractable = exact_bounds_tractable(instance, pa) if 1 in bs else None
+    rederive = not strong and tractable is not None
     lb = local_search_lower_bound(instance, pa)[0] if strong else None
     working = pa
     fixations: list[Fixation] = []
@@ -349,6 +337,8 @@ def boecker_conditions(
             else:
                 condition = BBK_WEAK
                 working = close(working.with_assignments([(i, j, b)]))
+                if rederive:
+                    tractable = exact_bounds_tractable(instance, working)
             fixations.append(Fixation((i, j), b, condition, margin))
             break
     return fixations
@@ -384,28 +374,26 @@ def subset_fixation_condition(
     sub_pa = pa.restrict(elements)
     si, sj = elements.index(i), elements.index(j)
 
-    exact_used = False
+    tractable = None
     if exact and b == 1 and instance.values[i, j] >= 0.0:
-        result = exact_bounds_tractable(sub_instance, sub_pa, (si, sj))
-        if result is not None:
-            lb, ub = result
-            y_sub = sign_greedy_relation(sub_instance, sub_pa)
-            y_full = np.zeros((instance.n, instance.n), dtype=bool)
-            y_full[np.ix_(elements, elements)] = y_sub.matrix
-            y = Relation(y_full, copy=False)
-            ub_prime = boundary_bound(instance, pa, elements, variant, y, exact=True)
-            true = is_true_to(MapSpec.tau(variant, elements, y), pa)
-            exact_used = True
-    if not exact_used:
+        tractable = exact_bounds_tractable(sub_instance, sub_pa)
+    if tractable is not None:
+        lb, ub = tractable.optima(si, sj)
+        y_full = np.zeros((instance.n, instance.n), dtype=bool)
+        y_full[np.ix_(elements, elements)] = tractable.y.matrix
+        y = Relation(y_full, copy=False)
+        ub_prime = boundary_bound(instance, pa, elements, variant, y, exact=True)
+        true = is_true_to(MapSpec.tau(variant, elements, y), pa)
+    else:
         lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), b), greedy=greedy)
         packing = TriplePackingBound(sub_instance, sub_pa)
-        ub = _upper_bound_constrained(sub_instance, sub_pa, packing, si, sj, 1 - b)
+        ub = induced_value(sub_instance, sub_pa, si, sj, 1 - b) + packing.bound_excluding(si, sj)
         ub_prime = boundary_bound(instance, pa, elements, variant, exact=False)
         true = tau_trueness_loose(variant, frozenset(elements), pa)
 
     report = BoundReport(
         lb=lb, ub=ub, ub_prime=ub_prime,
-        provenance="tractable-exact" if exact_used else "local-search+packing",
+        provenance="tractable-exact" if tractable is not None else "local-search+packing",
     )
     margin = lb - ub - ub_prime
     if true and margin >= tol:
@@ -506,21 +494,6 @@ def _dispatch(cond: str, instance: Instance, pa: PartialAssignment) -> list[Fixa
     raise ValueError(f"unknown condition id {cond!r}")
 
 
-def _lift_assignment(
-    pa: PartialAssignment, groups: list[list[int]], orig_n: int
-) -> PartialAssignment:
-    """Expand a contracted assignment back to original element indices."""
-    group = np.empty(orig_n, dtype=np.intp)  # element -> its contracted index
-    for cur, members in enumerate(groups):
-        group[members] = cur
-    ones = pa.ones[np.ix_(group, group)]
-    zeros = pa.zeros[np.ix_(group, group)]
-    ones |= group[:, None] == group  # the members of a merged group
-    np.fill_diagonal(ones, False)
-    np.fill_diagonal(zeros, False)
-    return PartialAssignment(ones, zeros, copy=False)
-
-
 def run_joint(
     instance: Instance, cfg: PipelineConfig | None = None
 ) -> tuple[PartialAssignment, list[Fixation], RunStats]:
@@ -543,7 +516,7 @@ def run_joint(
     stats = RunStats(n=orig_n, pair_count=pair_count)
     stats.per_condition = {cond: ConditionStats() for cond in cfg.conditions}
 
-    groups: list[list[int]] = [[p] for p in range(orig_n)]
+    group = np.arange(orig_n)  # original element -> its contracted index
     current = instance
     pa = PartialAssignment.empty(orig_n)
     all_fixations: list[Fixation] = []
@@ -553,7 +526,7 @@ def run_joint(
     def step(cond: str) -> bool:
         """Run one condition unless it already saw this assignment; True
         when its fixations moved the version."""
-        nonlocal current, pa, groups, version
+        nonlocal current, pa, group, version
         if current.n <= 1:
             return False
         record = stats.per_condition[cond]
@@ -575,22 +548,20 @@ def run_joint(
             version += 1
             for f in fixations:
                 p, q = f.pair
-                weight = len(groups[p]) * len(groups[q])
+                members_p, members_q = np.flatnonzero(group == p), np.flatnonzero(group == q)
+                weight = len(members_p) * len(members_q)
                 if f.value == 0:
                     record.fixed_zero += weight
                 else:
                     record.fixed_one += weight
-                for op in groups[p]:
-                    for oq in groups[q]:
+                for op in members_p.tolist():
+                    for oq in members_q.tolist():
                         all_fixations.append(replace(f, pair=(op, oq)))
             classes = mutual_one_classes(pa)
             while classes:
                 current, pa, _, old_to_new = merge_classes(current, pa, classes[0])
                 stats.merged_classes += 1
-                regrouped: list[list[int]] = [[] for _ in range(current.n)]
-                for old_el, members in enumerate(groups):
-                    regrouped[int(old_to_new[old_el])].extend(members)
-                groups = regrouped
+                group = old_to_new[group]
                 classes = mutual_one_classes(pa)
         record.time_ns += time.perf_counter_ns() - tick
         return bool(fixations)
@@ -616,7 +587,12 @@ def run_joint(
             if current.n <= 1 or all(seen.get(cond) == version for cond in cfg.conditions):
                 break
 
-    lifted = _lift_assignment(pa, groups, orig_n)
+    # back on the original elements; the members of a merged group are mutual ones
+    lifted = PartialAssignment(
+        pa.ones[np.ix_(group, group)] | (group[:, None] == group),
+        pa.zeros[np.ix_(group, group)],
+        copy=False,
+    )
     stats.fixed_zero = int(lifted.zeros.sum())
     stats.fixed_one = int(lifted.ones.sum())
     stats.percent_fixed = (

@@ -13,7 +13,7 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .relations import Pair, Relation, insert_arc_closed
+from .relations import Pair, PartialAssignment, Relation, insert_arc_closed, is_consistent
 from .rng import SplitMix64
 
 #: comparisons against condition inequalities fire only beyond this slack,
@@ -240,7 +240,10 @@ def load_instance(path: str | Path) -> Instance:
         raise ValueError(f"{path}: element count must be positive")
     if len(lines) < 2 or lines[1].replace(" ", "") != "p,q,c":
         raise ValueError(f"{path}: missing 'p,q,c' header")
-    c = np.zeros((n, n), dtype=np.float64)
+    try:
+        c = np.zeros((n, n), dtype=np.float64)
+    except MemoryError as exc:
+        raise ValueError(f"{path}: element count {n} is too large to allocate") from exc
     seen = set()
     for lineno, line in enumerate(lines[2:], start=3):
         parts = line.split(",")
@@ -277,10 +280,9 @@ def load_partial(path: str | Path, n: int):
 
     Rejects, with a "path:line" message, rows that are malformed, hold a
     non-integer field, an index outside 0..n-1, a diagonal pair, a value
-    other than 0 or 1, or a value that contradicts an earlier row.
+    other than 0 or 1, or a value that contradicts an earlier row; rejects
+    with a "path:" message rows that have no transitive completion together.
     """
-    from .relations import PartialAssignment
-
     assignments = []
     first_seen: dict[tuple[int, int], tuple[int, int]] = {}
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -307,4 +309,7 @@ def load_partial(path: str | Path, n: int):
                 f"but line {earlier[1]} sets it to {earlier[0]}"
             )
         assignments.append((p, q, v))
-    return PartialAssignment.empty(n).with_assignments(assignments)
+    pa = PartialAssignment.empty(n).with_assignments(assignments)
+    if not is_consistent(pa):
+        raise ValueError(f"{path}: the assignment has no transitive completion")
+    return pa

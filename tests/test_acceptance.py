@@ -270,11 +270,11 @@ def test_criterion_07_tractable_exactness():
         if not pairs:
             continue
         pair = pairs[int(rng.integers(0, len(pairs)))]
-        result = exact_bounds_tractable(inst, pa, pair)
-        if result is None:
+        tractable = exact_bounds_tractable(inst, pa)
+        if tractable is None:
             continue
         applicable += 1
-        opt_one, opt_zero = result
+        opt_one, opt_zero = tractable.optima(*pair)
         truth_one = oracle.constrained_optimum(inst, pa, pair, 1).value
         truth_zero = oracle.constrained_optimum(inst, pa, pair, 0).value
         assert opt_one == truth_one, (opt_one, truth_one)

@@ -202,9 +202,9 @@ class TestTractableBounds:
         c[1, 0] = 3.0
         inst = Instance(c)
         pa = PartialAssignment.empty(2)
-        res = exact_bounds_tractable(inst, pa, (0, 1))
-        assert res is not None
-        opt, opt_cut = res
+        tractable = exact_bounds_tractable(inst, pa)
+        assert tractable is not None
+        opt, opt_cut = tractable.optima(0, 1)
         assert opt == pytest.approx(5.0)
         assert opt_cut == pytest.approx(3.0)
 
@@ -213,9 +213,9 @@ class TestTractableBounds:
         c = rng.random((5, 5))
         np.fill_diagonal(c, 0.0)
         inst = Instance(c)
-        res = exact_bounds_tractable(inst, PartialAssignment.empty(5), (0, 1))
-        assert res is not None
-        assert res[0] == pytest.approx(c.sum())
+        tractable = exact_bounds_tractable(inst, PartialAssignment.empty(5))
+        assert tractable is not None
+        assert tractable.optima(0, 1)[0] == pytest.approx(c.sum())
 
     def test_matches_oracle_when_applicable(self):
         rng = np.random.default_rng(19)
@@ -231,11 +231,11 @@ class TestTractableBounds:
             if not pairs:
                 continue
             pair = pairs[int(rng.integers(0, len(pairs)))]
-            res = exact_bounds_tractable(inst, pa, pair)
-            if res is None:
+            tractable = exact_bounds_tractable(inst, pa)
+            if tractable is None:
                 continue
             found += 1
-            opt_one, opt_zero = res
+            opt_one, opt_zero = tractable.optima(*pair)
             assert opt_one == pytest.approx(constrained_max(inst, pa, pair, 1), abs=1e-9)
             assert opt_zero == pytest.approx(constrained_max(inst, pa, pair, 0), abs=1e-9)
 
@@ -244,10 +244,10 @@ class TestTractableBounds:
         c[0, 1] = -1.0
         inst = Instance(c)
         with pytest.raises(ValueError):
-            exact_bounds_tractable(inst, PartialAssignment.empty(2), (0, 1))
+            exact_bounds_tractable(inst, PartialAssignment.empty(2)).optima(0, 1)
         pa = PartialAssignment.from_pairs(2, one_pairs=[(1, 0)])
         with pytest.raises(ValueError):
-            exact_bounds_tractable(Instance(np.zeros((2, 2))), pa, (1, 0))
+            exact_bounds_tractable(Instance(np.zeros((2, 2))), pa).optima(1, 0)
 
 
 class TestBoundaryBound:

@@ -238,6 +238,41 @@ class TestFix:
         assert f"data error: {bad}: the sum of absolute instance values overflows" in result.output
         assert "fixed" not in result.output
 
+    def test_unallocatable_element_count_is_data_error(self, runner, tmp_path):
+        # an n x n float matrix of 71 PiB: numpy refuses it without allocating
+        big = tmp_path / "big.csv"
+        big.write_text("n=100000000\np,q,c\n0,1,1.0\n")
+        result = runner.invoke(main, ["fix", str(big)])
+        assert result.exit_code == 2, result.output
+        assert f"data error: {big}: element count 100000000 is too large" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_out_in_missing_directory_is_usage_error(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        out = tmp_path / "missing" / "o.csv"
+        result = runner.invoke(main, ["fix", str(inst), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: output directory")
+        assert result.output.count("\n") == 1  # no instance ran
+
+    def test_out_in_emit_partial_directory_still_written(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        emit = tmp_path / "new"
+        result = runner.invoke(
+            main, ["fix", str(inst), "--out", str(emit / "o.csv"), "--emit-partial", str(emit)]
+        )
+        assert result.exit_code == 0, result.output
+        assert (emit / "o.csv").exists() and (emit / "fig1.partial.csv").exists()
+
+    def test_uncreatable_emit_partial_is_usage_error(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        result = runner.invoke(main, ["fix", str(inst), "--emit-partial", str(blocker / "sub")])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: cannot create --emit-partial directory")
+        assert result.output.count("\n") == 1
+
 
 class TestOracleCheck:
     def test_pipeline_certified(self, runner, tmp_path):
@@ -256,6 +291,18 @@ class TestOracleCheck:
         result = runner.invoke(main, ["oracle-check", str(path), "--partial", str(bad)])
         assert result.exit_code == 3
         assert "(0, 1)" in result.output
+
+    def test_partial_without_transitive_completion_is_data_error(self, runner, tmp_path):
+        path = tmp_path / "three.csv"
+        save_instance(Instance(np.zeros((3, 3))), path)
+        partial = tmp_path / "partial.csv"
+        partial.write_text("0,1,1\n1,2,1\n0,2,0\n")  # 0->1->2 forces 0->2
+        result = runner.invoke(main, ["oracle-check", str(path), "--partial", str(partial)])
+        assert result.exit_code == 2, result.output
+        assert f"data error: {partial}: the assignment has no transitive completion" in (
+            result.output
+        )
+        assert "unsound" not in result.output
 
     @pytest.mark.parametrize(
         "rows, line",
@@ -298,3 +345,12 @@ class TestIngestEgo:
         inst = load_instance(out)
         assert inst.n == 3
         assert inst.values[0, 1] == 1.0 and inst.values[1, 0] == -1.0
+
+    def test_out_in_missing_directory_is_usage_error(self, runner, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 1\n1 2\n")
+        out = tmp_path / "missing" / "x.csv"
+        result = runner.invoke(main, ["ingest-ego", str(edges), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: output directory")
+        assert result.exception is None or isinstance(result.exception, SystemExit)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import random_instance
-from preopt import Instance, PipelineConfig, conditions, oracle, run_joint
+from preopt import Instance, PipelineConfig, bounds, conditions, oracle, run_joint
 from preopt.conditions import (
     BBK_WEAK,
     DEFAULT_CONDITIONS,
@@ -218,6 +218,47 @@ class TestBoecker:
             inst = random_instance(rng, n)
             fixations = boecker_conditions(inst, PartialAssignment.empty(n), strong=strong)
             assert fixations_sound(inst, fixations)
+
+
+class TestTractableOncePerRun:
+    """bbk-strong-1 derives the tractable case once per run, and each pair
+    then costs one minimum cut on that case's network."""
+
+    def test_one_derivation_and_direct_margins(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        rank = np.array([0, 0, 1, 2, 2, 3, 4, 5])
+        n = len(rank)
+        # positive exactly on the preorder rank[p] <= rank[q]: the sign-greedy
+        # relation is that preorder, so the instance is tractable
+        magnitude = rng.integers(1, 9, size=(n, n)).astype(float)
+        c = np.where(rank[:, None] <= rank[None, :], magnitude, -magnitude)
+        np.fill_diagonal(c, 0.0)
+        inst = Instance(c)
+        pa = close(PartialAssignment.from_pairs(n, one_pairs=[(3, 4)], zero_pairs=[(6, 2)]))
+        lb = bounds.local_search_lower_bound(inst, pa)[0]
+        opt = float(c[bounds.sign_greedy_relation(inst, pa).matrix].sum())
+        net = FlowNetwork(cut_capacities(inst, pa))
+
+        counts = {"sign_greedy_relation": 0, "FlowNetwork": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        for module in (bounds, conditions):
+            for name in counts:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        fixations = boecker_conditions(inst, pa, strong=True, bs=(1,))
+        assert counts == {"sign_greedy_relation": 1, "FlowNetwork": 1}
+        assert len(fixations) >= 5
+        for f in fixations:
+            i, j = f.pair
+            assert f.value == 1 and c[i, j] >= 0.0 and pa.value(i, j) is None
+            assert f.margin == max(lb, opt) - (opt - min_st_cut(net, i, j)[0])
 
 
 class TestSubsetFixation:
