@@ -98,137 +98,140 @@ def _triple_table(
     return triples, tri_sum, tri_max
 
 
-def _greedy_select(
-    triples: np.ndarray, improvement: np.ndarray
-) -> list[int]:
+def _greedy_select(triples: np.ndarray, improvement: np.ndarray) -> np.ndarray:
     """Greedy edge-disjoint selection by descending improvement, lexicographic
     tie-break; only strictly improving triples are taken."""
-    order = sorted(
-        (k for k in range(triples.shape[0]) if improvement[k] > 0.0),
-        key=lambda k: (-improvement[k], tuple(triples[k])),
-    )
+    positive = np.flatnonzero(improvement > 0.0)
+    p, q, r = triples[positive].T
+    order = positive[np.lexsort((r, q, p, -improvement[positive]))]
     used: set[Pair] = set()
     chosen: list[int] = []
-    for k in order:
-        p, q, r = (int(v) for v in triples[k])
+    for k, (p, q, r) in zip(order.tolist(), triples[order].tolist()):
         arcs = ((p, q), (q, r), (p, r))
         if any(e in used for e in arcs):
             continue
         used.update(arcs)
         chosen.append(k)
-    return chosen
+    return np.array(chosen, dtype=np.int64)
 
 
 class TriplePackingBound:
-    """Reusable triple-packing upper bound with fast per-pair exclusion.
+    """Reusable triple-packing upper bound with every pair's exclusion bound.
 
-    Builds one packing over all elements; ``bound_excluding(i, j)`` then
-    bounds the optimum of the sub-problem without i and j without recomputing
-    the packing (a packing restricted to fewer elements is still
-    edge-disjoint, so the bound stays valid).
+    Builds one packing over all elements; ``excluding[i, j]`` then bounds
+    the optimum of the sub-problem without i and j without recomputing the
+    packing (a packing restricted to fewer elements is still edge-disjoint,
+    so the bound stays valid). The diagonal of ``excluding`` is NaN.
     """
 
     def __init__(self, instance: Instance, pa: PartialAssignment):
         n = instance.n
-        self.m_vals = arc_max_values(instance, pa)
+        m_vals = arc_max_values(instance, pa)
 
         triples, tri_sum, tri_max = _triple_table(instance, pa)
         chosen = _greedy_select(triples, tri_sum - tri_max)
-        self.triples = [tuple(int(v) for v in triples[k]) for k in chosen]
-        self.tri_max = [float(tri_max[k]) for k in chosen]
+        p, q, r = triples[chosen].T
+        tm = tri_max[chosen]
+        self.triples = list(zip(p.tolist(), q.tolist(), r.tolist()))
+        self.tri_max = tm.tolist()
 
         covered = np.zeros((n, n), dtype=bool)
-        for p, q, r in self.triples:
-            covered[p, q] = covered[q, r] = covered[p, r] = True
+        covered[p, q] = covered[q, r] = covered[p, r] = True
         self.covered = covered
 
         uncovered = ~covered
         np.fill_diagonal(uncovered, False)
-        self._uncovered_total = float(self.m_vals[uncovered].sum())
-        self._incident = self.m_vals * uncovered
-        self._tri_max_total = float(sum(self.tri_max))
-        self._touching: list[list[int]] = [[] for _ in range(n)]
-        for k, t in enumerate(self.triples):
-            for p in set(t):
-                self._touching[p].append(k)
+        uncovered_total = float(m_vals[uncovered].sum())
+        tri_max_total = float(sum(self.tri_max))
+        self._total = uncovered_total + tri_max_total
+
+        # uncovered arcs: drop those incident to i or j; the arcs between i
+        # and j are dropped twice, so they come back once
+        incident = m_vals * uncovered
+        degree = incident.sum(axis=1) + incident.sum(axis=0)
+        part = uncovered_total - degree[:, None] - degree[None, :] + (incident + incident.T)
+
+        # packed triples: each one touching i or j gives up its tri_max and
+        # gets back its arcs that avoid both. per_element[p] sums, over the
+        # triples holding p, tri_max less the arc opposite p. A triple
+        # holding both i and j is summed twice but gives up one tri_max and
+        # gets back no arc; ``both`` holds that surplus.
+        per_element = np.zeros(n)
+        np.add.at(per_element, p, tm - m_vals[q, r])
+        np.add.at(per_element, q, tm - m_vals[p, r])
+        np.add.at(per_element, r, tm - m_vals[p, q])
+        both = np.zeros((n, n))
+        for a, b, arcs_of_rest in (
+            (p, q, m_vals[q, r] + m_vals[p, r]),
+            (q, r, m_vals[p, r] + m_vals[p, q]),
+            (p, r, m_vals[q, r] + m_vals[p, q]),
+        ):
+            np.add.at(both, (a, b), tm - arcs_of_rest)
+            np.add.at(both, (b, a), tm - arcs_of_rest)
+        tri_part = tri_max_total - (per_element[:, None] + per_element[None, :] - both)
+
+        self.excluding = part + tri_part
+        np.fill_diagonal(self.excluding, np.nan)
 
     def bound(self) -> float:
         """Upper bound on the optimum over all elements."""
-        return self._uncovered_total + self._tri_max_total
-
-    def bound_excluding(self, i: int, j: int) -> float:
-        """Upper bound on the optimum over the elements other than i and j."""
-        part = self._uncovered_total
-        part -= float(self._incident[i].sum() + self._incident[:, i].sum())
-        part -= float(self._incident[j].sum() + self._incident[:, j].sum())
-        # arcs between i and j were subtracted twice
-        part += float(self._incident[i, j] + self._incident[j, i])
-
-        tri_part = self._tri_max_total
-        for k in set(self._touching[i]) | set(self._touching[j]):
-            tri_part -= self.tri_max[k]
-            p, q, r = self.triples[k]
-            for a, b in ((p, q), (q, r), (p, r)):
-                if a not in (i, j) and b not in (i, j):
-                    tri_part += float(self.m_vals[a, b])
-        return part + tri_part
+        return self._total
 
 
-def induced_value(instance: Instance, pa: PartialAssignment, i: int, j: int, b: int) -> float:
-    """Upper bound on the total value of arcs incident to {i, j} over all
-    completions with x_ij = b.
+#: entries of one (rows, n, n) slab of induced-value terms; slabs of rows
+#: keep the working memory of ``induced_value`` O(n^2)
+SLAB_ENTRIES = 1 << 17
+
+
+def induced_value(instance: Instance, pa: PartialAssignment, b: int) -> np.ndarray:
+    """Upper bounds on the total value of arcs incident to {i, j} over all
+    completions with x_ij = b, at [i, j] for every undecided pair.
 
     b = 0 is the induced value of exclusion, b = 1 the induced value of
     inclusion. Each term maximizes one or two incident arcs subject to the
     pinned pairs and the triangle coupling that x_ij = b imposes on them.
+    Decided pairs and the diagonal are NaN. The terms of the other elements
+    w are built for a slab of rows i at a time, at most ``SLAB_ENTRIES`` of
+    them.
     """
-    if pa.value(i, j) is not None:
-        raise ValueError("pair ij must be undecided")
-    c = instance.values
-
-    def dmax(p: int, q: int) -> float:
-        v = pa.value(p, q)
-        if v is None:
-            return max(float(c[p, q]), 0.0)
-        return float(c[p, q]) if v == 1 else 0.0
-
-    def pair_max(e1: Pair, e2: Pair, allowed) -> float:
-        v1, v2 = pa.value(*e1), pa.value(*e2)
-        best = None
-        for a1 in (0, 1):
-            if v1 is not None and a1 != v1:
-                continue
-            for a2 in (0, 1):
-                if v2 is not None and a2 != v2:
-                    continue
-                if not allowed(a1, a2):
-                    continue
-                val = float(c[e1]) * a1 + float(c[e2]) * a2
-                if best is None or val > best:
-                    best = val
-        if best is None:
-            raise InconsistentAssignmentError(
-                f"no joint assignment for arcs {e1}, {e2} under x_{i}{j}={b}"
-            )
-        return best
-
-    total = dmax(j, i)
-    if b == 0:
-        for w in range(instance.n):
-            if w in (i, j):
-                continue
-            # x_iw + x_wj <= 1 once x_ij = 0
-            total += pair_max((i, w), (w, j), lambda a1, a2: a1 + a2 <= 1)
-            total += dmax(w, i) + dmax(j, w)
-    else:
-        total += float(c[i, j])
-        for w in range(instance.n):
-            if w in (i, j):
-                continue
-            # x_ij = 1 forces x_jw <= x_iw and x_wi <= x_wj
-            total += pair_max((j, w), (i, w), lambda a1, a2: a1 <= a2)
-            total += pair_max((w, i), (w, j), lambda a1, a2: a1 <= a2)
-    return total
+    n = instance.n
+    m = arc_max_values(instance, pa)
+    # each arc's value when set to one and when set to zero, -inf where its
+    # pin forbids that; the best of the two is m
+    hi = np.where(pa.zeros, -np.inf, instance.values)
+    lo = np.where(pa.ones, -np.inf, 0.0)
+    m_t, hi_t, lo_t = (np.ascontiguousarray(a.T) for a in (m, hi, lo))
+    out = np.empty((n, n))
+    rows = max(1, SLAB_ENTRIES // (n * n))
+    every = np.arange(n)
+    for start in range(0, n, rows):
+        slab = slice(start, min(start + rows, n))
+        # terms[i - start, j, w] for the other elements w
+        if b == 0:
+            # x_iw + x_wj <= 1 once x_ij = 0: (0, any) or (1, 0)
+            terms = np.maximum(lo[slab, None] + m_t[None], hi[slab, None] + lo_t[None])
+            terms += m_t[slab, None] + m[None]  # the arcs wi and jw
+        else:
+            # x_ij = 1 forces x_jw <= x_iw and x_wi <= x_wj: (0, any) or (1, 1)
+            terms = np.maximum(lo[None] + m[slab, None], hi[None] + hi[slab, None])
+            terms += np.maximum(lo_t[slab, None] + m_t[None], hi_t[slab, None] + hi_t[None])
+        own = every[slab]
+        terms[own - start, :, own] = 0.0  # w = i
+        terms[:, every, every] = 0.0  # w = j
+        out[slab] = terms.sum(axis=2)
+    out += m.T  # the arc ji
+    if b == 1:
+        out += instance.values
+    undecided = ~pa.decided
+    np.fill_diagonal(undecided, False)
+    infeasible = undecided & np.isneginf(out)
+    if infeasible.any():
+        i, j = np.argwhere(infeasible)[0]
+        raise InconsistentAssignmentError(
+            f"no joint assignment for the arcs incident to ({i}, {j}) under x_{i}{j}={b}"
+        )
+    out[~undecided] = np.nan
+    return out
 
 
 def _greedy_insertion(instance: Instance, base: PartialAssignment) -> np.ndarray:

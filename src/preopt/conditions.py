@@ -281,7 +281,7 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
 def _pair_bounds(
     instance: Instance,
     pa: PartialAssignment,
-    packing: TriplePackingBound,
+    upper: np.ndarray,
     tractable: TractableBounds | None,
     i: int,
     j: int,
@@ -290,17 +290,18 @@ def _pair_bounds(
 ) -> tuple[float, float]:
     """Lower bound on the optimum with x_ij = b, upper bound with x_ij = 1 - b.
 
-    ``lb``, when given, is an unconstrained lower bound used in place of a
+    ``upper`` holds every pair's upper bound with x_ij = 1 - b: the induced
+    value of the incident arcs plus the packing bound on the rest. ``lb``,
+    when given, is an unconstrained lower bound used in place of a
     constrained local search. For b = 1 and c_ij >= 0, the exact optima of
-    ``tractable`` replace both bounds; otherwise the upper bound is the
-    induced value of the incident arcs plus the packing bound on the rest.
+    ``tractable`` replace both bounds.
     """
     if b == 1 and tractable is not None and instance.values[i, j] >= 0.0:
         opt_one, opt_zero = tractable.optima(i, j)
         return (opt_one if lb is None else max(lb, opt_one)), opt_zero
     if lb is None:
         lb, _ = local_search_lower_bound(instance, pa, ((i, j), b))
-    return lb, induced_value(instance, pa, i, j, 1 - b) + packing.bound_excluding(i, j)
+    return lb, float(upper[i, j])
 
 
 def boecker_conditions(
@@ -314,11 +315,18 @@ def boecker_conditions(
     Strong: one unconstrained lower bound against per-pair constrained upper
     bounds, every pair judged against pa. Weak: per-pair constrained lower
     bounds, applied sequentially against the evolving assignment. Both
-    compare with the tolerance; ``_pair_bounds`` gives the bounds. The tractable
-    case is derived for pa, and in the weak branch again after each fixation.
+    compare with the tolerance; ``_pair_bounds`` gives the bounds. The upper
+    bounds of all pairs and the tractable case are derived for pa, and in
+    the weak branch again after each fixation; the packing stays the one
+    of pa, whose completions include those of every later assignment.
     """
     tol = instance.tolerance
-    packing = TriplePackingBound(instance, pa)
+    excluding = TriplePackingBound(instance, pa).excluding
+
+    def upper_bounds(assignment: PartialAssignment) -> dict[int, np.ndarray]:
+        return {b: induced_value(instance, assignment, 1 - b) + excluding for b in bs}
+
+    upper = upper_bounds(pa)
     tractable = exact_bounds_tractable(instance, pa) if 1 in bs else None
     rederive = not strong and tractable is not None
     lb = local_search_lower_bound(instance, pa)[0] if strong else None
@@ -328,7 +336,7 @@ def boecker_conditions(
         if working.value(i, j) is not None:
             continue
         for b in bs:
-            pair_lb, ub = _pair_bounds(instance, working, packing, tractable, i, j, b, lb)
+            pair_lb, ub = _pair_bounds(instance, working, upper[b], tractable, i, j, b, lb)
             margin = pair_lb - ub
             if not margin >= tol:  # a NaN margin never fixes
                 continue
@@ -337,6 +345,7 @@ def boecker_conditions(
             else:
                 condition = BBK_WEAK
                 working = close(working.with_assignments([(i, j, b)]))
+                upper = upper_bounds(working)
                 if rederive:
                     tractable = exact_bounds_tractable(instance, working)
             fixations.append(Fixation((i, j), b, condition, margin))
@@ -386,8 +395,8 @@ def subset_fixation_condition(
         true = is_true_to(MapSpec.tau(variant, elements, y), pa)
     else:
         lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), b), greedy=greedy)
-        packing = TriplePackingBound(sub_instance, sub_pa)
-        ub = induced_value(sub_instance, sub_pa, si, sj, 1 - b) + packing.bound_excluding(si, sj)
+        excluding = TriplePackingBound(sub_instance, sub_pa).excluding
+        ub = float(induced_value(sub_instance, sub_pa, 1 - b)[si, sj] + excluding[si, sj])
         ub_prime = boundary_bound(instance, pa, elements, variant, exact=False)
         true = tau_trueness_loose(variant, frozenset(elements), pa)
 

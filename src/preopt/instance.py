@@ -186,14 +186,25 @@ def ingest_ego_network(
     return Instance(c, copy=False)
 
 
+def _read_text(path: str | Path) -> str:
+    """The text of an input file; one that does not decode is a data error
+    naming the file."""
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def read_edge_list(path: str | Path) -> tuple[list, list[tuple]]:
     """Parse a whitespace-separated "src dst" edge file.
 
     Returns the sorted list of node ids seen and the edge list. Node ids are
-    kept as ints when every token is numeric, as strings otherwise.
+    kept as ints when every token is an ASCII decimal in canonical form
+    ("7", not "07" or "²"), as strings otherwise, so that distinct labels
+    stay distinct nodes.
     """
     raw: list[tuple[str, str]] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -201,7 +212,7 @@ def read_edge_list(path: str | Path) -> tuple[list, list[tuple]]:
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'src dst', got {line!r}")
         raw.append((parts[0], parts[1]))
-    numeric = all(s.isdigit() and d.isdigit() for s, d in raw)
+    numeric = all(t.isascii() and t.isdigit() and t == str(int(t)) for e in raw for t in e)
     if numeric:
         edges = [(int(s), int(d)) for s, d in raw]
     else:
@@ -229,7 +240,7 @@ def load_instance(path: str | Path) -> Instance:
     pairs, diagonal entries, non-finite values and values whose absolute
     sum overflows.
     """
-    lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
+    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError(f"{path}: missing 'n=<count>' line")
     try:
@@ -285,7 +296,7 @@ def load_partial(path: str | Path, n: int):
     """
     assignments = []
     first_seen: dict[tuple[int, int], tuple[int, int]] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue

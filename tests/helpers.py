@@ -6,7 +6,14 @@ import numpy as np
 
 from preopt import Instance
 from preopt import oracle
-from preopt.relations import PartialAssignment, Relation, close
+from preopt.bounds import TriplePackingBound, arc_max_values
+from preopt.relations import (
+    InconsistentAssignmentError,
+    PartialAssignment,
+    Relation,
+    close,
+    transitive_closure_matrix,
+)
 
 
 def random_instance(rng: np.random.Generator, n: int, kind: str = "grid") -> Instance:
@@ -45,6 +52,16 @@ def random_closed_pa(
     return close(random_consistent_pa(rng, n, density))
 
 
+def random_closed_pa_any(
+    rng: np.random.Generator, n: int, density: float = 0.3
+) -> PartialAssignment:
+    """Closed consistent assignment on any n: reveal pairs of a random preorder."""
+    x = transitive_closure_matrix(rng.random((n, n)) < 0.15)
+    reveal = rng.random((n, n)) < density
+    np.fill_diagonal(reveal, False)
+    return close(PartialAssignment(x & reveal, ~x & reveal))
+
+
 def arc_matrix(n: int, arcs) -> np.ndarray:
     """Dense n x n capacity matrix of an arc list (u, v, cap), summing
     parallel arcs."""
@@ -58,3 +75,83 @@ def completions(pa: PartialAssignment) -> np.ndarray:
     """All transitive completions of pa, as a boolean stack (oracle-backed)."""
     stack = oracle.relation_stack(pa.n)
     return stack[oracle.completion_mask(stack, pa)]
+
+
+def scalar_induced_value(
+    instance: Instance, pa: PartialAssignment, i: int, j: int, b: int
+) -> float:
+    """Reference for ``bounds.induced_value`` at one undecided pair: the
+    induced value of x_ij = b, one incident term at a time."""
+    if pa.value(i, j) is not None:
+        raise ValueError("pair ij must be undecided")
+    c = instance.values
+
+    def dmax(p: int, q: int) -> float:
+        v = pa.value(p, q)
+        if v is None:
+            return max(float(c[p, q]), 0.0)
+        return float(c[p, q]) if v == 1 else 0.0
+
+    def pair_max(e1, e2, allowed) -> float:
+        v1, v2 = pa.value(*e1), pa.value(*e2)
+        best = None
+        for a1 in (0, 1):
+            if v1 is not None and a1 != v1:
+                continue
+            for a2 in (0, 1):
+                if v2 is not None and a2 != v2:
+                    continue
+                if not allowed(a1, a2):
+                    continue
+                val = float(c[e1]) * a1 + float(c[e2]) * a2
+                if best is None or val > best:
+                    best = val
+        if best is None:
+            raise InconsistentAssignmentError(
+                f"no joint assignment for arcs {e1}, {e2} under x_{i}{j}={b}"
+            )
+        return best
+
+    total = dmax(j, i)
+    if b == 0:
+        for w in range(instance.n):
+            if w in (i, j):
+                continue
+            # x_iw + x_wj <= 1 once x_ij = 0
+            total += pair_max((i, w), (w, j), lambda a1, a2: a1 + a2 <= 1)
+            total += dmax(w, i) + dmax(j, w)
+    else:
+        total += float(c[i, j])
+        for w in range(instance.n):
+            if w in (i, j):
+                continue
+            # x_ij = 1 forces x_jw <= x_iw and x_wi <= x_wj
+            total += pair_max((j, w), (i, w), lambda a1, a2: a1 <= a2)
+            total += pair_max((w, i), (w, j), lambda a1, a2: a1 <= a2)
+    return total
+
+
+def scalar_exclusion_bound(
+    instance: Instance, pa: PartialAssignment, packing: TriplePackingBound, i: int, j: int
+) -> float:
+    """Reference for ``TriplePackingBound.excluding[i, j]``: the packing's
+    bound on the elements other than i and j, one touching triple at a time."""
+    m_vals = arc_max_values(instance, pa)
+    uncovered = ~packing.covered
+    np.fill_diagonal(uncovered, False)
+    incident = m_vals * uncovered
+    part = float(m_vals[uncovered].sum())
+    part -= float(incident[i].sum() + incident[:, i].sum())
+    part -= float(incident[j].sum() + incident[:, j].sum())
+    # arcs between i and j were subtracted twice
+    part += float(incident[i, j] + incident[j, i])
+
+    tri_part = float(sum(packing.tri_max))
+    for k, (p, q, r) in enumerate(packing.triples):
+        if not {i, j} & {p, q, r}:
+            continue
+        tri_part -= packing.tri_max[k]
+        for a, b in ((p, q), (q, r), (p, r)):
+            if a not in (i, j) and b not in (i, j):
+                tri_part += float(m_vals[a, b])
+    return part + tri_part

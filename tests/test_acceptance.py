@@ -208,7 +208,7 @@ def test_criterion_04_worked_example():
 
     lb, _ = local_search_lower_bound(FIG3, pa, ((0, 1), 1), greedy=False)
     packing = TriplePackingBound(FIG3, pa)
-    ub = induced_value(FIG3, pa, 0, 1, 0) + packing.bound_excluding(0, 1)
+    ub = induced_value(FIG3, pa, 0)[0, 1] + packing.excluding[0, 1]
     assert lb == 5.0 and ub == 6.0
     assert not lb - ub >= FIG3.tolerance  # weak comparison does not fix
     report(4, "subset U={p,q}: lb=5 ub=0 ub'=4 fixes; U=V comparison lb=5 ub=6 does not")
@@ -304,7 +304,7 @@ def test_criterion_08_bound_dominance():
             assert witness.is_transitive() and pa.agrees_with(witness)
             assert evaluate(inst, witness) == lb
             assert lb <= truth + 1e-12
-            ub = induced_value(inst, pa, i, j, b) + packing.bound_excluding(i, j)
+            ub = induced_value(inst, pa, b)[i, j] + packing.excluding[i, j]
             assert ub >= truth - 1e-12
         # boundary bounds against the actual boundary regret of tau
         sub = sorted(

@@ -28,6 +28,8 @@ EXPECTED_SPANS = (
     "flow.min_st_cut.tractable",
     "flow.FlowNetwork",
     "flow.reachability_sets",
+    "bounds.induced_value",
+    "bounds.TriplePackingBound",
 )
 
 

@@ -1,10 +1,18 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import completions, random_closed_pa, random_instance
-from preopt import Instance, evaluate, oracle
+from helpers import (
+    completions,
+    random_closed_pa,
+    random_closed_pa_any,
+    random_instance,
+    scalar_exclusion_bound,
+    scalar_induced_value,
+)
+from preopt import Instance, bounds, evaluate, oracle
 from preopt.bounds import (
     TriplePackingBound,
     arc_max_values,
@@ -98,7 +106,7 @@ class TestInducedValue:
         c[1, 0] = 2.0
         inst = Instance(c)
         pa = PartialAssignment.empty(2)
-        assert induced_value(inst, pa, 0, 1, 0) == pytest.approx(2.0)  # only c_ba+
+        assert induced_value(inst, pa, 0)[0, 1] == pytest.approx(2.0)  # only c_ba+
 
     def test_two_elements_inclusion(self):
         c = np.zeros((2, 2))
@@ -106,13 +114,67 @@ class TestInducedValue:
         c[1, 0] = -2.0
         inst = Instance(c)
         pa = PartialAssignment.empty(2)
-        assert induced_value(inst, pa, 0, 1, 1) == pytest.approx(3.0)  # c_ab + c_ba+
+        assert induced_value(inst, pa, 1)[0, 1] == pytest.approx(3.0)  # c_ab + c_ba+
 
     def test_decided_pair_rejected(self):
+        # a decided pair, and the diagonal, get no bound: NaN
         inst = Instance(np.zeros((2, 2)))
         pa = PartialAssignment.from_pairs(2, one_pairs=[(0, 1)])
-        with pytest.raises(ValueError):
-            induced_value(inst, pa, 0, 1, 0)
+        for b in (0, 1):
+            values = induced_value(inst, pa, b)
+            assert np.isnan(values[0, 1]) and np.isnan(np.diagonal(values)).all()
+            assert values[1, 0] == 0.0
+
+    @pytest.mark.parametrize(
+        "ones, zeros, b",
+        [([(0, 1), (1, 2)], [], 0), ([(1, 2)], [(0, 2)], 1)],
+    )
+    def test_infeasible_term_raises(self, ones, zeros, b):
+        # unclosed assignments: x_01 = x_12 = 1 admit no x_02 = 0, and
+        # x_12 = 1 with x_02 = 0 admits no x_01 = 1
+        pa = PartialAssignment.from_pairs(3, one_pairs=ones, zero_pairs=zeros)
+        with pytest.raises(InconsistentAssignmentError):
+            induced_value(Instance(np.zeros((3, 3))), pa, b)
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1"])
+    def test_matches_scalar_reference(self, kind):
+        rng = np.random.default_rng(37)
+        for _ in range(60):
+            n = int(rng.integers(3, 9))
+            inst = random_instance(rng, n, kind=kind)
+            pa = random_closed_pa_any(rng, n)
+            undecided = ~pa.decided
+            np.fill_diagonal(undecided, False)
+            for b in (0, 1):
+                values = induced_value(inst, pa, b)
+                assert np.isnan(values[~undecided]).all()
+                for i, j in np.argwhere(undecided):
+                    assert values[i, j] == scalar_induced_value(inst, pa, i, j, b)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_slabs_match_one_block(self, monkeypatch, rows):
+        rng = np.random.default_rng(47)
+        n = 7
+        inst = random_instance(rng, n)
+        pa = random_closed_pa_any(rng, n)
+        whole = [induced_value(inst, pa, b) for b in (0, 1)]
+        monkeypatch.setattr(bounds, "SLAB_ENTRIES", rows * n * n)
+        for b in (0, 1):
+            assert np.array_equal(induced_value(inst, pa, b), whole[b], equal_nan=True)
+
+    def test_memory_stays_quadratic(self):
+        # one dense (n, n, n) float64 array at n = 150 takes 27 MB
+        n = 150
+        inst = random_instance(np.random.default_rng(41), n, kind="pm1")
+        pa = PartialAssignment.empty(n)
+        for b in (0, 1):
+            tracemalloc.start()
+            try:
+                induced_value(inst, pa, b)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < n**3 * 8
 
     def test_dominates_incident_maxima(self):
         rng = np.random.default_rng(7)
@@ -135,7 +197,7 @@ class TestInducedValue:
                 best = max(
                     float(inst.values[m & incident].sum()) for m in stack
                 )
-                assert induced_value(inst, pa, i, j, b) >= best - 1e-12
+                assert induced_value(inst, pa, b)[i, j] >= best - 1e-12
 
 
 class TestTriplePackingBound:
@@ -176,7 +238,7 @@ class TestTriplePackingBound:
             pa = random_closed_pa(rng, n, density=0.2)
             helper = TriplePackingBound(inst, pa)
             i, j = 1, 3
-            fast = helper.bound_excluding(i, j)
+            fast = helper.excluding[i, j]
             elements = [p for p in range(n) if p not in (i, j)]
             stack = completions(pa)
             region = np.zeros((n, n), dtype=bool)
@@ -184,6 +246,22 @@ class TestTriplePackingBound:
             np.fill_diagonal(region, False)
             best = max(float(inst.values[m & region].sum()) for m in stack)
             assert fast >= best - 1e-12
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1"])
+    def test_excluding_matches_scalar_reference(self, kind):
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n = int(rng.integers(3, 9))
+            inst = random_instance(rng, n, kind=kind)
+            pa = random_closed_pa_any(rng, n, density=0.2)
+            packing = TriplePackingBound(inst, pa)
+            assert np.isnan(np.diagonal(packing.excluding)).all()
+            for i in range(n):
+                for j in range(n):
+                    if i != j:
+                        assert packing.excluding[i, j] == scalar_exclusion_bound(
+                            inst, pa, packing, i, j
+                        )
 
     def test_arc_max_values(self):
         c = np.zeros((2, 2))

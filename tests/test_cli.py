@@ -238,6 +238,14 @@ class TestFix:
         assert f"data error: {bad}: the sum of absolute instance values overflows" in result.output
         assert "fixed" not in result.output
 
+    def test_undecodable_instance_is_named(self, runner, tmp_path):
+        ok = write_fig1(tmp_path)
+        binary = tmp_path / "bin.csv"
+        binary.write_bytes(b"n=2\np,q,c\n0,1,\xff\n")
+        result = runner.invoke(main, ["fix", str(ok), str(binary)])
+        assert result.exit_code == 2, result.output
+        assert f"data error: {binary}: " in result.output
+
     def test_unallocatable_element_count_is_data_error(self, runner, tmp_path):
         # an n x n float matrix of 71 PiB: numpy refuses it without allocating
         big = tmp_path / "big.csv"
@@ -325,6 +333,14 @@ class TestOracleCheck:
         assert f"{partial}:{line}:" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    def test_undecodable_partial_is_named(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        partial = tmp_path / "partial.csv"
+        partial.write_bytes(b"0,1,1\n\xff\n")
+        result = runner.invoke(main, ["oracle-check", str(inst), "--partial", str(partial)])
+        assert result.exit_code == 2, result.output
+        assert f"data error: {partial}: " in result.output
+
     def test_large_instance_is_usage_error(self, runner, tmp_path):
         c = np.zeros((7, 7))
         path = tmp_path / "seven.csv"
@@ -345,6 +361,31 @@ class TestIngestEgo:
         inst = load_instance(out)
         assert inst.n == 3
         assert inst.values[0, 1] == 1.0 and inst.values[1, 0] == -1.0
+
+    @pytest.mark.parametrize(
+        "text, nodes",
+        [("1 2\n01 3\n", 4), ("\u00b2 1\n", 2)],
+        ids=["leading-zero", "superscript-digit"],
+    )
+    def test_labels_that_are_not_canonical_ints_stay_strings(self, runner, tmp_path, text, nodes):
+        # "1" and "01" are two nodes; "\u00b2" passes str.isdigit but not int()
+        edges = tmp_path / "edges.txt"
+        edges.write_text(text, encoding="utf-8")
+        out = tmp_path / "ego.csv"
+        result = runner.invoke(main, ["ingest-ego", str(edges), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert result.output.startswith(f"{nodes} nodes")
+        from preopt.instance import load_instance
+
+        assert load_instance(out).n == nodes
+
+    def test_undecodable_edge_list_is_data_error(self, runner, tmp_path):
+        edges = tmp_path / "edges.txt"
+        edges.write_bytes(b"0 1\n\xff 2\n")
+        out = tmp_path / "ego.csv"
+        result = runner.invoke(main, ["ingest-ego", str(edges), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"data error: {edges}: " in result.output
 
     def test_out_in_missing_directory_is_usage_error(self, runner, tmp_path):
         edges = tmp_path / "edges.txt"

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_instance
+from helpers import random_closed_pa_any, random_instance
 from preopt import Instance, PipelineConfig, bounds, conditions, oracle, run_joint
 from preopt.conditions import (
     BBK_WEAK,
@@ -30,7 +30,6 @@ from preopt.relations import (
     PartialAssignment,
     Relation,
     close,
-    transitive_closure_matrix,
 )
 
 FIG1 = Instance(
@@ -153,7 +152,7 @@ class TestDirectedCut:
             c = np.round(rng.normal(size=(n, n)) * 8) / 8
             np.fill_diagonal(c, 0.0)
             inst = Instance(c)
-            pa = _random_closed_pa(rng, n)
+            pa = random_closed_pa_any(rng, n)
             adjacency = ((c > 0.0) | pa.ones) & ~pa.zeros
             expected = np.zeros((n, n), dtype=bool)
             for u in range(n):
@@ -479,14 +478,6 @@ class TestNanMargin:
         assert edge_join_condition(FIG1, pa) == []
 
 
-def _random_closed_pa(rng, n, density=0.3):
-    """Closed consistent assignment on any n: reveal pairs of a random preorder."""
-    x = transitive_closure_matrix(rng.random((n, n)) < 0.15)
-    reveal = rng.random((n, n)) < density
-    np.fill_diagonal(reveal, False)
-    return close(PartialAssignment(x & reveal, ~x & reveal))
-
-
 def _lifted_assignments(instances):
     out = []
     for inst in instances:
@@ -509,7 +500,7 @@ class TestSoundGates:
         for trial in range(36):
             n = 3 + trial % 5  # 3..7
             inst = random_instance(rng, n, "pm1" if trial % 3 == 0 else "grid")
-            pa = _random_closed_pa(rng, n)
+            pa = random_closed_pa_any(rng, n)
             pairs = conditions._undecided_pairs(pa)
             for k in rng.permutation(len(pairs))[:3]:
                 i, j = pairs[k]
@@ -531,7 +522,7 @@ class TestSoundGates:
         for trial in range(60):
             n = int(rng.integers(3, 7))
             inst = random_instance(rng, n, "pm1" if trial % 4 == 0 else "grid")
-            pa = _random_closed_pa(rng, n)
+            pa = random_closed_pa_any(rng, n)
             pairs = conditions._undecided_pairs(pa)
             if not pairs:
                 continue
@@ -574,7 +565,7 @@ class TestSoundGates:
         for trial in range(30):
             n = int(rng.integers(3, 10))
             inst = random_instance(rng, n, "pm1" if trial % 3 == 0 else "grid")
-            cases.append((inst, _random_closed_pa(rng, n, 0.2)))
+            cases.append((inst, random_closed_pa_any(rng, n, 0.2)))
 
         def fixed_sets():
             return [

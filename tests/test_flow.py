@@ -6,8 +6,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from helpers import arc_matrix, random_closed_pa, random_instance
-from preopt.bounds import TriplePackingBound
+from helpers import arc_matrix, random_closed_pa, random_closed_pa_any, random_instance
+from preopt.bounds import TriplePackingBound, _triple_table
 from preopt.flow import FlowNetwork, min_st_cut, reachability_sets
 from preopt import GeneratorConfig, Instance, generate_synthetic, run_joint
 from preopt.relations import PartialAssignment, transitive_closure
@@ -352,6 +352,35 @@ class TestTriplePacking:
         a = TriplePackingBound(chain_instance(4), PartialAssignment.empty(4))
         b = TriplePackingBound(chain_instance(4), PartialAssignment.empty(4))
         assert a.triples == b.triples == [(0, 1, 2)]
+
+    def test_tied_dyadic_improvements_follow_old_key(self):
+        # values in quarters tie many improvements; the selection must be
+        # the one the Python sort key (-improvement, triple) gave
+        rng = np.random.default_rng(15)
+        ties = 0
+        for _ in range(20):
+            n = 7
+            c = rng.integers(-4, 5, size=(n, n)) / 4.0
+            np.fill_diagonal(c, 0.0)
+            inst = Instance(c)
+            pa = random_closed_pa_any(rng, n, density=0.2)
+            triples, tri_sum, tri_max = _triple_table(inst, pa)
+            improvement = tri_sum - tri_max
+            order = sorted(
+                (k for k in range(triples.shape[0]) if improvement[k] > 0.0),
+                key=lambda k: (-improvement[k], tuple(triples[k])),
+            )
+            ties += len(order) - len(set(improvement[order]))
+            used, expected = set(), []
+            for k in order:
+                arcs = triple_arcs(tuple(int(v) for v in triples[k]))
+                if not any(e in used for e in arcs):
+                    used.update(arcs)
+                    expected.append(k)
+            packing = TriplePackingBound(inst, pa)
+            assert packing.triples == [tuple(int(v) for v in triples[k]) for k in expected]
+            assert packing.tri_max == [float(tri_max[k]) for k in expected]
+        assert ties > 0
 
     def test_packing_validates_disjointness(self):
         # dense positive-improvement instances: many candidate triples overlap
