@@ -119,14 +119,17 @@ def _manifest_meta(path: Path) -> dict:
     return {}
 
 
+def _partial_path(emit_dir: str, path: str) -> Path:
+    return Path(emit_dir) / (Path(path).stem + ".partial.csv")
+
+
 def _run_one(args) -> tuple[str, dict]:
     path, cfg, emit_dir = args
     instance = load_instance(path)
     name = Path(path).name
     pa, _, stats = run_joint(instance, cfg)
     if emit_dir is not None:
-        out = Path(emit_dir) / (Path(path).stem + ".partial.csv")
-        save_partial(pa, out)
+        save_partial(pa, _partial_path(emit_dir, path))
     return name, _stats_row(name, stats, _manifest_meta(Path(path)))
 
 
@@ -232,6 +235,12 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
         _usage_error("no instance files given")
     cfg = _pipeline_config(conditions_text, max_rounds=rounds, single_pass=single_pass)
     if emit_dir is not None:  # before the --out check, which may name this directory
+        owners: dict[Path, str] = {}
+        for path in instances:
+            out = _partial_path(emit_dir, path)
+            if out in owners:
+                _usage_error(f"{owners[out]} and {path} would both write {out}")
+            owners[out] = path
         try:
             Path(emit_dir).mkdir(parents=True, exist_ok=True)
         except OSError as exc:

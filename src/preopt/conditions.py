@@ -29,6 +29,14 @@ the tests:
   sum of their bottleneck capacities plus the direct arc is a feasible flow
   and bounds every i-j cut from below; when it exceeds -c_ij minus the
   tolerance, neither the pair's own cut nor a reused one can fix it.
+
+Edge-cut also stops each max-flow as soon as its flow value exceeds -c_ij
+minus the tolerance (``_fixing_limit``): the flow so far bounds every i-j
+cut from below, so the finished cut could not have fixed the pair, and a
+cut reused from another pair never costs less than the pair's own. Only
+cuts solved to the end are reused. The fixed set is therefore the set of
+targets whose own minimum cut fixes them, as before; only edge-cut's
+margins and the order of its fixations can differ.
 """
 
 from __future__ import annotations
@@ -186,45 +194,55 @@ def _two_hop_flow(cap: np.ndarray, i: int, j: int) -> float:
     return float(cap[i, j] + np.minimum(cap[i], cap[:, j]).sum())
 
 
-def edge_cut_condition(
-    instance: Instance, pa: PartialAssignment, *, candidate_reuse: bool = True
-) -> list[Fixation]:
+def _fixing_limit(gain: float, tol: float) -> float:
+    """The largest flow value v with gain - v >= tol.
+
+    Float subtraction is monotone in v, so a cut of value v fixes the pair
+    exactly when v is at most this limit, and a flow beyond it rules the
+    pair out."""
+    v = gain - tol
+    while gain - v < tol:
+        v = math.nextafter(v, -math.inf)
+    while gain - math.nextafter(v, math.inf) >= tol:
+        v = math.nextafter(v, math.inf)
+    return v
+
+
+def edge_cut_condition(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
     """Fix x_ij = 0 whenever the cheapest dicut through ij costs at most c_ij-.
 
     One minimum i-j cut per candidate pair whose two-hop flow does not
-    already exceed c_ij-, all on one network built at the first cut; with
-    candidate reuse each solved cut is tested against every pair it
-    separates, which saves most of the remaining max-flow calls without
-    changing the fixation set.
+    already exceed c_ij-, all on one network built at the first cut. Each
+    max-flow stops once its flow shows the pair cannot be fixed; each cut
+    solved to the end is tested against every target it separates, which
+    saves most of the remaining max-flow calls without changing the
+    fixation set.
     """
+    n = instance.n
     c = instance.values
     tol = instance.tolerance
     cap = cut_capacities(instance, pa)
     net = None
-    fixed = np.zeros((instance.n, instance.n), dtype=bool)
+    target = ~pa.decided & (c < -tol)
+    np.fill_diagonal(target, False)
+    fixed = np.zeros((n, n), dtype=bool)
     fixations: list[Fixation] = []
-    targets = [(i, j) for i, j in _undecided_pairs(pa) if c[i, j] < -tol]
-    for i, j in targets:
+    for i, j in np.argwhere(target).tolist():
         if fixed[i, j] or _two_hop_flow(cap, i, j) > -c[i, j] - tol:
             continue
         if net is None:
             net = FlowNetwork(cap)
-        value, side = min_st_cut(net, i, j)
-        if math.isinf(value):
+        value, side = min_st_cut(net, i, j, _fixing_limit(float(-c[i, j]), tol))
+        if side is None or math.isinf(value):
             continue
-        if candidate_reuse:
-            candidates = [
-                (p, q)
-                for p, q in targets
-                if p in side and q not in side and not fixed[p, q]
-            ]
-        else:
-            candidates = [(i, j)]
-        for p, q in candidates:
-            margin = float(-c[p, q]) - value
-            if margin >= tol:
-                fixed[p, q] = True
-                fixations.append(Fixation((p, q), 0, EDGE_CUT, margin))
+        inside = np.zeros(n, dtype=bool)
+        inside[list(side)] = True
+        margin = -c - value
+        new = target & ~fixed & inside[:, None] & ~inside[None, :] & (margin >= tol)
+        fixed |= new
+        fixations.extend(
+            Fixation((p, q), 0, EDGE_CUT, float(margin[p, q])) for p, q in np.argwhere(new).tolist()
+        )
     return fixations
 
 

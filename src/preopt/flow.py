@@ -10,6 +10,9 @@ about. The solver finds shortest augmenting paths by breadth-first search
 (Edmonds-Karp); every network here is dense with a few dozen nodes, where
 this plain loop beats push-relabel's bookkeeping. Each augmentation empties
 its bottleneck entry exactly, so float capacities cannot make it loop.
+The flow value at any step bounds every s-t cut from below, so a caller
+that only needs to know whether the minimum cut stays within a limit can
+have the solver stop once the flow exceeds it.
 Infinite capacities are represented by a sentinel equal to the sum of all
 finite capacities plus one, which can never be part of a finite minimum cut.
 """
@@ -81,7 +84,9 @@ class FlowNetwork:
         return tuple(zip(tails.tolist(), heads.tolist(), self.capacities[positive].tolist()))
 
 
-def min_st_cut(net: FlowNetwork, source: int, sink: int) -> tuple[float, set[int]]:
+def min_st_cut(
+    net: FlowNetwork, source: int, sink: int, limit: float = math.inf
+) -> tuple[float, set[int] | None]:
     """Minimum source-sink cut value and the source side of one minimum cut.
 
     Returns (value, U) with source in U and sink not in U; the value equals
@@ -89,6 +94,13 @@ def min_st_cut(net: FlowNetwork, source: int, sink: int) -> tuple[float, set[int
     graph, which is the inclusion-minimal minimum cut. If every cut crosses
     an infinite arc the value is math.inf and U is that reachable set. The
     network is not changed, so it can be solved again for another pair.
+
+    The search stops as soon as the flow value exceeds ``limit`` and returns
+    (that value, None): a lower bound on every source-sink cut, and no cut.
+    Partial flow values never exceed the final one, so a minimum cut of at
+    most ``limit`` comes back exactly as without a limit. Infinite arcs
+    carry flow at the sentinel, so a limit above the sentinel can still
+    return (math.inf, U).
 
     Shortest augmenting paths (Edmonds & Karp, J. ACM 1972) on the residual
     matrix: a breadth-first search finds a path with the fewest arcs, the
@@ -108,6 +120,8 @@ def min_st_cut(net: FlowNetwork, source: int, sink: int) -> tuple[float, set[int
     residual = [row.copy() for row in net._residual]
     value = 0.0
     while True:
+        if value > limit:
+            return value, None
         # parent[v]: the node v was reached from; -1 while unreached
         parent = [-1] * n
         parent[s] = s

@@ -7,6 +7,7 @@ import numpy as np
 from preopt import Instance
 from preopt import oracle
 from preopt.bounds import TriplePackingBound, arc_max_values
+from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.relations import (
     InconsistentAssignmentError,
     PartialAssignment,
@@ -21,10 +22,12 @@ def random_instance(rng: np.random.Generator, n: int, kind: str = "grid") -> Ins
 
     kind "grid" draws multiples of 1/1024 (sums of up to a few dozen of
     these are exact in float64, so oracle ties are exact); kind "pm1" draws
-    pure +-1 values.
+    pure +-1 values; kind "raw" draws unrounded floats in [-1, 1).
     """
     if kind == "pm1":
         c = rng.choice([-1.0, 1.0], size=(n, n))
+    elif kind == "raw":
+        c = rng.uniform(-1.0, 1.0, size=(n, n))
     else:
         c = rng.integers(-1024, 1025, size=(n, n)).astype(np.float64) / 1024.0
     np.fill_diagonal(c, 0.0)
@@ -155,3 +158,21 @@ def scalar_exclusion_bound(
             if a not in (i, j) and b not in (i, j):
                 tri_part += float(m_vals[a, b])
     return part + tri_part
+
+
+def per_pair_edge_cut(instance: Instance, pa: PartialAssignment) -> set[tuple[int, int]]:
+    """Reference for the pairs ``edge_cut_condition`` fixes: one full
+    ``min_st_cut`` per undecided pair with c_pq below minus the tolerance,
+    fixed iff -c_pq minus the cut value is at least the tolerance."""
+    c = instance.values
+    tol = instance.tolerance
+    net = FlowNetwork(cut_capacities(instance, pa))
+    fixed = set()
+    for p in range(instance.n):
+        for q in range(instance.n):
+            if p == q or pa.value(p, q) is not None or not c[p, q] < -tol:
+                continue
+            value, _ = min_st_cut(net, p, q)
+            if float(-c[p, q]) - value >= tol:
+                fixed.add((p, q))
+    return fixed

@@ -130,6 +130,19 @@ class TestFix:
             p, q, v = line.split(",")
             assert v in ("0", "1") and p != q
 
+    def test_emit_partial_rejects_colliding_stems(self, runner, tmp_path):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            save_instance(Instance(FIG1), tmp_path / sub / "x.csv")
+        first, second = str(tmp_path / "a" / "x.csv"), str(tmp_path / "b" / "x.csv")
+        emit = tmp_path / "out"
+        result = runner.invoke(main, ["fix", first, second, "--emit-partial", str(emit)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: ")
+        assert first in result.output and second in result.output
+        assert result.output.count("\n") == 1  # no instance ran
+        assert not emit.exists()
+
     def test_directed_cut_on_all_positive(self, runner, tmp_path):
         c = np.ones((4, 4))
         np.fill_diagonal(c, 0.0)

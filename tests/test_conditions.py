@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_closed_pa_any, random_instance
+from helpers import per_pair_edge_cut, random_closed_pa_any, random_instance
 from preopt import Instance, PipelineConfig, bounds, conditions, oracle, run_joint
 from preopt.conditions import (
     BBK_WEAK,
@@ -95,15 +95,23 @@ class TestEdgeCut:
 
     def test_reuse_matches_per_pair_solving(self):
         rng = np.random.default_rng(0)
-        for _ in range(40):
-            n = int(rng.integers(3, 9))
-            inst = random_instance(rng, n)
-            pa = PartialAssignment.empty(n)
-            with_reuse = edge_cut_condition(inst, pa, candidate_reuse=True)
-            without = edge_cut_condition(inst, pa, candidate_reuse=False)
-            assert {(f.pair, f.value) for f in with_reuse} == {
-                (f.pair, f.value) for f in without
-            }
+        for trial in range(90):
+            n = int(rng.integers(3, 10))
+            inst = random_instance(rng, n, ("grid", "pm1", "raw")[trial % 3])
+            pa = PartialAssignment.empty(n) if trial % 2 else random_closed_pa_any(rng, n, 0.2)
+            fixations = edge_cut_condition(inst, pa)
+            assert all(f.value == 0 and f.margin >= inst.tolerance for f in fixations)
+            assert len({f.pair for f in fixations}) == len(fixations)
+            assert {f.pair for f in fixations} == per_pair_edge_cut(inst, pa)
+
+    def test_fixing_limit_is_exact(self):
+        rng = np.random.default_rng(1)
+        for _ in range(500):
+            gain = float(10.0 ** rng.uniform(-3, 3))
+            tol = float(gain * 10.0 ** rng.uniform(-17, -1))
+            limit = conditions._fixing_limit(gain, tol)
+            assert gain - limit >= tol
+            assert not gain - math.nextafter(limit, math.inf) >= tol
 
     def test_respects_assigned_ones(self):
         inst = two_element_instance(-3.0, 1.0)
@@ -562,21 +570,18 @@ class TestSoundGates:
     def test_edge_cut_gate_keeps_fixed_set(self, monkeypatch):
         rng = np.random.default_rng(23)
         cases = []
-        for trial in range(30):
+        for trial in range(45):
             n = int(rng.integers(3, 10))
-            inst = random_instance(rng, n, "pm1" if trial % 3 == 0 else "grid")
+            inst = random_instance(rng, n, ("pm1", "grid", "raw")[trial % 3])
             cases.append((inst, random_closed_pa_any(rng, n, 0.2)))
+        reference = [per_pair_edge_cut(inst, pa) for inst, pa in cases]
 
         def fixed_sets():
-            return [
-                {f.pair for f in edge_cut_condition(inst, pa, candidate_reuse=reuse)}
-                for inst, pa in cases
-                for reuse in (True, False)
-            ]
+            return [{f.pair for f in edge_cut_condition(inst, pa)} for inst, pa in cases]
 
-        gated = fixed_sets()
+        assert fixed_sets() == reference
         _gates_off(monkeypatch)
-        assert fixed_sets() == gated
+        assert fixed_sets() == reference
 
     @pytest.mark.parametrize("ensemble", ["raw", "grid", "pm1"])
     def test_gates_keep_lifted_assignment(self, monkeypatch, ensemble):

@@ -201,6 +201,42 @@ class TestNetworkReuse:
                 min_st_cut(net, s, t)
 
 
+class TestLimit:
+    def test_limit_against_bruteforce(self):
+        rng = np.random.default_rng(31)
+        stopped = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            cap = np.where(rng.random((n, n)) < 0.6, 10.0 ** rng.uniform(-3, 3, (n, n)), 0.0)
+            cap[rng.random((n, n)) < 0.08] = math.inf
+            np.fill_diagonal(cap, 0.0)
+            arcs = [(u, v, float(cap[u, v])) for u in range(n) for v in range(n) if cap[u, v] > 0]
+            s, t = (int(v) for v in rng.choice(n, size=2, replace=False))
+            net = FlowNetwork(cap)
+            full = min_st_cut(net, s, t)
+            value = full[0]
+            expected, _ = bruteforce_min_cut(n, arcs, s, t)
+            total = float(cap[np.isfinite(cap)].sum())
+            scale = max(1.0, total)
+            if math.isinf(value):
+                # infinite arcs carry flow at a sentinel above the finite total
+                limits = [0.0, *(total * rng.uniform(size=3)), total]
+            else:
+                # a limit equal to the min cut must not stop the search
+                limits = [0.0, value * rng.uniform(), math.nextafter(value, -math.inf), value,
+                          value * (1.0 + rng.uniform()), math.inf]
+            for limit in limits:  # a stopped search leaves the network as it was
+                got = min_st_cut(net, s, t, limit)
+                if value <= limit:
+                    assert got == full
+                else:
+                    stopped += 1
+                    assert got[1] is None
+                    assert limit < got[0] <= value
+                    assert got[0] <= expected + 1e-9 * scale
+        assert stopped > 200
+
+
 #: a swap network that edge-join builds on generate_synthetic(n=10,
 #: p_edges=0.5, alpha=0.5, seed=18): float residue is left at a node whose
 #: residual arcs all lead to height 2n, which once made min_st_cut re-queue
