@@ -33,7 +33,12 @@ Pair = tuple[int, int]
 
 @dataclass
 class BoundReport:
-    """Bounds produced while deciding one fixation, with their provenance."""
+    """Bounds produced while deciding one fixation, with their provenance.
+
+    A subset-u call that its map side rules out computes no sub-problem
+    bounds: it reports the trivial bounds lb = -inf and ub = +inf, still
+    valid, with provenance "map-side".
+    """
 
     lb: float
     ub: float

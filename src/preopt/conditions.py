@@ -24,7 +24,10 @@ the tests:
   most the positive value of those arcs, and the boundary bound is at least
   the positive value of the flip set P10 that sharp and loose sets share;
   when the first minus the second is below the tolerance, the variant
-  cannot fire;
+  cannot fire. Inside each call the map side comes first: trueness and the
+  boundary bound are computed before the sub-problem's bounds, which are
+  skipped when the map is not true or the gain cap minus the boundary
+  bound itself is below the tolerance;
 - edge-cut: the paths i->k->j through distinct k are arc-disjoint, so the
   sum of their bottleneck capacities plus the direct arc is a feasible flow
   and bounds every i-j cut from below; when it exceeds -c_ij minus the
@@ -384,11 +387,18 @@ def subset_fixation_condition(
 ) -> tuple[Fixation | None, BoundReport]:
     """Decide one pair with the subset-maximizer condition.
 
-    Bounds the constrained optima of the sub-problem on the subset (exactly
-    in the tractable case, else by local search and induced-value plus
-    packing bounds), bounds the boundary loss of the matching tau map, and
-    fixes x_ij = b when lb - ub beats the boundary bound and the map is true
-    to the assignment.
+    Fixes x_ij = b when the tau map is true to the assignment and lb - ub,
+    the sub-problem's bounds on its constrained optima, beats the bound on
+    the map's boundary loss. In the tractable case the planted relation is
+    the exact optimum and the map side uses its sharp flip sets; otherwise
+    lb comes from local search, ub from induced-value plus packing bounds,
+    and the map side from the y-free loose sets.
+
+    The map side comes first: when the map is not true, or (for b = 1)
+    ``_subset_gain_cap`` minus the boundary bound is below the tolerance,
+    the pair cannot be fixed and lb and ub are not computed. The report
+    then holds the trivial bounds -inf and +inf, with provenance
+    "map-side".
     """
     i, j = pair
     elements = sorted(set(int(p) for p in subset))
@@ -405,18 +415,30 @@ def subset_fixation_condition(
     if exact and b == 1 and instance.values[i, j] >= 0.0:
         tractable = exact_bounds_tractable(sub_instance, sub_pa)
     if tractable is not None:
-        lb, ub = tractable.optima(si, sj)
         y_full = np.zeros((instance.n, instance.n), dtype=bool)
         y_full[np.ix_(elements, elements)] = tractable.y.matrix
         y = Relation(y_full, copy=False)
         ub_prime = boundary_bound(instance, pa, elements, variant, y, exact=True)
         true = is_true_to(MapSpec.tau(variant, elements, y), pa)
     else:
+        ub_prime = boundary_bound(instance, pa, elements, variant, exact=False)
+        true = tau_trueness_loose(variant, frozenset(elements), pa)
+
+    skip = not true
+    if true and b == 1:
+        # lb - ub <= the gain cap and float subtraction is monotone, so a cap
+        # the boundary bound eats leaves no margin for any lb and ub either
+        sub_cap = cut_capacities(sub_instance, sub_pa)
+        skip = _subset_gain_cap(sub_cap, si, sj, list(range(len(elements)))) - ub_prime < tol
+    if skip:
+        return None, BoundReport(-math.inf, math.inf, ub_prime, provenance="map-side")
+
+    if tractable is not None:
+        lb, ub = tractable.optima(si, sj)
+    else:
         lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), b), greedy=greedy)
         excluding = TriplePackingBound(sub_instance, sub_pa).excluding
         ub = float(induced_value(sub_instance, sub_pa, 1 - b)[si, sj] + excluding[si, sj])
-        ub_prime = boundary_bound(instance, pa, elements, variant, exact=False)
-        true = tau_trueness_loose(variant, frozenset(elements), pa)
 
     report = BoundReport(
         lb=lb, ub=ub, ub_prime=ub_prime,

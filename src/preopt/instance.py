@@ -233,37 +233,51 @@ def save_instance(instance: Instance, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _number(field: str, kind: type):
+    """``kind(field)`` for a plain ASCII field. int() and float() alone would
+    read "1_0" as 10 and a non-ASCII digit such as a full-width one as 1."""
+    if not field.isascii() or "_" in field:
+        raise ValueError(f"field {field.strip()!r} is not a plain ASCII number")
+    return kind(field)
+
+
 def load_instance(path: str | Path) -> Instance:
     """Read the CSV instance format written by save_instance.
 
-    Unlisted pairs default to value zero. Rejects malformed rows, duplicate
-    pairs, diagonal entries, non-finite values and values whose absolute
-    sum overflows.
+    Unlisted pairs default to value zero. Rejects, with a "path:line"
+    message, a count or row field that is not a plain ASCII number, malformed
+    rows, duplicate pairs, diagonal entries and non-finite values; rejects
+    values whose absolute sum overflows.
     """
-    lines = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("n="):
+    lines = [
+        (lineno, ln.strip())
+        for lineno, ln in enumerate(_read_text(path).splitlines(), start=1)
+        if ln.strip()
+    ]
+    if not lines or not lines[0][1].startswith("n="):
         raise ValueError(f"{path}: missing 'n=<count>' line")
+    lineno, line = lines[0]
     try:
-        n = int(lines[0][2:])
+        n = _number(line[2:], int)
     except ValueError as exc:
-        raise ValueError(f"{path}: malformed element count {lines[0]!r}") from exc
+        raise ValueError(f"{path}:{lineno}: malformed element count {line!r}: {exc}") from exc
     if n < 1:
         raise ValueError(f"{path}: element count must be positive")
-    if len(lines) < 2 or lines[1].replace(" ", "") != "p,q,c":
+    if len(lines) < 2 or lines[1][1].replace(" ", "") != "p,q,c":
         raise ValueError(f"{path}: missing 'p,q,c' header")
     try:
         c = np.zeros((n, n), dtype=np.float64)
     except MemoryError as exc:
         raise ValueError(f"{path}: element count {n} is too large to allocate") from exc
     seen = set()
-    for lineno, line in enumerate(lines[2:], start=3):
+    for lineno, line in lines[2:]:
         parts = line.split(",")
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
         try:
-            p, q, value = int(parts[0]), int(parts[1]), float(parts[2])
+            p, q, value = _number(parts[0], int), _number(parts[1], int), _number(parts[2], float)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from exc
+            raise ValueError(f"{path}:{lineno}: malformed row {line!r}: {exc}") from exc
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"{path}:{lineno}: pair ({p}, {q}) out of range")
         if p == q:
@@ -290,9 +304,10 @@ def load_partial(path: str | Path, n: int):
     """Read "p,q,{0|1}" rows into a partial assignment on n elements.
 
     Rejects, with a "path:line" message, rows that are malformed, hold a
-    non-integer field, an index outside 0..n-1, a diagonal pair, a value
-    other than 0 or 1, or a value that contradicts an earlier row; rejects
-    with a "path:" message rows that have no transitive completion together.
+    field that is not a plain ASCII integer, an index outside 0..n-1, a
+    diagonal pair, a value other than 0 or 1, or a value that contradicts an
+    earlier row; rejects with a "path:" message rows that have no transitive
+    completion together.
     """
     assignments = []
     first_seen: dict[tuple[int, int], tuple[int, int]] = {}
@@ -304,9 +319,11 @@ def load_partial(path: str | Path, n: int):
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: malformed row {line!r}")
         try:
-            p, q, v = (int(part) for part in parts)
+            p, q, v = (_number(part, int) for part in parts)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: non-integer field in row {line!r}") from exc
+            raise ValueError(
+                f"{path}:{lineno}: non-integer field in row {line!r}: {exc}"
+            ) from exc
         if not (0 <= p < n and 0 <= q < n):
             raise ValueError(f"{path}:{lineno}: pair ({p}, {q}) out of range for n={n}")
         if p == q:

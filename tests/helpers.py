@@ -6,8 +6,18 @@ import numpy as np
 
 from preopt import Instance
 from preopt import oracle
-from preopt.bounds import TriplePackingBound, arc_max_values
+from preopt.bounds import (
+    BoundReport,
+    TriplePackingBound,
+    arc_max_values,
+    boundary_bound,
+    exact_bounds_tractable,
+    induced_value,
+    local_search_lower_bound,
+)
+from preopt.conditions import SUBSET_FIX, Fixation
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
+from preopt.maps import MapSpec, is_true_to, tau_trueness_loose
 from preopt.relations import (
     InconsistentAssignmentError,
     PartialAssignment,
@@ -176,3 +186,39 @@ def per_pair_edge_cut(instance: Instance, pa: PartialAssignment) -> set[tuple[in
             if float(-c[p, q]) - value >= tol:
                 fixed.add((p, q))
     return fixed
+
+
+def reference_subset_fixation(
+    instance: Instance, pa: PartialAssignment, pair, b: int, subset, variant: str,
+    *, exact: bool = True, greedy: bool = True,
+):
+    """Reference for ``conditions.subset_fixation_condition``: lb, ub, the
+    boundary bound and trueness, always all four, then the fixation test."""
+    i, j = pair
+    elements = sorted(set(int(p) for p in subset))
+    sub_instance = instance.restrict(elements)
+    sub_pa = pa.restrict(elements)
+    si, sj = elements.index(i), elements.index(j)
+
+    tractable = None
+    if exact and b == 1 and instance.values[i, j] >= 0.0:
+        tractable = exact_bounds_tractable(sub_instance, sub_pa)
+    if tractable is not None:
+        lb, ub = tractable.optima(si, sj)
+        y_full = np.zeros((instance.n, instance.n), dtype=bool)
+        y_full[np.ix_(elements, elements)] = tractable.y.matrix
+        y = Relation(y_full, copy=False)
+        ub_prime = boundary_bound(instance, pa, elements, variant, y, exact=True)
+        true = is_true_to(MapSpec.tau(variant, elements, y), pa)
+    else:
+        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), b), greedy=greedy)
+        excluding = TriplePackingBound(sub_instance, sub_pa).excluding
+        ub = float(induced_value(sub_instance, sub_pa, 1 - b)[si, sj] + excluding[si, sj])
+        ub_prime = boundary_bound(instance, pa, elements, variant, exact=False)
+        true = tau_trueness_loose(variant, frozenset(elements), pa)
+
+    report = BoundReport(lb=lb, ub=ub, ub_prime=ub_prime)
+    margin = lb - ub - ub_prime
+    if true and margin >= instance.tolerance:
+        return Fixation(pair, b, SUBSET_FIX, margin), report
+    return None, report

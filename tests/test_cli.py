@@ -243,6 +243,14 @@ class TestFix:
         result = runner.invoke(main, ["fix", str(bad)])
         assert result.exit_code == 2
 
+    def test_digit_separator_is_data_error(self, runner, tmp_path):
+        bad = tmp_path / "separator.csv"
+        bad.write_text("n=2\np,q,c\n0,1,1_0\n")
+        result = runner.invoke(main, ["fix", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert f"data error: {bad}:3: malformed row" in result.output
+        assert "fixed" not in result.output
+
     def test_overflowing_values_are_data_error(self, runner, tmp_path):
         bad = tmp_path / "overflow.csv"
         bad.write_text("n=3\np,q,c\n0,1,1e308\n1,2,1e308\n2,0,-1e308\n")
@@ -334,8 +342,10 @@ class TestOracleCheck:
             ("0,5,0\n", 1),  # index out of range
             ("1,1,1\n", 1),  # diagonal row
             ("0,1,1\n1,0,0\n0,1,0\n", 3),  # conflicting rows
+            ("0,1,0_1\n", 1),  # int() reads 0_1 as 1
         ],
-        ids=["non-integer", "float-value", "negative", "out-of-range", "diagonal", "conflict"],
+        ids=["non-integer", "float-value", "negative", "out-of-range", "diagonal", "conflict",
+             "digit-separator"],
     )
     def test_malformed_partial_is_data_error(self, runner, tmp_path, rows, line):
         inst = write_fig1(tmp_path)

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from helpers import per_pair_edge_cut, random_closed_pa_any, random_instance
+from helpers import (
+    per_pair_edge_cut,
+    random_closed_pa_any,
+    random_instance,
+    reference_subset_fixation,
+)
 from preopt import Instance, PipelineConfig, bounds, conditions, oracle, run_joint
 from preopt.conditions import (
     BBK_WEAK,
@@ -299,6 +304,78 @@ class TestSubsetFixation:
     def test_pair_must_be_inside_subset(self):
         with pytest.raises(ValueError):
             subset_fixation_condition(FIG3, PartialAssignment.empty(4), (0, 3), 1, [0, 1])
+
+
+class TestSubsetMapSideFirst:
+    """subset_fixation_condition decides the map side before it bounds the
+    sub-problem, and fixes exactly what the unconditional body fixes."""
+
+    def test_matches_unconditional_reference(self):
+        rng = np.random.default_rng(25)
+        fixed = skipped = 0
+        for trial in range(48):
+            n = 3 + trial % 6  # 3..8
+            inst = random_instance(rng, n, ("grid", "pm1", "raw")[trial % 3])
+            pa = random_closed_pa_any(rng, n, 0.2)
+            pairs = conditions._undecided_pairs(pa)
+            if not pairs:
+                continue
+            i, j = pairs[int(rng.integers(len(pairs)))]
+            extra = [p for p in range(n) if p not in (i, j) and rng.random() < 0.5]
+            subset = sorted([i, j, *extra])
+            for variant, b, exact, greedy in itertools.product(
+                (TAU_BOTH, TAU_OUT, TAU_IN), (0, 1), (True, False), (True, False)
+            ):
+                args = (inst, pa, (i, j), b, subset, variant)
+                fix, report = subset_fixation_condition(*args, exact=exact, greedy=greedy)
+                ref, ref_report = reference_subset_fixation(*args, exact=exact, greedy=greedy)
+                assert fix == ref
+                assert report.ub_prime == ref_report.ub_prime
+                if report.provenance == "map-side":
+                    assert ref is None
+                    assert (report.lb, report.ub) == (-math.inf, math.inf)
+                    skipped += 1
+                else:
+                    assert (report.lb, report.ub) == (ref_report.lb, ref_report.ub)
+                fixed += fix is not None
+        assert fixed >= 20 and skipped >= 500
+
+    def test_gain_cap_skip_at_the_tolerance(self):
+        # sub-problem {0, 1}: lb - ub = 5 = the gain cap; the boundary arc
+        # 0 -> 2 is the boundary bound, so the margin is 5 - c_02
+        outcomes = set()
+        for steps in (0.99, 1.0, 1.01, 1.1, 2.0):
+            c = np.zeros((3, 3))
+            c[0, 1], c[0, 2] = 5.0, 5.0 - steps * 1e-8  # the tolerance is about 1e-8
+            inst = Instance(c)
+            for exact in (True, False):
+                args = (inst, PartialAssignment.empty(3), (0, 1), 1, [0, 1], TAU_BOTH)
+                fix, report = subset_fixation_condition(*args, exact=exact)
+                assert fix == reference_subset_fixation(*args, exact=exact)[0]
+                assert (report.provenance == "map-side") == (fix is None)
+                outcomes.add(fix is None)
+        assert outcomes == {True, False}
+
+    def test_untrue_map_skips_sub_problem_bounds(self, monkeypatch):
+        # the assigned one 0 -> 2 crosses the boundary of {0, 1}
+        pa = close(PartialAssignment.from_pairs(4, one_pairs=[(0, 2)]))
+        counts = {"local_search_lower_bound": 0, "TriplePackingBound": 0}
+
+        def counted(name, func):
+            def wrapper(*a, **kw):
+                counts[name] += 1
+                return func(*a, **kw)
+
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(conditions, name, counted(name, getattr(conditions, name)))
+        for b in (0, 1):
+            args = (FIG3, pa, (0, 1), b, [0, 1], TAU_BOTH)
+            fix, report = subset_fixation_condition(*args, exact=False)
+            assert fix is None and report.provenance == "map-side"
+            assert report.ub_prime == reference_subset_fixation(*args, exact=False)[1].ub_prime
+        assert counts == {"local_search_lower_bound": 0, "TriplePackingBound": 0}
 
 
 class TestRunJoint:

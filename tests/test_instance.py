@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,3 +250,41 @@ class TestInstanceIO:
         save_partial(pa, path)
         again = load_partial(path, 4)
         assert again == pa
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("n=2\np,q,c\n0,1,1_0\n", 3),  # int() and float() read 1_0 as 10
+            ("n=2\np,q,c\n0,\uff11,1.0\n", 3),  # a full-width 1
+            ("n=2\np,q,c\n0,1,\u0661.5\n", 3),  # an Arabic-Indic 1
+            ("n=2\np,q,c\n0,\u00a01,1.0\n", 3),  # a no-break space
+            ("n=1_0\np,q,c\n0,1,1.0\n", 1),
+            ("n=\uff12\np,q,c\n0,1,1.0\n", 1),
+            ("\nn=2\n\np,q,c\n\n0,1,1.0\n0,1_1,2.0\n", 7),  # blank lines still count
+        ],
+        ids=["underscore", "full-width", "arabic-indic", "nbsp", "count-underscore",
+             "count-full-width", "blank-lines"],
+    )
+    def test_non_ascii_or_underscore_field_rejected(self, tmp_path, text, line):
+        path = tmp_path / "inst.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: malformed .*plain ASCII"):
+            load_instance(path)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [("0,1_0,1\n", 1), ("0,1,1\n\uff11,0,0\n", 2), ("0,1,\u0661\n", 1)],
+        ids=["underscore", "full-width", "arabic-indic"],
+    )
+    def test_partial_non_ascii_or_underscore_field_rejected(self, tmp_path, rows, line):
+        path = tmp_path / "pa.csv"
+        path.write_text(rows, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{line}: non-integer field .*plain ASCII"):
+            load_partial(path, 12)
+
+    def test_round_trip_extreme_floats(self, tmp_path):
+        c = np.zeros((3, 3))
+        c[0, 1], c[0, 2], c[1, 0], c[2, 1] = 5e-324, -1.7976931348623157e308, 1e-300, -0.1
+        path = tmp_path / "inst.csv"
+        save_instance(Instance(c), path)
+        assert np.array_equal(load_instance(path).values, c)
