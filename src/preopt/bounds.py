@@ -5,7 +5,11 @@ fixation) and always carry a feasible witness. Upper bounds combine the
 induced values of exclusion/inclusion for arcs incident to a pair with an
 edge-disjoint triple-packing bound for the rest, or are exact in the
 tractable special case where the sign-greedy relation is itself feasible,
-derived once per assignment and then one minimum cut per pair.
+derived once per assignment and then one minimum cut per pair. Induced
+values and the packing's triple table both read each arc's pinned values
+(its value when set to one and when set to zero) and are built in slabs:
+the induced values in O(n^2) working memory, the triple table, one p-slab
+at a time, in O(n^2 + improving triples).
 Boundary bounds cap how much value the boundary of a subset can lose when a
 tau map replants the subset's interior.
 """
@@ -30,6 +34,11 @@ from .relations import (
 
 Pair = tuple[int, int]
 
+#: entries of one (rows, n, n) slab of induced-value terms or triples; slabs
+#: of rows keep the working memory of ``induced_value`` O(n^2) and that of
+#: the triple table O(n^2 + improving triples)
+SLAB_ENTRIES = 1 << 17
+
 
 @dataclass
 class BoundReport:
@@ -46,69 +55,59 @@ class BoundReport:
     provenance: str = ""
 
 
+def _pinned_values(instance: Instance, pa: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """Each arc's value when set to one (``hi``) and when set to zero
+    (``lo``), -inf where its pin forbids that value."""
+    hi = np.where(pa.zeros, -np.inf, instance.values)
+    lo = np.where(pa.ones, -np.inf, 0.0)
+    return hi, lo
+
+
 def arc_max_values(instance: Instance, pa: PartialAssignment) -> np.ndarray:
     """Per-arc maximum contribution over all completions: c+ where undecided,
     the pinned contribution where decided."""
-    m = np.where(pa.ones, instance.values, np.where(pa.zeros, 0.0, instance.c_plus))
+    m = np.maximum(*_pinned_values(instance, pa))
     np.fill_diagonal(m, 0.0)
     return m
-
-
-# the seven 0/1 assignments of a triple's arcs (pq, qr, pr) that satisfy
-# x_pq + x_qr - x_pr <= 1
-_TRIPLE_COMBOS = np.array(
-    [
-        (0, 0, 0),
-        (0, 0, 1),
-        (0, 1, 0),
-        (0, 1, 1),
-        (1, 0, 0),
-        (1, 0, 1),
-        (1, 1, 1),
-    ],
-    dtype=np.float64,
-)
 
 
 def _triple_table(
     instance: Instance, pa: PartialAssignment
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All ordered triples of distinct elements with their termwise sums and
-    true maxima under the single triangle constraint plus the pinned pairs."""
-    if instance.n < 3:
-        return np.empty((0, 3), dtype=np.int64), np.empty(0), np.empty(0)
-    arr = np.arange(instance.n, dtype=np.int64)
-    p, q, r = np.meshgrid(arr, arr, arr, indexing="ij")
-    mask = (p != q) & (q != r) & (p != r)
-    triples = np.stack([p[mask], q[mask], r[mask]], axis=1)
+    """The ordered triples of distinct elements whose termwise sum exceeds
+    their true maximum under the single triangle constraint plus the pinned
+    pairs, in lexicographic order, with both values.
 
-    arcs = np.stack(
-        [triples[:, [0, 1]], triples[:, [1, 2]], triples[:, [0, 2]]], axis=1
-    )  # (m, 3, 2)
-    c = instance.values
-    vals = c[arcs[:, :, 0], arcs[:, :, 1]]  # (m, 3)
-    state = np.full(vals.shape, -1, dtype=np.int8)
-    state[pa.ones[arcs[:, :, 0], arcs[:, :, 1]]] = 1
-    state[pa.zeros[arcs[:, :, 0], arcs[:, :, 1]]] = 0
-
-    feasible = (
-        (state[:, None, :] == -1) | (state[:, None, :] == _TRIPLE_COMBOS[None, :, :])
-    ).all(axis=2)  # (m, 7)
-    scores = vals @ _TRIPLE_COMBOS.T  # (m, 7)
-    scores = np.where(feasible, scores, -np.inf)
-    tri_max = scores.max(axis=1)
-
-    m_vals = arc_max_values(instance, pa)
-    tri_sum = m_vals[arcs[:, :, 0], arcs[:, :, 1]].sum(axis=1)
-    return triples, tri_sum, tri_max
+    x_pq + x_qr - x_pr <= 1 excludes only (1, 1, 0), so the true maximum is
+    the best of x_pq = 0, of x_pq = 1 with x_qr = 0, and of all three arcs
+    set to one. The triples are built for a slab of first elements p at a
+    time, at most ``SLAB_ENTRIES`` of them. A triple that repeats an element
+    never improves: its diagonal arc is zero and unpinned, so one of the
+    three cases takes every arc at its best.
+    """
+    n = instance.n
+    hi, lo = _pinned_values(instance, pa)
+    m = arc_max_values(instance, pa)
+    rows = max(1, SLAB_ENTRIES // (n * n))
+    found = []
+    for start in range(0, n, rows):
+        slab = slice(start, min(start + rows, n))
+        # [p - start, q, r]: the arcs pq, qr and pr
+        tri_sum = m[slab, :, None] + m[None] + m[slab, None]
+        tri_max = np.maximum(
+            lo[slab, :, None] + m[None] + m[slab, None],
+            hi[slab, :, None] + lo[None] + m[slab, None],
+        )
+        np.maximum(tri_max, hi[slab, :, None] + hi[None] + hi[slab, None], out=tri_max)
+        p, q, r = np.nonzero(tri_sum - tri_max > 0.0)
+        found.append((np.stack([p + start, q, r], axis=1), tri_sum[p, q, r], tri_max[p, q, r]))
+    return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
 def _greedy_select(triples: np.ndarray, improvement: np.ndarray) -> np.ndarray:
-    """Greedy edge-disjoint selection by descending improvement, lexicographic
-    tie-break; only strictly improving triples are taken."""
-    positive = np.flatnonzero(improvement > 0.0)
-    p, q, r = triples[positive].T
-    order = positive[np.lexsort((r, q, p, -improvement[positive]))]
+    """Greedy edge-disjoint selection by descending improvement; ties keep
+    the lexicographic order of the triples."""
+    order = np.argsort(-improvement, kind="stable")
     used: set[Pair] = set()
     chosen: list[int] = []
     for k, (p, q, r) in zip(order.tolist(), triples[order].tolist()):
@@ -123,7 +122,9 @@ def _greedy_select(triples: np.ndarray, improvement: np.ndarray) -> np.ndarray:
 class TriplePackingBound:
     """Reusable triple-packing upper bound with every pair's exclusion bound.
 
-    Builds one packing over all elements; ``excluding[i, j]`` then bounds
+    Builds one packing over all elements from the improving triples (the
+    triple table, built in p-slabs from the shared pinned arc values, in
+    O(n^2 + improving triples) working memory); ``excluding[i, j]`` then bounds
     the optimum of the sub-problem without i and j without recomputing the
     packing (a packing restricted to fewer elements is still edge-disjoint,
     so the bound stays valid). The diagonal of ``excluding`` is NaN.
@@ -183,11 +184,6 @@ class TriplePackingBound:
         return self._total
 
 
-#: entries of one (rows, n, n) slab of induced-value terms; slabs of rows
-#: keep the working memory of ``induced_value`` O(n^2)
-SLAB_ENTRIES = 1 << 17
-
-
 def induced_value(instance: Instance, pa: PartialAssignment, b: int) -> np.ndarray:
     """Upper bounds on the total value of arcs incident to {i, j} over all
     completions with x_ij = b, at [i, j] for every undecided pair.
@@ -201,10 +197,7 @@ def induced_value(instance: Instance, pa: PartialAssignment, b: int) -> np.ndarr
     """
     n = instance.n
     m = arc_max_values(instance, pa)
-    # each arc's value when set to one and when set to zero, -inf where its
-    # pin forbids that; the best of the two is m
-    hi = np.where(pa.zeros, -np.inf, instance.values)
-    lo = np.where(pa.ones, -np.inf, 0.0)
+    hi, lo = _pinned_values(instance, pa)
     m_t, hi_t, lo_t = (np.ascontiguousarray(a.T) for a in (m, hi, lo))
     out = np.empty((n, n))
     rows = max(1, SLAB_ENTRIES // (n * n))
@@ -386,21 +379,17 @@ def boundary_bound(
     subset,
     variant: str,
     y: Relation | None = None,
-    *,
-    exact: bool = False,
 ) -> float:
     """Upper bound on the boundary value a tau map can lose.
 
     For every completion x, the boundary terms satisfy
-    sum_{pq in boundary} c_pq (x_pq - tau(x)_pq) <= this bound. The general
-    form needs no y (it uses the y-free flip supersets); the exact form uses
-    the planted relation's sharp sets and requires y.
+    sum_{pq in boundary} c_pq (x_pq - tau(x)_pq) <= this bound. Without y
+    the bound uses the y-free flip supersets; given the planted relation y
+    it uses that relation's sharp sets.
     """
     if variant not in (TAU_OUT, TAU_IN, TAU_BOTH):
         raise ValueError(f"unknown tau variant {variant!r}")
-    if exact:
-        if y is None:
-            raise ValueError("exact boundary bound needs the planted relation y")
+    if y is not None:
         p01, p10 = change_sets(MapSpec.tau(variant, subset, y), pa)
     else:
         p01, p10 = tau_loose_sets(variant, frozenset(subset), pa)

@@ -151,6 +151,8 @@ class PipelineConfig:
     single_pass: bool = False
 
     def __post_init__(self):
+        if not self.conditions:
+            raise ValueError("conditions must name at least one condition id")
         for cond in self.conditions:
             if cond not in ALL_CONDITIONS:
                 raise ValueError(
@@ -418,10 +420,10 @@ def subset_fixation_condition(
         y_full = np.zeros((instance.n, instance.n), dtype=bool)
         y_full[np.ix_(elements, elements)] = tractable.y.matrix
         y = Relation(y_full, copy=False)
-        ub_prime = boundary_bound(instance, pa, elements, variant, y, exact=True)
+        ub_prime = boundary_bound(instance, pa, elements, variant, y)
         true = is_true_to(MapSpec.tau(variant, elements, y), pa)
     else:
-        ub_prime = boundary_bound(instance, pa, elements, variant, exact=False)
+        ub_prime = boundary_bound(instance, pa, elements, variant)
         true = tau_trueness_loose(variant, frozenset(elements), pa)
 
     skip = not true

@@ -144,6 +144,56 @@ def scalar_induced_value(
     return total
 
 
+# the seven 0/1 assignments of a triple's arcs (pq, qr, pr) that satisfy
+# x_pq + x_qr - x_pr <= 1
+TRIPLE_COMBOS = np.array(
+    [
+        (0, 0, 0),
+        (0, 0, 1),
+        (0, 1, 0),
+        (0, 1, 1),
+        (1, 0, 0),
+        (1, 0, 1),
+        (1, 1, 1),
+    ],
+    dtype=np.float64,
+)
+
+
+def dense_triple_table(
+    instance: Instance, pa: PartialAssignment
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reference for ``bounds._triple_table``: all ordered triples of
+    distinct elements, improving or not, with their termwise sums and their
+    true maxima over the seven feasible assignments that the pins allow."""
+    if instance.n < 3:
+        return np.empty((0, 3), dtype=np.int64), np.empty(0), np.empty(0)
+    arr = np.arange(instance.n, dtype=np.int64)
+    p, q, r = np.meshgrid(arr, arr, arr, indexing="ij")
+    mask = (p != q) & (q != r) & (p != r)
+    triples = np.stack([p[mask], q[mask], r[mask]], axis=1)
+
+    arcs = np.stack(
+        [triples[:, [0, 1]], triples[:, [1, 2]], triples[:, [0, 2]]], axis=1
+    )  # (m, 3, 2)
+    c = instance.values
+    vals = c[arcs[:, :, 0], arcs[:, :, 1]]  # (m, 3)
+    state = np.full(vals.shape, -1, dtype=np.int8)
+    state[pa.ones[arcs[:, :, 0], arcs[:, :, 1]]] = 1
+    state[pa.zeros[arcs[:, :, 0], arcs[:, :, 1]]] = 0
+
+    feasible = (
+        (state[:, None, :] == -1) | (state[:, None, :] == TRIPLE_COMBOS[None, :, :])
+    ).all(axis=2)  # (m, 7)
+    scores = vals @ TRIPLE_COMBOS.T  # (m, 7)
+    scores = np.where(feasible, scores, -np.inf)
+    tri_max = scores.max(axis=1)
+
+    m_vals = arc_max_values(instance, pa)
+    tri_sum = m_vals[arcs[:, :, 0], arcs[:, :, 1]].sum(axis=1)
+    return triples, tri_sum, tri_max
+
+
 def scalar_exclusion_bound(
     instance: Instance, pa: PartialAssignment, packing: TriplePackingBound, i: int, j: int
 ) -> float:
@@ -208,13 +258,13 @@ def reference_subset_fixation(
         y_full = np.zeros((instance.n, instance.n), dtype=bool)
         y_full[np.ix_(elements, elements)] = tractable.y.matrix
         y = Relation(y_full, copy=False)
-        ub_prime = boundary_bound(instance, pa, elements, variant, y, exact=True)
+        ub_prime = boundary_bound(instance, pa, elements, variant, y)
         true = is_true_to(MapSpec.tau(variant, elements, y), pa)
     else:
         lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), b), greedy=greedy)
         excluding = TriplePackingBound(sub_instance, sub_pa).excluding
         ub = float(induced_value(sub_instance, sub_pa, 1 - b)[si, sj] + excluding[si, sj])
-        ub_prime = boundary_bound(instance, pa, elements, variant, exact=False)
+        ub_prime = boundary_bound(instance, pa, elements, variant)
         true = tau_trueness_loose(variant, frozenset(elements), pa)
 
     report = BoundReport(lb=lb, ub=ub, ub_prime=ub_prime)

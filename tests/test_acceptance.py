@@ -322,8 +322,8 @@ def test_criterion_08_bound_dominance():
         delta = np.outer(inside, ~inside) | np.outer(~inside, inside)
         for variant in (TAU_OUT, TAU_IN, TAU_BOTH):
             spec = MapSpec.tau(variant, frozenset(sub), y)
-            loose = boundary_bound(inst, pa, sub, variant, exact=False)
-            sharp = boundary_bound(inst, pa, sub, variant, y, exact=True)
+            loose = boundary_bound(inst, pa, sub, variant)
+            sharp = boundary_bound(inst, pa, sub, variant, y)
             for m in completions(pa):
                 out = apply_map(spec, Relation(m)).matrix
                 regret = float(

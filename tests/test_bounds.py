@@ -1,18 +1,20 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (
     completions,
+    dense_triple_table,
     random_closed_pa,
     random_closed_pa_any,
     random_instance,
     scalar_exclusion_bound,
     scalar_induced_value,
 )
-from preopt import Instance, bounds, evaluate, oracle
+from preopt import Instance, bounds, evaluate, ingest_ego_network, oracle
 from preopt.bounds import (
     TriplePackingBound,
     arc_max_values,
@@ -24,6 +26,8 @@ from preopt.bounds import (
 )
 from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, apply_map
 from preopt.relations import InconsistentAssignmentError, PartialAssignment, Relation
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def constrained_max(inst, pa, pair, value):
@@ -263,6 +267,64 @@ class TestTriplePackingBound:
                             inst, pa, packing, i, j
                         )
 
+    @staticmethod
+    def _table_cases():
+        rng = np.random.default_rng(53)
+        for n in range(1, 13):
+            for kind in ("grid", "pm1", "raw"):
+                yield random_instance(rng, n, kind=kind), random_closed_pa_any(rng, n)
+        # unclosed: the pins force (1, 1, 0) on the triple (0, 1, 2), which
+        # then has no feasible value
+        pa = PartialAssignment.from_pairs(4, one_pairs=[(0, 1), (1, 2)], zero_pairs=[(0, 2)])
+        yield random_instance(rng, 4), pa
+
+    # the infeasible triple's -inf reaches the exclusion bounds as -inf - -inf
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("rows", [None, 1, 3])
+    def test_table_matches_dense_reference(self, monkeypatch, rows):
+        def improving_reference(inst, pa):
+            triples, tri_sum, tri_max = dense_triple_table(inst, pa)
+            keep = tri_sum - tri_max > 0.0
+            return triples[keep], tri_sum[keep], tri_max[keep]
+
+        infeasible = 0
+        for inst, pa in self._table_cases():
+            n = inst.n
+            expected = improving_reference(inst, pa)
+            with monkeypatch.context() as patch:
+                patch.setattr(bounds, "_triple_table", improving_reference)
+                reference = TriplePackingBound(inst, pa)
+            with monkeypatch.context() as patch:
+                if rows is not None:
+                    patch.setattr(bounds, "SLAB_ENTRIES", rows * n * n)
+                table = bounds._triple_table(inst, pa)
+                packing = TriplePackingBound(inst, pa)
+            for got, want in zip(table, expected):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+            infeasible += int(np.isneginf(table[2]).sum())
+            assert packing.triples == reference.triples
+            assert np.array(packing.tri_max).tobytes() == np.array(reference.tri_max).tobytes()
+            assert np.isnan(np.diagonal(packing.excluding)).all()
+            assert packing.excluding.tobytes() == reference.excluding.tobytes()
+        assert infeasible == 1
+
+    def test_table_memory_stays_quadratic(self, monkeypatch):
+        # one dense (n, n, n) float64 array at n = 151 takes 27.5 MB; an ego
+        # network improves few triples, so the table stays far below that
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from ego import ego_edges
+
+        n = 151
+        inst = ingest_ego_network(ego_edges(12, 50), range(n))
+        tracemalloc.start()
+        try:
+            TriplePackingBound(inst, PartialAssignment.empty(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n**3 * 8
+
     def test_arc_max_values(self):
         c = np.zeros((2, 2))
         c[0, 1] = 3.0
@@ -368,8 +430,8 @@ class TestBoundaryBound:
             inside[subset] = True
             delta = np.outer(inside, ~inside) | np.outer(~inside, inside)
             spec = MapSpec.tau(variant, subset, y)
-            loose = boundary_bound(inst, pa, subset, variant, exact=False)
-            sharp = boundary_bound(inst, pa, subset, variant, y, exact=True)
+            loose = boundary_bound(inst, pa, subset, variant)
+            sharp = boundary_bound(inst, pa, subset, variant, y)
             assert sharp <= loose + 1e-12
             for m in completions(pa):
                 out = apply_map(spec, Relation(m)).matrix
@@ -378,11 +440,6 @@ class TestBoundaryBound:
                 )
                 assert regret <= loose + 1e-9
                 assert regret <= sharp + 1e-9
-
-    def test_exact_mode_needs_y(self):
-        inst = Instance(np.zeros((3, 3)))
-        with pytest.raises(ValueError):
-            boundary_bound(inst, PartialAssignment.empty(3), [0, 1], TAU_OUT, exact=True)
 
 
 class TestSignGreedy:

@@ -222,6 +222,15 @@ class TestFix:
         assert result.exit_code == 1
         assert "unknown condition id 'bogus'" in result.output
 
+    @pytest.mark.parametrize("command", ["fix", "oracle-check"])
+    @pytest.mark.parametrize("conditions", [",", " , ,"], ids=["comma", "blank-parts"])
+    def test_empty_condition_list_is_usage_error(self, runner, tmp_path, command, conditions):
+        inst = write_fig1(tmp_path)
+        result = runner.invoke(main, [command, str(inst), "--conditions", conditions])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: conditions must name at least one")
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_zero_rounds_is_usage_error(self, runner, tmp_path):
         inst = write_fig1(tmp_path)
         result = runner.invoke(main, ["fix", str(inst), "--rounds", "0"])

@@ -444,6 +444,10 @@ class TestRunJoint:
         with pytest.raises(ValueError):
             PipelineConfig(conditions=("nonsense",))
 
+    def test_empty_condition_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one condition"):
+            PipelineConfig(conditions=())
+
     def test_weak_boecker_available(self):
         cfg = PipelineConfig(conditions=(BBK_WEAK,))
         inst = two_element_instance(5.0, -1.0)
