@@ -29,6 +29,7 @@ from .relations import (
     PartialAssignment,
     Relation,
     close,
+    insert_arc_closed,
     reach_or_equal,
 )
 
@@ -259,8 +260,7 @@ def _greedy_insertion(instance: Instance, base: PartialAssignment) -> np.ndarray
         a, b = divmod(best, n)
         if gains[a, b] <= tol:
             break
-        new = np.outer(aug[:, a], aug[b]) & offdiag
-        ones |= new
+        ones = insert_arc_closed(ones, a, b)
     return ones
 
 

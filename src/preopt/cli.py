@@ -95,7 +95,7 @@ def _check_out_parent(out_path: str | None) -> None:
 def _pipeline_config(conditions_text: str | None, **options) -> PipelineConfig:
     """The run's config from the comma-separated condition ids; exit 1 if invalid."""
     conditions = DEFAULT_CONDITIONS
-    if conditions_text:
+    if conditions_text is not None:
         conditions = tuple(part.strip() for part in conditions_text.split(",") if part.strip())
     try:
         return PipelineConfig(conditions=conditions, **options)
@@ -308,15 +308,13 @@ def oracle_check(instance_path, conditions_text, partial_path):
         except SoundnessError as exc:
             click.echo(f"soundness violation: {exc}", err=True)
             sys.exit(EXIT_INCONSISTENT)
-    if oracle.certify(instance, pa):
-        optima = oracle.solve_exact(instance)
-        witness = next(
-            m for m in optima.matrices if oracle.completion_mask(m[None], pa)[0]
-        )
+    optima = oracle.solve_exact(instance)
+    agrees = oracle.completion_mask(optima.matrices, pa)
+    if agrees.any():
+        witness = optima.matrices[agrees][0]
         arcs = [(int(p), int(q)) for p, q in zip(*witness.nonzero())]
         click.echo(f"certified: optimum value {optima.value:g} with arcs {arcs}")
         sys.exit(0)
-    optima = oracle.solve_exact(instance)
     for p, q, v in pa.domain_pairs():
         if not any(int(m[p, q]) == v for m in optima.matrices):
             click.echo(f"unsound fixation: pair ({p}, {q}) = {v}", err=True)

@@ -19,15 +19,15 @@ the tests:
   touching i and j, each minimized over the other element's label, bound
   the minimum energy from below; when c_ij minus that floor is below the
   tolerance, no labeling the swap moves can reach fixes the pair;
-- subset-u: zeroing all arcs leaving i (or all arcs entering j) inside the
-  subset keeps any relation transitive, so the sub-problem's lb - ub is at
-  most the positive value of those arcs, and the boundary bound is at least
-  the positive value of the flip set P10 that sharp and loose sets share;
-  when the first minus the second is below the tolerance, the variant
-  cannot fire. Inside each call the map side comes first: trueness and the
-  boundary bound are computed before the sub-problem's bounds, which are
-  skipped when the map is not true or the gain cap minus the boundary
-  bound itself is below the tolerance;
+- subset-u, which only ever fixes pairs to one: zeroing all arcs leaving i
+  (or all arcs entering j) inside the subset keeps any relation transitive,
+  so the sub-problem's lb - ub is at most the positive value of those arcs,
+  and the boundary bound is at least the positive value of the flip set P10
+  that sharp and loose sets share; when the first minus the second is below
+  the tolerance, the variant cannot fire. Inside each call the map side
+  comes first: trueness and the boundary bound are computed before the
+  sub-problem's bounds, which are skipped when the map is not true or the
+  gain cap minus the boundary bound itself is below the tolerance;
 - edge-cut: the paths i->k->j through distinct k are arc-disjoint, so the
   sum of their bottleneck capacities plus the direct arc is a feasible flow
   and bounds every i-j cut from below; when it exceeds -c_ij minus the
@@ -380,7 +380,6 @@ def subset_fixation_condition(
     instance: Instance,
     pa: PartialAssignment,
     pair: Pair,
-    b: int,
     subset,
     variant: str = TAU_BOTH,
     *,
@@ -389,14 +388,15 @@ def subset_fixation_condition(
 ) -> tuple[Fixation | None, BoundReport]:
     """Decide one pair with the subset-maximizer condition.
 
-    Fixes x_ij = b when the tau map is true to the assignment and lb - ub,
-    the sub-problem's bounds on its constrained optima, beats the bound on
-    the map's boundary loss. In the tractable case the planted relation is
-    the exact optimum and the map side uses its sharp flip sets; otherwise
-    lb comes from local search, ub from induced-value plus packing bounds,
-    and the map side from the y-free loose sets.
+    Fixes x_ij = 1 when the tau map is true to the assignment and lb - ub,
+    the sub-problem's bounds on its optima with x_ij = 1 and x_ij = 0, beats
+    the bound on the map's boundary loss. In the tractable case (c_ij >= 0
+    and ``exact``) the planted relation is the exact optimum and the map
+    side uses its sharp flip sets; otherwise lb comes from local search, ub
+    from induced-value plus packing bounds, and the map side from the
+    y-free loose sets.
 
-    The map side comes first: when the map is not true, or (for b = 1)
+    The map side comes first: when the map is not true, or
     ``_subset_gain_cap`` minus the boundary bound is below the tolerance,
     the pair cannot be fixed and lb and ub are not computed. The report
     then holds the trivial bounds -inf and +inf, with provenance
@@ -414,7 +414,7 @@ def subset_fixation_condition(
     si, sj = elements.index(i), elements.index(j)
 
     tractable = None
-    if exact and b == 1 and instance.values[i, j] >= 0.0:
+    if exact and instance.values[i, j] >= 0.0:
         tractable = exact_bounds_tractable(sub_instance, sub_pa)
     if tractable is not None:
         y_full = np.zeros((instance.n, instance.n), dtype=bool)
@@ -426,29 +426,27 @@ def subset_fixation_condition(
         ub_prime = boundary_bound(instance, pa, elements, variant)
         true = tau_trueness_loose(variant, frozenset(elements), pa)
 
-    skip = not true
-    if true and b == 1:
-        # lb - ub <= the gain cap and float subtraction is monotone, so a cap
-        # the boundary bound eats leaves no margin for any lb and ub either
-        sub_cap = cut_capacities(sub_instance, sub_pa)
-        skip = _subset_gain_cap(sub_cap, si, sj, list(range(len(elements)))) - ub_prime < tol
-    if skip:
+    # lb - ub <= the gain cap and float subtraction is monotone, so a cap
+    # the boundary bound eats leaves no margin for any lb and ub either
+    if not true or _subset_gain_cap(
+        cut_capacities(sub_instance, sub_pa), si, sj, list(range(len(elements)))
+    ) - ub_prime < tol:
         return None, BoundReport(-math.inf, math.inf, ub_prime, provenance="map-side")
 
     if tractable is not None:
         lb, ub = tractable.optima(si, sj)
     else:
-        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), b), greedy=greedy)
+        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), 1), greedy=greedy)
         excluding = TriplePackingBound(sub_instance, sub_pa).excluding
-        ub = float(induced_value(sub_instance, sub_pa, 1 - b)[si, sj] + excluding[si, sj])
+        ub = float(induced_value(sub_instance, sub_pa, 0)[si, sj] + excluding[si, sj])
 
     report = BoundReport(
         lb=lb, ub=ub, ub_prime=ub_prime,
         provenance="tractable-exact" if tractable is not None else "local-search+packing",
     )
     margin = lb - ub - ub_prime
-    if true and margin >= tol:
-        return Fixation(pair, b, SUBSET_FIX, margin), report
+    if margin >= tol:
+        return Fixation(pair, 1, SUBSET_FIX, margin), report
     return None, report
 
 
@@ -495,7 +493,7 @@ def subset_fixation_pass(instance: Instance, pa: PartialAssignment) -> list[Fixa
             _, p10 = tau_loose_sets(variant, frozenset(subset), working)
             if gain_cap - float(instance.c_plus[p10].sum()) < tol:
                 continue
-            fix, _ = subset_fixation_condition(instance, working, (i, j), 1, subset, variant)
+            fix, _ = subset_fixation_condition(instance, working, (i, j), subset, variant)
             if fix is not None:
                 working = close(working.with_assignments([(i, j, 1)]))
                 cap = cut_capacities(instance, working)

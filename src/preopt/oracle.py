@@ -2,8 +2,9 @@
 
 Enumerates every transitive relation on up to six elements, solves small
 preordering instances exactly, and certifies that a set of fixations keeps
-at least one optimal solution reachable. Everything here exists to validate
-the polynomial-time machinery; nothing scales past n = 6 by design.
+at least one optimal solution reachable; ``preopt oracle-check`` runs on
+these. Everything here exists to validate the polynomial-time machinery;
+nothing scales past n = 6 by design.
 
 Enumeration extends element by element: a transitive relation on n+1
 elements is a transitive relation R on n elements plus a predecessor set D
@@ -18,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instance import Instance
-from .relations import (
-    InconsistentAssignmentError,
-    PartialAssignment,
-    Relation,
-    close,
-    is_consistent,
-)
+from .relations import InconsistentAssignmentError, PartialAssignment
 
 MAX_ORACLE_N = 6
 
@@ -87,36 +82,6 @@ def relation_stack(n: int) -> np.ndarray:
     return _stack_cache[n]
 
 
-def enumerate_preorders(n: int):
-    """Yield every transitive relation on n elements exactly once."""
-    for matrix in relation_stack(n):
-        yield Relation(matrix)
-
-
-def bruteforce_relation_stack(n: int) -> np.ndarray:
-    """Independent enumeration: filter all 2^(n(n-1)) assignments directly.
-
-    Cross-checks the recursive enumerator; practical up to n = 5.
-    """
-    if not 1 <= n <= 5:
-        raise ValueError("direct filtering supported only for n <= 5")
-    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
-    k = len(pairs)
-    codes = np.arange(1 << k, dtype=np.uint32)
-    bits = ((codes[:, None] >> np.arange(k, dtype=np.uint32)) & 1).astype(bool)
-    ok = np.ones(len(codes), dtype=bool)
-    index = {e: idx for idx, e in enumerate(pairs)}
-    for p, q, r in ((p, q, r) for p in range(n) for q in range(n) for r in range(n)):
-        if p == q or q == r or p == r:
-            continue
-        ok &= ~(bits[:, index[(p, q)]] & bits[:, index[(q, r)]] & ~bits[:, index[(p, r)]])
-    stack = np.zeros((int(ok.sum()), n, n), dtype=bool)
-    sel = bits[ok]
-    for idx, (p, q) in enumerate(pairs):
-        stack[:, p, q] = sel[:, idx]
-    return stack
-
-
 def completion_mask(stack: np.ndarray, pa: PartialAssignment) -> np.ndarray:
     """Mask of stack rows that agree with every decided pair."""
     count = stack.shape[0]
@@ -128,28 +93,6 @@ def completion_mask(stack: np.ndarray, pa: PartialAssignment) -> np.ndarray:
     return mask
 
 
-def is_closed(pa: PartialAssignment) -> bool:
-    return is_consistent(pa) and close(pa) == pa
-
-
-def decided_pairs_bruteforce(pa: PartialAssignment) -> PartialAssignment:
-    """Ground-truth decided pairs by exhaustive enumeration of completions.
-
-    Only for validating close() on small instances; guards n <= 6.
-    """
-    if pa.n > MAX_ORACLE_N:
-        raise ValueError("brute-force decided pairs only supported for n <= 6")
-    stack = relation_stack(pa.n)
-    mask = completion_mask(stack, pa)
-    completions = stack[mask]
-    if completions.shape[0] == 0:
-        raise InconsistentAssignmentError("assignment has no transitive completion")
-    all_one = completions.all(axis=0)
-    all_zero = ~completions.any(axis=0)
-    np.fill_diagonal(all_zero, False)
-    return PartialAssignment(all_one, all_zero, copy=False)
-
-
 @dataclass
 class OptimumSet:
     """Optimal value and all maximizers of a (constrained) instance."""
@@ -159,12 +102,6 @@ class OptimumSet:
 
     def count(self) -> int:
         return self.matrices.shape[0]
-
-    def relations(self) -> list[Relation]:
-        return [Relation(m) for m in self.matrices]
-
-    def contains(self, x: Relation) -> bool:
-        return bool((self.matrices == x.matrix[None, :, :]).all(axis=(1, 2)).any())
 
 
 def solve_exact(instance: Instance, pa: PartialAssignment | None = None) -> OptimumSet:
@@ -195,14 +132,3 @@ def certify(instance: Instance, pa: PartialAssignment) -> bool:
     optima = solve_exact(instance)
     return bool(completion_mask(optima.matrices, pa).any())
 
-
-def constrained_optimum(
-    instance: Instance, pa: PartialAssignment, pair: tuple[int, int], value: int
-) -> OptimumSet:
-    """Exact optimum set among completions of pa with one extra pair pinned."""
-    extended = pa.with_assignments([(pair[0], pair[1], value)])
-    return solve_exact(instance, extended)
-
-
-def count_preorders(n: int) -> int:
-    return relation_stack(n).shape[0]

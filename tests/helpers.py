@@ -1,4 +1,7 @@
-"""Shared test utilities: seeded random instances and partial assignments."""
+"""Shared test utilities: seeded random instances and partial assignments,
+plus the reference definitions the library's closed forms are checked
+against (the self-maps applied to whole relations, and brute-force
+enumeration)."""
 
 from __future__ import annotations
 
@@ -17,12 +20,22 @@ from preopt.bounds import (
 )
 from preopt.conditions import SUBSET_FIX, Fixation
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
-from preopt.maps import MapSpec, is_true_to, tau_trueness_loose
+from preopt.maps import (
+    GAMMA,
+    TAU_BOTH,
+    TAU_OUT,
+    MapSpec,
+    _subset_mask,
+    is_true_to,
+    tau_trueness_loose,
+)
 from preopt.relations import (
     InconsistentAssignmentError,
     PartialAssignment,
     Relation,
+    _bool_matmul,
     close,
+    insert_arc_closed,
     transitive_closure_matrix,
 )
 
@@ -88,6 +101,115 @@ def completions(pa: PartialAssignment) -> np.ndarray:
     """All transitive completions of pa, as a boolean stack (oracle-backed)."""
     stack = oracle.relation_stack(pa.n)
     return stack[oracle.completion_mask(stack, pa)]
+
+
+def bruteforce_relation_stack(n: int) -> np.ndarray:
+    """Independent enumeration: filter all 2^(n(n-1)) assignments directly.
+
+    Cross-checks the recursive enumerator; practical up to n = 5.
+    """
+    if not 1 <= n <= 5:
+        raise ValueError("direct filtering supported only for n <= 5")
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    k = len(pairs)
+    codes = np.arange(1 << k, dtype=np.uint32)
+    bits = ((codes[:, None] >> np.arange(k, dtype=np.uint32)) & 1).astype(bool)
+    ok = np.ones(len(codes), dtype=bool)
+    index = {e: idx for idx, e in enumerate(pairs)}
+    for p, q, r in ((p, q, r) for p in range(n) for q in range(n) for r in range(n)):
+        if p == q or q == r or p == r:
+            continue
+        ok &= ~(bits[:, index[(p, q)]] & bits[:, index[(q, r)]] & ~bits[:, index[(p, r)]])
+    stack = np.zeros((int(ok.sum()), n, n), dtype=bool)
+    sel = bits[ok]
+    for idx, (p, q) in enumerate(pairs):
+        stack[:, p, q] = sel[:, idx]
+    return stack
+
+
+def decided_pairs_bruteforce(pa: PartialAssignment) -> PartialAssignment:
+    """Ground-truth decided pairs by exhaustive enumeration of completions.
+
+    Only for validating close() on small instances; guards n <= 6.
+    """
+    if pa.n > oracle.MAX_ORACLE_N:
+        raise ValueError("brute-force decided pairs only supported for n <= 6")
+    stack = oracle.relation_stack(pa.n)
+    mask = oracle.completion_mask(stack, pa)
+    completions = stack[mask]
+    if completions.shape[0] == 0:
+        raise InconsistentAssignmentError("assignment has no transitive completion")
+    all_one = completions.all(axis=0)
+    all_zero = ~completions.any(axis=0)
+    np.fill_diagonal(all_zero, False)
+    return PartialAssignment(all_one, all_zero, copy=False)
+
+
+def apply_dicut(x: Relation, subset) -> Relation:
+    """The elementary dicut map: zero every arc from the subset to its
+    complement; keeps transitivity."""
+    u = _subset_mask(x.n, frozenset(subset))
+    out = x.matrix.copy()
+    out[np.ix_(u, ~u)] = False
+    return Relation(out, copy=False)
+
+
+def dicut_is_true(subset, pa: PartialAssignment) -> bool:
+    """Trueness of the dicut map: no arc assigned one crosses the cut."""
+    u = _subset_mask(pa.n, frozenset(subset))
+    return not pa.ones[np.ix_(u, ~u)].any()
+
+
+def apply_join(x: Relation, i: int, j: int) -> Relation:
+    """The elementary join map: insert arc ij and everything transitivity
+    then implies.
+
+    Sets pq wherever p reaches i and j reaches q, where every element reaches
+    itself (the implicit diagonal). The output dominates x pointwise.
+    """
+    if i == j:
+        raise ValueError("join needs two distinct elements")
+    return Relation(insert_arc_closed(x.matrix, i, j), copy=False)
+
+
+def _apply_tau(spec: MapSpec, x: Relation) -> Relation:
+    n = x.n
+    u = _subset_mask(n, spec.subset)
+    y = spec.inner.matrix
+    out = np.zeros((n, n), dtype=bool)
+    out[np.ix_(~u, ~u)] = x.matrix[np.ix_(~u, ~u)]
+    out[np.ix_(u, u)] = y[np.ix_(u, u)]
+    if spec.kind == TAU_BOTH:
+        return Relation(out, copy=False)
+    x_aug = x.matrix.copy()
+    np.fill_diagonal(x_aug, True)
+    y_aug = y.copy()
+    y_aug[u, u] = True
+    if spec.kind == TAU_OUT:
+        # arcs into U survive when they reconnect through y
+        out[np.ix_(~u, u)] = _bool_matmul(x_aug[np.ix_(~u, u)], y_aug[np.ix_(u, u)])
+    else:  # TAU_IN: arcs out of U survive when y reconnects through x
+        out[np.ix_(u, ~u)] = _bool_matmul(y_aug[np.ix_(u, u)], x_aug[np.ix_(u, ~u)])
+    np.fill_diagonal(out, False)
+    return Relation(out, copy=False)
+
+
+def apply_map(spec: MapSpec, x: Relation, condition=None) -> Relation:
+    """Apply the described gamma or tau map to a whole relation.
+
+    ``condition = ((i, j), b)`` is the conditional wrapper: the map is the
+    identity whenever x_ij == b. The gamma map behind edge-join is
+    conditional on ``((i, j), 1)``.
+    """
+    if condition is not None:
+        (i, j), b = condition
+        if bool(x.matrix[i, j]) == bool(b):
+            return x.copy()
+    if spec.kind == GAMMA:
+        step = apply_dicut(x, spec.subset_prime)  # cut arcs leaving U'
+        step = apply_dicut(step, frozenset(range(x.n)) - spec.subset)  # cut arcs entering U
+        return apply_join(step, spec.i, spec.j)
+    return _apply_tau(spec, x)
 
 
 def scalar_induced_value(
@@ -239,7 +361,7 @@ def per_pair_edge_cut(instance: Instance, pa: PartialAssignment) -> set[tuple[in
 
 
 def reference_subset_fixation(
-    instance: Instance, pa: PartialAssignment, pair, b: int, subset, variant: str,
+    instance: Instance, pa: PartialAssignment, pair, subset, variant: str,
     *, exact: bool = True, greedy: bool = True,
 ):
     """Reference for ``conditions.subset_fixation_condition``: lb, ub, the
@@ -251,7 +373,7 @@ def reference_subset_fixation(
     si, sj = elements.index(i), elements.index(j)
 
     tractable = None
-    if exact and b == 1 and instance.values[i, j] >= 0.0:
+    if exact and instance.values[i, j] >= 0.0:
         tractable = exact_bounds_tractable(sub_instance, sub_pa)
     if tractable is not None:
         lb, ub = tractable.optima(si, sj)
@@ -261,14 +383,14 @@ def reference_subset_fixation(
         ub_prime = boundary_bound(instance, pa, elements, variant, y)
         true = is_true_to(MapSpec.tau(variant, elements, y), pa)
     else:
-        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), b), greedy=greedy)
+        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), 1), greedy=greedy)
         excluding = TriplePackingBound(sub_instance, sub_pa).excluding
-        ub = float(induced_value(sub_instance, sub_pa, 1 - b)[si, sj] + excluding[si, sj])
+        ub = float(induced_value(sub_instance, sub_pa, 0)[si, sj] + excluding[si, sj])
         ub_prime = boundary_bound(instance, pa, elements, variant)
         true = tau_trueness_loose(variant, frozenset(elements), pa)
 
     report = BoundReport(lb=lb, ub=ub, ub_prime=ub_prime)
     margin = lb - ub - ub_prime
     if true and margin >= instance.tolerance:
-        return Fixation(pair, b, SUBSET_FIX, margin), report
+        return Fixation(pair, 1, SUBSET_FIX, margin), report
     return None, report

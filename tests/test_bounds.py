@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    apply_map,
     completions,
     dense_triple_table,
     random_closed_pa,
@@ -24,7 +25,7 @@ from preopt.bounds import (
     local_search_lower_bound,
     sign_greedy_relation,
 )
-from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, apply_map
+from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec
 from preopt.relations import InconsistentAssignmentError, PartialAssignment, Relation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

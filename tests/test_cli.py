@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from preopt import oracle
 from preopt.cli import STATS_FIELDS, main
 from preopt.instance import Instance, save_instance
 
@@ -223,7 +224,9 @@ class TestFix:
         assert "unknown condition id 'bogus'" in result.output
 
     @pytest.mark.parametrize("command", ["fix", "oracle-check"])
-    @pytest.mark.parametrize("conditions", [",", " , ,"], ids=["comma", "blank-parts"])
+    @pytest.mark.parametrize(
+        "conditions", [",", " , ,", ""], ids=["comma", "blank-parts", "empty"]
+    )
     def test_empty_condition_list_is_usage_error(self, runner, tmp_path, command, conditions):
         inst = write_fig1(tmp_path)
         result = runner.invoke(main, [command, str(inst), "--conditions", conditions])
@@ -318,6 +321,36 @@ class TestOracleCheck:
         result = runner.invoke(main, ["oracle-check", str(inst)])
         assert result.exit_code == 0, result.output
         assert "certified" in result.output
+
+    @pytest.mark.parametrize(
+        "rows, exit_code, output",
+        [
+            (None, 0, "certified: optimum value 10 with arcs "
+             "[(0, 1), (0, 3), (1, 0), (1, 3), (2, 4), (3, 0), (3, 1), (4, 2)]\n"),
+            # rules out the first of the two optima, so the second certifies
+            ("3,0,0\n", 0, "certified: optimum value 10 with arcs "
+             "[(0, 1), (0, 3), (1, 0), (1, 3), (2, 3), (2, 4)]\n"),
+            ("0,1,0\n", 3, "unsound fixation: pair (0, 1) = 0\n"),
+        ],
+        ids=["pipeline", "second-optimum", "unsound"],
+    )
+    def test_solves_once(self, runner, tmp_path, monkeypatch, rows, exit_code, output):
+        calls = []
+        solve_exact = oracle.solve_exact
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_exact(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "solve_exact", counted)
+        args = ["oracle-check", str(write_fig1(tmp_path))]
+        if rows is not None:
+            partial = tmp_path / "partial.csv"
+            partial.write_text(rows)
+            args += ["--partial", str(partial)]
+        result = runner.invoke(main, args)
+        assert (result.exit_code, result.output) == (exit_code, output)
+        assert len(calls) == 1
 
     def test_unsound_partial_rejected_with_pair(self, runner, tmp_path):
         c = np.zeros((2, 2))

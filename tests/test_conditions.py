@@ -276,7 +276,7 @@ class TestTractableOncePerRun:
 class TestSubsetFixation:
     def test_worked_example_small_subset(self):
         fix, report = subset_fixation_condition(
-            FIG3, PartialAssignment.empty(4), (0, 1), 1, [0, 1], TAU_BOTH
+            FIG3, PartialAssignment.empty(4), (0, 1), [0, 1], TAU_BOTH
         )
         assert report.lb == pytest.approx(5.0)
         assert report.ub == pytest.approx(0.0)
@@ -285,7 +285,7 @@ class TestSubsetFixation:
 
     def test_whole_set_recovers_weak_comparison(self):
         fix, report = subset_fixation_condition(
-            FIG3, PartialAssignment.empty(4), (0, 1), 1, range(4), TAU_BOTH,
+            FIG3, PartialAssignment.empty(4), (0, 1), range(4), TAU_BOTH,
             exact=False, greedy=False,
         )
         assert report.ub_prime == 0.0
@@ -303,7 +303,7 @@ class TestSubsetFixation:
 
     def test_pair_must_be_inside_subset(self):
         with pytest.raises(ValueError):
-            subset_fixation_condition(FIG3, PartialAssignment.empty(4), (0, 3), 1, [0, 1])
+            subset_fixation_condition(FIG3, PartialAssignment.empty(4), (0, 3), [0, 1])
 
 
 class TestSubsetMapSideFirst:
@@ -313,7 +313,7 @@ class TestSubsetMapSideFirst:
     def test_matches_unconditional_reference(self):
         rng = np.random.default_rng(25)
         fixed = skipped = 0
-        for trial in range(48):
+        for trial in range(64):
             n = 3 + trial % 6  # 3..8
             inst = random_instance(rng, n, ("grid", "pm1", "raw")[trial % 3])
             pa = random_closed_pa_any(rng, n, 0.2)
@@ -323,10 +323,10 @@ class TestSubsetMapSideFirst:
             i, j = pairs[int(rng.integers(len(pairs)))]
             extra = [p for p in range(n) if p not in (i, j) and rng.random() < 0.5]
             subset = sorted([i, j, *extra])
-            for variant, b, exact, greedy in itertools.product(
-                (TAU_BOTH, TAU_OUT, TAU_IN), (0, 1), (True, False), (True, False)
+            for variant, exact, greedy in itertools.product(
+                (TAU_BOTH, TAU_OUT, TAU_IN), (True, False), (True, False)
             ):
-                args = (inst, pa, (i, j), b, subset, variant)
+                args = (inst, pa, (i, j), subset, variant)
                 fix, report = subset_fixation_condition(*args, exact=exact, greedy=greedy)
                 ref, ref_report = reference_subset_fixation(*args, exact=exact, greedy=greedy)
                 assert fix == ref
@@ -349,7 +349,7 @@ class TestSubsetMapSideFirst:
             c[0, 1], c[0, 2] = 5.0, 5.0 - steps * 1e-8  # the tolerance is about 1e-8
             inst = Instance(c)
             for exact in (True, False):
-                args = (inst, PartialAssignment.empty(3), (0, 1), 1, [0, 1], TAU_BOTH)
+                args = (inst, PartialAssignment.empty(3), (0, 1), [0, 1], TAU_BOTH)
                 fix, report = subset_fixation_condition(*args, exact=exact)
                 assert fix == reference_subset_fixation(*args, exact=exact)[0]
                 assert (report.provenance == "map-side") == (fix is None)
@@ -370,11 +370,10 @@ class TestSubsetMapSideFirst:
 
         for name in counts:
             monkeypatch.setattr(conditions, name, counted(name, getattr(conditions, name)))
-        for b in (0, 1):
-            args = (FIG3, pa, (0, 1), b, [0, 1], TAU_BOTH)
-            fix, report = subset_fixation_condition(*args, exact=False)
-            assert fix is None and report.provenance == "map-side"
-            assert report.ub_prime == reference_subset_fixation(*args, exact=False)[1].ub_prime
+        args = (FIG3, pa, (0, 1), [0, 1], TAU_BOTH)
+        fix, report = subset_fixation_condition(*args, exact=False)
+        assert fix is None and report.provenance == "map-side"
+        assert report.ub_prime == reference_subset_fixation(*args, exact=False)[1].ub_prime
         assert counts == {"local_search_lower_bound": 0, "TriplePackingBound": 0}
 
 
@@ -395,7 +394,7 @@ class TestRunJoint:
             pa, _, stats = run_joint(inst)
             assert stats.percent_fixed == pytest.approx(100.0)
             assert np.array_equal(pa.ones, opt.matrices[0])
-            assert opt.contains(truth)
+            assert (opt.matrices == truth.matrix).all(axis=(1, 2)).any()
 
     def test_zero_instance_terminates_immediately(self):
         inst = Instance(np.zeros((4, 4)))
@@ -621,16 +620,16 @@ class TestSoundGates:
             cap = conditions._subset_gain_cap(cut_capacities(inst, pa), i, j, subset)
             sub, sub_pa = inst.restrict(subset), pa.restrict(subset)
             si, sj = subset.index(i), subset.index(j)
-            opt_one = oracle.constrained_optimum(sub, sub_pa, (si, sj), 1).value
+            opt_one = oracle.solve_exact(sub, sub_pa.with_assignments([(si, sj, 1)])).value
             try:
-                opt_zero = oracle.constrained_optimum(sub, sub_pa, (si, sj), 0).value
+                opt_zero = oracle.solve_exact(sub, sub_pa.with_assignments([(si, sj, 0)])).value
             except InconsistentAssignmentError:
                 assert math.isinf(cap)
                 continue
             assert opt_one - opt_zero <= cap
             # the gate's two inequalities hold for the bounds the condition computes
             for variant in (TAU_BOTH, TAU_OUT, TAU_IN):
-                _, report = subset_fixation_condition(inst, pa, (i, j), 1, subset, variant)
+                _, report = subset_fixation_condition(inst, pa, (i, j), subset, variant)
                 _, p10 = tau_loose_sets(variant, frozenset(subset), pa)
                 assert report.lb - report.ub <= cap
                 assert report.ub_prime >= inst.c_plus[p10].sum()

@@ -1,0 +1,149 @@
+"""Every top-level function and class in src/preopt is reached by the library.
+
+The roots are the names in ``preopt.__all__``, the commands registered on
+``cli.main`` and the names README's Python example reads. A reached def or
+class reaches every name its body (decorators included) reads, and so does
+each module's top-level code other than imports, which runs on import.
+Names resolve through the module's own defs and its relative imports
+(``from .x import y`` and ``from . import x`` with ``x.y``). A function or
+class that nothing reaches is a helper only tests call; it belongs beside
+the tests.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _reads(node) -> tuple[set[str], set[tuple[str, str]]]:
+    """Names a node reads, and the (name, attribute) pairs of ``name.attr``."""
+    names, attrs = set(), set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            attrs.add((sub.value.id, sub.attr))
+    return names, attrs
+
+
+def _readme_example(readme: Path) -> ast.Module:
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), flags=re.S)
+    return ast.parse("\n".join(blocks))
+
+
+def unreached(package: Path, readme: Path) -> list[str]:
+    """``module.name`` of every top-level def or class no root reaches."""
+    trees = {  # the package itself is module ""
+        "" if p.stem == "__init__" else p.stem: ast.parse(p.read_text())
+        for p in sorted(package.glob("*.py"))
+    }
+    defs, imports = {}, {}
+    for mod, tree in trees.items():
+        defs[mod] = {s.name: s for s in tree.body if isinstance(s, DEFS)}
+        imports[mod] = {}
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1:
+                for alias in stmt.names:
+                    local = alias.asname or alias.name
+                    if stmt.module is None:  # from . import x: a module
+                        imports[mod][local] = (alias.name, None)
+                    else:
+                        imports[mod][local] = (stmt.module, alias.name)
+
+    def resolve(mod: str, name: str):
+        """The (module, def) a name in mod stands for, or None."""
+        while name not in defs.get(mod, {}):
+            if name not in imports.get(mod, {}):
+                return None
+            mod, name = imports[mod][name]
+            if name is None:
+                return None
+        return mod, name
+
+    def targets(mod: str, node) -> set[tuple[str, str]]:
+        names, attrs = _reads(node)
+        found = {resolve(mod, name) for name in names}
+        for base, attr in attrs:
+            target = imports.get(mod, {}).get(base)
+            if target is not None and target[1] is None:
+                found.add(resolve(target[0], attr))
+        return found - {None}
+
+    init = trees[""]
+    exported = next(
+        ast.literal_eval(s.value)
+        for s in init.body
+        if isinstance(s, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in s.targets)
+    )
+    frontier = {resolve("", name) for name in exported}
+    frontier |= {
+        ("cli", name)
+        for name, node in defs["cli"].items()
+        for deco in getattr(node, "decorator_list", [])
+        if "main.command" in ast.unparse(deco)
+    }
+    example = _readme_example(readme)
+    defs["<readme>"], imports["<readme>"] = {}, {}
+    for stmt in ast.walk(example):
+        if isinstance(stmt, ast.ImportFrom) and stmt.module == "preopt":
+            for alias in stmt.names:
+                target = (alias.name, None) if alias.name in trees else ("", alias.name)
+                imports["<readme>"][alias.asname or alias.name] = target
+    frontier |= targets("<readme>", example)
+    for mod, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, DEFS + (ast.Import, ast.ImportFrom)):
+                frontier |= targets(mod, stmt)
+
+    reached = set()
+    frontier.discard(None)  # an exported name that is no def
+    while frontier:
+        key = frontier.pop()
+        reached.add(key)
+        mod, name = key
+        frontier |= targets(mod, defs[mod][name]) - reached
+    return sorted(
+        f"{mod or 'preopt'}.{name}"
+        for mod in trees
+        for name in defs[mod]
+        if (mod, name) not in reached
+    )
+
+
+def test_library_holds_only_reached_code():
+    assert unreached(ROOT / "src" / "preopt", ROOT / "README.md") == []
+
+
+def test_scan_finds_an_unreached_helper(tmp_path):
+    package = tmp_path / "preopt"
+    package.mkdir()
+    (package / "__init__.py").write_text(
+        "from .core import run\n__all__ = ['run']\n"
+    )
+    (package / "core.py").write_text(
+        "from . import extra\n"
+        "LIMIT = 3\n"
+        "def run():\n    return _step() + extra.used()\n"
+        "def _step():\n    return LIMIT\n"
+        "def only_tests():\n    return _step()\n"
+    )
+    (package / "extra.py").write_text(
+        "def used():\n    return 1\n"
+        "def shown():\n    return 2\n"
+        "class Orphan:\n    pass\n"
+    )
+    (package / "cli.py").write_text(
+        "import click\n"
+        "@click.group()\ndef main():\n    pass\n"
+        "@main.command()\ndef go():\n    pass\n"
+        "def _unused():\n    pass\n"
+    )
+    readme = tmp_path / "README.md"
+    readme.write_text("```python\nfrom preopt import extra\nextra.shown()\n```\n")
+    assert unreached(package, readme) == [
+        "cli._unused", "core.only_tests", "extra.Orphan",
+    ]

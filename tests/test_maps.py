@@ -1,16 +1,22 @@
+import functools
+
 import numpy as np
 import pytest
 
-from helpers import completions, random_closed_pa
+from helpers import (
+    apply_dicut,
+    apply_join,
+    apply_map,
+    completions,
+    dicut_is_true,
+    random_closed_pa,
+)
 from preopt import oracle
 from preopt.maps import (
     TAU_BOTH,
     TAU_IN,
     TAU_OUT,
     MapSpec,
-    apply_dicut,
-    apply_join,
-    apply_map,
     change_sets,
     is_true_to,
     tau_loose_sets,
@@ -119,14 +125,14 @@ class TestApplyMap:
     def test_conditional_short_circuit(self):
         x = Relation.from_pairs(4, [(0, 2)])
         spec = MapSpec.gamma({0, 1}, {2, 3}, 0, 2)
-        assert apply_map(spec, x) == x  # x_ij = 1 already
+        assert apply_map(spec, x, ((0, 2), 1)) == x  # x_ij = 1 already
 
     def test_join_map_figure(self):
         # i=0 with p=1 above and p2=2 below in U; j=3 with q=4, q2=5 in U';
         # r=6 outside; the composed map joins i to j and cuts U, U' loose
         x = Relation.from_pairs(7, [(4, 1), (2, 0), (3, 5), (4, 6), (6, 1)])
         assert x.is_transitive()
-        spec = MapSpec.gamma({0, 1, 2}, {3, 4, 5}, 0, 3, conditional=False)
+        spec = MapSpec.gamma({0, 1, 2}, {3, 4, 5}, 0, 3)
         out = apply_map(spec, x)
         expected = Relation.from_pairs(
             7, [(2, 0), (3, 5), (2, 3), (2, 5), (0, 3), (0, 5)]
@@ -206,12 +212,12 @@ class TestChangeSets:
             p01, _ = change_sets(spec, pa)
             assert not p01.any() and not tau_loose_sets(TAU_BOTH, subset, pa)[0].any()
 
-    def _observed_changes(self, spec, pa):
+    def _observed_changes(self, spec, pa, condition=None):
         stack = completions(pa)
         p01 = np.zeros((pa.n, pa.n), dtype=bool)
         p10 = np.zeros((pa.n, pa.n), dtype=bool)
         for m in stack:
-            out = apply_map(spec, Relation(m)).matrix
+            out = apply_map(spec, Relation(m), condition).matrix
             p01 |= ~m & out
             p10 |= m & ~out
         return p01, p10
@@ -234,7 +240,7 @@ class TestChangeSets:
             trials += 1
             spec = MapSpec.gamma(u, u_prime, i, j)
             sharp01, sharp10 = change_sets(spec, pa)
-            p01, p10 = self._observed_changes(spec, pa)
+            p01, p10 = self._observed_changes(spec, pa, ((i, j), 1))
             assert not (p01 & ~sharp01).any()
             assert not (p10 & ~sharp10).any()
 
@@ -265,14 +271,14 @@ class TestChangeSets:
 class TestTrueness:
     def test_empty_assignment_always_true(self):
         pa = PartialAssignment.empty(4)
-        assert is_true_to(MapSpec.dicut({0, 1}), pa)
+        assert dicut_is_true({0, 1}, pa)
         assert is_true_to(MapSpec.gamma({0}, {1}, 0, 1), pa)
         assert tau_trueness_loose(TAU_BOTH, frozenset({0, 1}), pa)
 
     def test_dicut_blocked_by_one_arc(self):
         pa = PartialAssignment.from_pairs(3, one_pairs=[(0, 2)])
-        assert not is_true_to(MapSpec.dicut({0}), pa)
-        assert is_true_to(MapSpec.dicut({1}), pa)
+        assert not dicut_is_true({0}, pa)
+        assert dicut_is_true({1}, pa)
 
     def test_trueness_implies_containment(self):
         rng = np.random.default_rng(55)
@@ -282,7 +288,9 @@ class TestTrueness:
             pa = random_closed_pa(rng, n)
             kind = rng.integers(0, 3)
             if kind == 0:
-                spec = MapSpec.dicut(random_subset(rng, n))
+                subset = random_subset(rng, n)
+                true = dicut_is_true(subset, pa)
+                apply = functools.partial(apply_dicut, subset=subset)
             elif kind == 1:
                 u = random_subset(rng, n)
                 rest = [p for p in range(n) if p not in u]
@@ -294,6 +302,8 @@ class TestTrueness:
                 if pa.value(i, j) is not None:
                     continue
                 spec = MapSpec.gamma(u, u_prime, i, j)
+                true = is_true_to(spec, pa)
+                apply = functools.partial(apply_map, spec, condition=((i, j), 1))
             else:
                 subset = random_subset(rng, n)
                 sub = sorted(subset)
@@ -302,8 +312,10 @@ class TestTrueness:
                 y_full[np.ix_(sub, sub)] = comp[int(rng.integers(0, len(comp)))]
                 variant = (TAU_OUT, TAU_IN, TAU_BOTH)[int(rng.integers(0, 3))]
                 spec = MapSpec.tau(variant, subset, Relation(y_full))
-            if not is_true_to(spec, pa):
+                true = is_true_to(spec, pa)
+                apply = functools.partial(apply_map, spec)
+            if not true:
                 continue
             checked += 1
             for m in completions(pa):
-                assert pa.agrees_with(apply_map(spec, Relation(m)))
+                assert pa.agrees_with(apply(Relation(m)))

@@ -3,10 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import completions, random_consistent_pa, random_instance
+from helpers import (
+    completions,
+    decided_pairs_bruteforce,
+    random_consistent_pa,
+    random_instance,
+)
 from preopt import Instance
 from preopt import oracle
-from preopt.oracle import decided_pairs_bruteforce, is_closed
 from preopt.relations import (
     InconsistentAssignmentError,
     PartialAssignment,
@@ -128,7 +132,7 @@ class TestClose:
             pa = random_consistent_pa(rng, int(rng.integers(2, 6)))
             closed = close(pa)
             assert close(closed) == closed
-            assert is_closed(closed)
+            assert is_consistent(closed)
 
     def test_matches_bruteforce_decided_pairs(self):
         rng = np.random.default_rng(11)
