@@ -29,8 +29,9 @@ from .relations import (
     PartialAssignment,
     Relation,
     close,
+    implied_zeros,
     insert_arc_closed,
-    reach_or_equal,
+    insert_zero_closed,
 )
 
 Pair = tuple[int, int]
@@ -238,23 +239,20 @@ def _greedy_insertion(instance: Instance, base: PartialAssignment) -> np.ndarray
 
     Repeatedly inserts the arc whose join (arc plus transitive consequences)
     gains the most value, while never touching an assigned-zero pair; stops
-    when no insertion gains more than the tolerance.
+    when no insertion gains more than the tolerance. The arcs whose join
+    would set a zero are those the zero rule excludes.
     """
     c = instance.values
     tol = instance.tolerance
     n = instance.n
     offdiag = ~np.eye(n, dtype=bool)
-    ones = base.ones.copy()
+    ones = base.ones
     zeros = base.zeros
-    zeros_f = zeros.astype(np.float64)
     while True:
-        aug = ones.copy()
-        np.fill_diagonal(aug, True)
-        aug_f = aug.astype(np.float64)
-        gain_new = c * (~ones & offdiag)
-        gains = aug_f.T @ gain_new @ aug_f.T
-        violations = (aug_f.T @ zeros_f @ aug_f.T) > 0.5
-        allowed = ~ones & ~zeros & offdiag & ~violations
+        reach = ones | ~offdiag
+        reach_f = reach.astype(np.float64)
+        gains = reach_f.T @ (c * (~ones & offdiag)) @ reach_f.T
+        allowed = ~ones & ~zeros & offdiag & ~implied_zeros(reach, zeros)
         gains = np.where(allowed, gains, -np.inf)
         best = int(np.argmax(gains))
         a, b = divmod(best, n)
@@ -265,34 +263,24 @@ def _greedy_insertion(instance: Instance, base: PartialAssignment) -> np.ndarray
 
 
 def _greedy_fixation(instance: Instance, base: PartialAssignment) -> np.ndarray:
-    """Greedy arc fixation: decide arcs in descending |c| toward their sign,
-    falling back to the opposite value when that would be inconsistent."""
+    """Greedy arc fixation: decide arcs in descending |c|, ties in row-major
+    order, toward their sign, falling back to zero when a one would join an
+    assigned zero. Setting pq to zero is always consistent here: a p->q path
+    would have decided the pair already, as the ones stay closed."""
     c = instance.values
     n = instance.n
-    offdiag = ~np.eye(n, dtype=bool)
-    ones = base.ones.copy()
-    zeros = base.zeros.copy()
-    reach = reach_or_equal(ones)
-    decided = ones | zeros
-    order = sorted(
-        ((p, q) for p in range(n) for q in range(n) if p != q),
-        key=lambda e: (-abs(c[e]), e),
-    )
-    for p, q in order:
-        if decided[p, q]:
+    ones = base.ones
+    zeros = base.zeros
+    order = np.argsort(-np.abs(c), axis=None, kind="stable")
+    for p, q in zip(*(a.tolist() for a in np.unravel_index(order, (n, n)))):
+        if p == q or ones[p, q] or zeros[p, q]:
             continue
-        prefer_one = c[p, q] >= 0
-        gained_ones = np.outer(reach[:, p], reach[q]) & offdiag
-        if prefer_one and not (gained_ones & zeros).any():
-            ones |= gained_ones
-            reach |= np.outer(reach[:, p], reach[q])
-            decided |= gained_ones
-        else:
-            # setting pq to zero is always consistent here: a p->q path would
-            # have decided the pair already (the base ones-set is closed)
-            gained_zeros = np.outer(reach[p], reach[:, q]) & offdiag
-            zeros |= gained_zeros
-            decided |= gained_zeros
+        if c[p, q] >= 0:
+            joined = insert_arc_closed(ones, p, q)
+            if not (joined & zeros).any():
+                ones = joined
+                continue
+        zeros = insert_zero_closed(ones, zeros, p, q)
     return ones
 
 

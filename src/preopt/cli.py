@@ -179,7 +179,10 @@ def generate(out_dir, n, alpha, p_edges, truths, count, seed):
     except ValueError as exc:
         _usage_error(exc)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        _usage_error(f"cannot create --out directory {out_dir!r}: {exc}")
     manifest_path = out / "manifest.csv"
     rows = []
     for t in range(truths):
@@ -319,6 +322,9 @@ def oracle_check(instance_path, conditions_text, partial_path):
         if not any(int(m[p, q]) == v for m in optima.matrices):
             click.echo(f"unsound fixation: pair ({p}, {q}) = {v}", err=True)
             break
+    else:
+        click.echo("unsound fixations: no optimum agrees with the decided pairs taken together",
+                   err=True)
     sys.exit(EXIT_INCONSISTENT)
 
 

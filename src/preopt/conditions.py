@@ -171,19 +171,17 @@ def _undecided_pairs(pa: PartialAssignment) -> list[Pair]:
 def directed_cut_condition(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
     """Fix to zero every arc leaving a reachable set of the auxiliary digraph.
 
-    The digraph keeps positive arcs and assigned-one arcs (minus assigned
-    zeros); arcs leaving any node's reachable set are nonpositive and free of
-    assigned ones, so cutting all of them is improving. Reachability is
-    reflexive and transitive, so pq leaves some reachable set exactly when q
-    is not reachable from p. Like all cut conditions, only pairs below minus
-    the tolerance are fixed (ties at zero are sound but useless and
-    float-fragile).
+    The digraph is the dicut network's positive arcs: positive and
+    assigned-one arcs, minus assigned zeros. Arcs leaving any node's
+    reachable set are nonpositive and free of assigned ones, so cutting all
+    of them is improving. Reachability is reflexive and transitive, so pq
+    leaves some reachable set exactly when q is not reachable from p. Like
+    all cut conditions, only pairs below minus the tolerance are fixed (ties
+    at zero are sound but useless and float-fragile).
     """
     c = instance.values
-    adjacency = ((c > 0.0) | pa.ones) & ~pa.zeros
-    np.fill_diagonal(adjacency, False)
-    candidate = ~reachability_sets(adjacency) & ~pa.zeros & (c < -instance.tolerance)
-    np.fill_diagonal(candidate, False)
+    reach = reachability_sets(cut_capacities(instance, pa) > 0.0)
+    candidate = ~reach & ~pa.zeros & (c < -instance.tolerance)
     if (candidate & pa.ones).any():
         raise SoundnessError("directed cut crossed an assigned-one arc")
     return [
@@ -455,8 +453,8 @@ def _neighbor_subset(instance: Instance, i: int, j: int, k: int) -> list[int]:
     c = np.abs(instance.values)
     mass = c[i] + c[:, i] + c[j] + c[:, j]
     mass[i] = mass[j] = -1.0
-    order = sorted(range(instance.n), key=lambda p: (-mass[p], p))
-    return sorted([i, j] + order[:k])
+    order = np.argsort(-mass, kind="stable")  # ties in element order
+    return sorted([i, j] + order[:k].tolist())
 
 
 def _subset_gain_cap(cap: np.ndarray, i: int, j: int, subset: list[int]) -> float:
@@ -561,7 +559,7 @@ def run_joint(
         cfg = PipelineConfig()
     start = time.perf_counter_ns()
     orig_n = instance.n
-    pair_count = orig_n * (orig_n - 1)
+    pair_count = instance.pair_count()
     stats = RunStats(n=orig_n, pair_count=pair_count)
     stats.per_condition = {cond: ConditionStats() for cond in cfg.conditions}
 

@@ -41,7 +41,6 @@ def _extend_masks(masks: list[int], m: int) -> list[int]:
                 cols[low.bit_length() - 1] |= 1 << p
                 r ^= low
         cols_aug = [cols[q] | (1 << q) for q in range(m)]
-        rows_aug = [rows[p] | (1 << p) for p in range(m)]
         downs = [S for S in subsets if all(cols[q] & ~S == 0 for q in range(m) if S >> q & 1)]
         ups = [S for S in subsets if all(rows[p] & ~S == 0 for p in range(m) if S >> p & 1)]
         base = 0

@@ -6,6 +6,10 @@ transitive. A partial assignment maps each pair to one of zero, one or
 undecided; consistency and the maximal-specificity closure are decided from
 the transitive closure of its one-arcs.
 
+The join rule (``insert_arc_closed``) and the zero rule (``implied_zeros``,
+and ``insert_zero_closed`` for one new zero) read reachability straight off
+a closed ones-set; closure, local search and contraction all use them.
+
 Matrices are dense boolean numpy arrays with an all-False diagonal. The
 implicit convention x_pp = 1 is applied inside the algorithms that need it
 and never stored.
@@ -28,8 +32,8 @@ class InconsistentAssignmentError(ValueError):
 
 
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # int32 accumulators: row sums stay exact for any practical n
-    return (a.astype(np.int32) @ b.astype(np.int32)) > 0
+    # float64 sums are exact: each counts at most n < 2**53 products
+    return (a.astype(np.float64) @ b.astype(np.float64)) > 0
 
 
 def transitive_closure_matrix(m: np.ndarray) -> np.ndarray:
@@ -81,11 +85,6 @@ class Relation:
         return cls(np.zeros((n, n), dtype=bool), copy=False)
 
     @classmethod
-    def complete(cls, n: int) -> "Relation":
-        m = np.ones((n, n), dtype=bool)
-        return cls(m, copy=False)
-
-    @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "Relation":
         m = np.zeros((n, n), dtype=bool)
         for p, q in pairs:
@@ -127,16 +126,32 @@ class Relation:
 
 
 def insert_arc_closed(m: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Apply the elementary join for arc pq to a transitive matrix.
+    """Apply the join rule for arc pq to a transitive matrix.
 
     Returns a new matrix with every pair (a, b) set where a reaches p
     (or a == p) and q reaches b (or b == q); the result is transitive again.
     """
-    src = m[:, p].copy()
-    src[p] = True
-    dst = m[q].copy()
-    dst[q] = True
-    out = m | np.outer(src, dst)
+    own = np.arange(len(m))
+    out = m | np.outer(m[:, p] | (own == p), m[q] | (own == q))
+    np.fill_diagonal(out, False)
+    return out
+
+
+def insert_zero_closed(ones: np.ndarray, zeros: np.ndarray, p: int, q: int) -> np.ndarray:
+    """Apply the zero rule for a new zero pq to closed ones and zeros, in
+    O(n^2): every ab with p reaching a (or a == p) and b reaching q (or
+    b == q) becomes zero, as a one ab would give p a path to q."""
+    own = np.arange(len(ones))
+    out = zeros | np.outer(ones[p] | (own == p), ones[:, q] | (own == q))
+    np.fill_diagonal(out, False)
+    return out
+
+
+def implied_zeros(reach: np.ndarray, zeros: np.ndarray) -> np.ndarray:
+    """The zero rule in bulk: every ab with reach[p', a] and reach[b, q']
+    for some zero p'q', where ``reach`` is the reflexive-transitive closed
+    ones-set. The diagonal is False."""
+    out = _bool_matmul(reach.T, _bool_matmul(zeros, reach.T))
     np.fill_diagonal(out, False)
     return out
 
@@ -222,10 +237,6 @@ class PartialAssignment:
                 raise ValueError(f"assignment value must be 0 or 1, got {v}")
         return PartialAssignment(o, z, copy=False)
 
-    def agrees_with(self, x: Relation) -> bool:
-        """True iff x is a completion candidate: x matches every decided pair."""
-        return bool((x.matrix | ~self.ones).all() and not (x.matrix & self.zeros).any())
-
     def restrict(self, elements: Sequence[int]) -> "PartialAssignment":
         idx = np.ix_(elements, elements)
         return PartialAssignment(self.ones[idx], self.zeros[idx])
@@ -269,8 +280,7 @@ def close(pa: PartialAssignment) -> PartialAssignment:
         raise InconsistentAssignmentError("assignment has no transitive completion")
     reach = ones_c.copy()
     np.fill_diagonal(reach, True)
-    zeros_c = _bool_matmul(reach.T, _bool_matmul(pa.zeros, reach.T))
-    np.fill_diagonal(zeros_c, False)
+    zeros_c = implied_zeros(reach, pa.zeros)
     if (ones_c & zeros_c).any():  # implied by the consistency check above
         raise InconsistentAssignmentError("assignment has no transitive completion")
     return PartialAssignment(ones_c, zeros_c, copy=False)
@@ -279,30 +289,16 @@ def close(pa: PartialAssignment) -> PartialAssignment:
 def mutual_one_classes(pa: PartialAssignment) -> list[list[int]]:
     """Element classes of size >= 2 whose internal pairs are all assigned one.
 
-    For a closed assignment these are the strongly connected components of
-    the one-arc graph, i.e. the groups that can be contracted.
+    ``pa`` must be closed: its ones are then transitive, so the elements
+    mutually joined to p, plus p, are p's strongly connected component of
+    the one-arc graph, i.e. a group that can be contracted. Each class is
+    sorted and listed once, at its smallest member, in ascending order.
+    ``merge_classes`` still checks the class it is given.
     """
     mutual = pa.ones & pa.ones.T
-    n = pa.n
-    seen = np.zeros(n, dtype=bool)
-    classes = []
-    for p in range(n):
-        if seen[p]:
-            continue
-        members = np.flatnonzero(mutual[p])
-        if members.size == 0:
-            continue
-        cls = sorted({p, *(int(q) for q in members)})
-        sub = np.ix_(cls, cls)
-        block = pa.ones[sub]
-        np.fill_diagonal(block, True)
-        if not block.all():
-            # not a full mutual class; can happen only on unclosed input
-            continue
-        for q in cls:
-            seen[q] = True
-        classes.append(cls)
-    return classes
+    # p leads its class when its first mutual partner comes after it
+    lead = np.flatnonzero(mutual.argmax(axis=1) > np.arange(pa.n))
+    return [[p, *np.flatnonzero(mutual[p]).tolist()] for p in lead.tolist()]
 
 
 def merge_classes(

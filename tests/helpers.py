@@ -1,7 +1,8 @@
 """Shared test utilities: seeded random instances and partial assignments,
 plus the reference definitions the library's closed forms are checked
-against (the self-maps applied to whole relations, and brute-force
-enumeration)."""
+against (the self-maps applied to whole relations, brute-force
+enumeration, and local search and contraction classes with the join and
+zero rules written out by hand)."""
 
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ from preopt.relations import (
     _bool_matmul,
     close,
     insert_arc_closed,
+    reach_or_equal,
     transitive_closure_matrix,
 )
 
@@ -86,6 +88,11 @@ def random_closed_pa_any(
     reveal = rng.random((n, n)) < density
     np.fill_diagonal(reveal, False)
     return close(PartialAssignment(x & reveal, ~x & reveal))
+
+
+def agrees_with(pa: PartialAssignment, x: Relation) -> bool:
+    """Whether x matches every decided pair of pa."""
+    return bool(oracle.completion_mask(x.matrix[None], pa)[0])
 
 
 def arc_matrix(n: int, arcs) -> np.ndarray:
@@ -394,3 +401,85 @@ def reference_subset_fixation(
     if true and margin >= instance.tolerance:
         return Fixation(pair, 1, SUBSET_FIX, margin), report
     return None, report
+
+
+def reference_greedy_insertion(instance: Instance, base: PartialAssignment) -> np.ndarray:
+    """Reference for ``bounds._greedy_insertion``: the zero rule as a float
+    triple product over its own copy of the zeros."""
+    c = instance.values
+    tol = instance.tolerance
+    n = instance.n
+    offdiag = ~np.eye(n, dtype=bool)
+    ones = base.ones.copy()
+    zeros = base.zeros
+    zeros_f = zeros.astype(np.float64)
+    while True:
+        aug = ones.copy()
+        np.fill_diagonal(aug, True)
+        aug_f = aug.astype(np.float64)
+        gain_new = c * (~ones & offdiag)
+        gains = aug_f.T @ gain_new @ aug_f.T
+        violations = (aug_f.T @ zeros_f @ aug_f.T) > 0.5
+        allowed = ~ones & ~zeros & offdiag & ~violations
+        gains = np.where(allowed, gains, -np.inf)
+        best = int(np.argmax(gains))
+        a, b = divmod(best, n)
+        if gains[a, b] <= tol:
+            break
+        ones = insert_arc_closed(ones, a, b)
+    return ones
+
+
+def reference_greedy_fixation(instance: Instance, base: PartialAssignment) -> np.ndarray:
+    """Reference for ``bounds._greedy_fixation``: a second reach matrix kept
+    beside the ones, both rules as outer products, arcs in Python's sort."""
+    c = instance.values
+    n = instance.n
+    offdiag = ~np.eye(n, dtype=bool)
+    ones = base.ones.copy()
+    zeros = base.zeros.copy()
+    reach = reach_or_equal(ones)
+    decided = ones | zeros
+    order = sorted(
+        ((p, q) for p in range(n) for q in range(n) if p != q),
+        key=lambda e: (-abs(c[e]), e),
+    )
+    for p, q in order:
+        if decided[p, q]:
+            continue
+        prefer_one = c[p, q] >= 0
+        gained_ones = np.outer(reach[:, p], reach[q]) & offdiag
+        if prefer_one and not (gained_ones & zeros).any():
+            ones |= gained_ones
+            reach |= np.outer(reach[:, p], reach[q])
+            decided |= gained_ones
+        else:
+            gained_zeros = np.outer(reach[p], reach[:, q]) & offdiag
+            zeros |= gained_zeros
+            decided |= gained_zeros
+    return ones
+
+
+def reference_mutual_one_classes(pa: PartialAssignment) -> list[list[int]]:
+    """Reference for ``relations.mutual_one_classes``: each candidate class
+    checked for a full block of ones, which also handles unclosed input."""
+    mutual = pa.ones & pa.ones.T
+    n = pa.n
+    seen = np.zeros(n, dtype=bool)
+    classes = []
+    for p in range(n):
+        if seen[p]:
+            continue
+        members = np.flatnonzero(mutual[p])
+        if members.size == 0:
+            continue
+        cls = sorted({p, *(int(q) for q in members)})
+        sub = np.ix_(cls, cls)
+        block = pa.ones[sub]
+        np.fill_diagonal(block, True)
+        if not block.all():
+            continue
+        for q in cls:
+            seen[q] = True
+        classes.append(cls)
+    return classes

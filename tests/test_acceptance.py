@@ -14,6 +14,7 @@ import numpy as np
 from click.testing import CliRunner
 
 from helpers import (
+    agrees_with,
     apply_dicut,
     apply_join,
     apply_map,
@@ -203,7 +204,7 @@ def test_criterion_03_map_lemmas():
             assert not (observed10 & delta & ~p10).any()
         if is_true_to(spec, pa):
             for m in comp:
-                assert pa.agrees_with(apply(Relation(m)))
+                assert agrees_with(pa, apply(Relation(m)))
     report(3, "100 random map specs: well-defined, change sets contained, trueness sound")
 
 
@@ -229,7 +230,7 @@ def test_criterion_05_figure_one_regression():
     depicted = Relation.from_pairs(5, [(0, 1), (1, 0), (0, 3), (1, 3), (2, 3), (2, 4)])
     assert (opt.matrices == depicted.matrix).all(axis=(1, 2)).any()
     pa, _, _ = run_joint(FIG1)
-    assert pa.agrees_with(depicted)
+    assert agrees_with(pa, depicted)
     report(5, "optimum is 10, depicted relation optimal and admitted by the pipeline")
 
 
@@ -309,7 +310,7 @@ def test_criterion_08_bound_dominance():
             scores = stack.reshape(stack.shape[0], -1).astype(float) @ inst.values.ravel()
             truth = scores.max()
             lb, witness = local_search_lower_bound(inst, pa, ((i, j), b))
-            assert witness.is_transitive() and pa.agrees_with(witness)
+            assert witness.is_transitive() and agrees_with(pa, witness)
             assert evaluate(inst, witness) == lb
             assert lb <= truth + 1e-12
             ub = induced_value(inst, pa, b)[i, j] + packing.excluding[i, j]

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import (
+    agrees_with,
     apply_map,
     completions,
     dense_triple_table,
     random_closed_pa,
     random_closed_pa_any,
     random_instance,
+    reference_greedy_fixation,
+    reference_greedy_insertion,
     scalar_exclusion_bound,
     scalar_induced_value,
 )
@@ -53,7 +56,7 @@ class TestLocalSearch:
             pa = random_closed_pa(rng, n)
             value, witness = local_search_lower_bound(inst, pa)
             assert witness.is_transitive()
-            assert pa.agrees_with(witness)
+            assert agrees_with(pa, witness)
             assert evaluate(inst, witness) == pytest.approx(value)
             assert value <= oracle.solve_exact(inst, pa).value + 1e-12
 
@@ -91,6 +94,27 @@ class TestLocalSearch:
         inst = Instance(np.zeros((3, 3)))
         with pytest.raises(InconsistentAssignmentError):
             local_search_lower_bound(inst, pa, ((0, 1), 1))
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_greedy_matches_reference(self, kind):
+        rng = np.random.default_rng(26)
+        for n in range(2, 13):
+            for density in (0.0, 0.2, 0.5):
+                inst = random_instance(rng, n, kind)
+                base = random_closed_pa_any(rng, n, density)
+                inserted = bounds._greedy_insertion(inst, base)
+                fixed = bounds._greedy_fixation(inst, base)
+                ref_inserted = reference_greedy_insertion(inst, base)
+                ref_fixed = reference_greedy_fixation(inst, base)
+                assert inserted.dtype == fixed.dtype == np.bool_
+                assert inserted.tobytes() == ref_inserted.tobytes()
+                assert fixed.tobytes() == ref_fixed.tobytes()
+                # the witness and bound local search picks from them
+                candidates = [Relation(m) for m in (base.ones, ref_inserted, ref_fixed)]
+                values = [evaluate(inst, x) for x in candidates]
+                best = int(np.argmax(values))
+                value, witness = local_search_lower_bound(inst, base)
+                assert value == values[best] and witness == candidates[best]
 
     def test_non_greedy_returns_minimal_witness(self):
         c = np.zeros((3, 3))
@@ -449,4 +473,4 @@ class TestSignGreedy:
         inst = random_instance(rng, 5)
         pa = random_closed_pa(rng, 5)
         x = sign_greedy_relation(inst, pa)
-        assert pa.agrees_with(x)
+        assert agrees_with(pa, x)

@@ -92,6 +92,16 @@ class TestGenerate:
         assert result.output.count("\n") == 1
         assert not out.exists()
 
+    def test_uncreatable_out_is_usage_error(self, runner, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("")
+        result = runner.invoke(main, ["generate", "--out", str(blocker / "sub"), "--n", "3"])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: cannot create --out directory")
+        assert result.output.count("\n") == 1
+        assert "Traceback" not in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+
     def test_reproducible_bytes(self, runner, tmp_path):
         args = ["--n", "5", "--truths", "1", "--count", "2", "--seed", "11"]
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -362,6 +372,21 @@ class TestOracleCheck:
         result = runner.invoke(main, ["oracle-check", str(path), "--partial", str(bad)])
         assert result.exit_code == 3
         assert "(0, 1)" in result.output
+
+    def test_jointly_unsound_partial_is_reported(self, runner, tmp_path):
+        # optima {01}, {12} and {01, 02, 12}: each fixed zero agrees with one
+        # of them, but none has both 01 and 12 zero
+        c = -np.ones((3, 3))
+        np.fill_diagonal(c, 0.0)
+        c[0, 1] = c[1, 2] = 1.0
+        path = tmp_path / "three.csv"
+        save_instance(Instance(c), path)
+        partial = tmp_path / "partial.csv"
+        partial.write_text("0,1,0\n1,2,0\n")
+        result = runner.invoke(main, ["oracle-check", str(path), "--partial", str(partial)])
+        assert (result.exit_code, result.output) == (
+            3, "unsound fixations: no optimum agrees with the decided pairs taken together\n"
+        )
 
     def test_partial_without_transitive_completion_is_data_error(self, runner, tmp_path):
         path = tmp_path / "three.csv"

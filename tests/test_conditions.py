@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    agrees_with,
     per_pair_edge_cut,
     random_closed_pa_any,
     random_instance,
@@ -305,6 +306,22 @@ class TestSubsetFixation:
         with pytest.raises(ValueError):
             subset_fixation_condition(FIG3, PartialAssignment.empty(4), (0, 3), [0, 1])
 
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_neighbor_subset_order(self, kind):
+        # the k heaviest other elements, ties in element order
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            inst = random_instance(rng, n, kind)
+            i, j = (int(e) for e in rng.choice(n, size=2, replace=False))
+            a = np.abs(inst.values)
+            mass = a[i] + a[:, i] + a[j] + a[:, j]
+            mass[i] = mass[j] = -1.0
+            order = sorted(range(n), key=lambda p: (-mass[p], p))
+            expected = sorted([i, j] + order[:4])
+            subset = conditions._neighbor_subset(inst, i, j, 4)
+            assert subset == expected and all(type(p) is int for p in subset)
+
 
 class TestSubsetMapSideFirst:
     """subset_fixation_condition decides the map side before it bounds the
@@ -406,7 +423,7 @@ class TestRunJoint:
     def test_fig1_final_assignment_admits_optimum(self):
         pa, _, stats = run_joint(FIG1)
         depicted = Relation.from_pairs(5, [(0, 1), (1, 0), (0, 3), (1, 3), (2, 3), (2, 4)])
-        assert pa.agrees_with(depicted)
+        assert agrees_with(pa, depicted)
         assert oracle.certify(FIG1, pa)
         assert 0.0 <= stats.percent_fixed <= 100.0
 

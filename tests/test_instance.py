@@ -85,7 +85,7 @@ class TestEvaluate:
 
     def test_complete_relation(self):
         inst = Instance(FIG1)
-        assert evaluate(inst, Relation.complete(5)) == pytest.approx(FIG1.sum())
+        assert evaluate(inst, Relation(np.ones((5, 5), dtype=bool))) == pytest.approx(FIG1.sum())
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -122,7 +122,7 @@ class TestGenerator:
 
     def test_full_density_complete_truth(self):
         _, truth = generate_synthetic(GeneratorConfig(n=3, p_edges=1.0, alpha=0.3, seed=1))
-        assert truth == Relation.complete(3)
+        assert truth == Relation(np.ones((3, 3), dtype=bool))
 
     def test_deterministic(self):
         cfg = GeneratorConfig(n=12, p_edges=0.4, alpha=0.6, seed=77)

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from helpers import (
     completions,
     decided_pairs_bruteforce,
+    random_closed_pa_any,
     random_consistent_pa,
     random_instance,
+    reference_mutual_one_classes,
 )
 from preopt import Instance
 from preopt import oracle
@@ -15,8 +17,11 @@ from preopt.relations import (
     InconsistentAssignmentError,
     PartialAssignment,
     Relation,
+    _bool_matmul,
     close,
+    implied_zeros,
     insert_arc_closed,
+    insert_zero_closed,
     is_consistent,
     merge_classes,
     mutual_one_classes,
@@ -77,6 +82,34 @@ class TestRelation:
             out = insert_arc_closed(m, int(p), int(q))
             expected = transitive_closure({(int(a), int(b)) for a, b in np.argwhere(m)} | {(int(p), int(q))}, n)
             assert {(int(a), int(b)) for a, b in np.argwhere(out)} == expected
+
+    def test_bool_matmul_matches_int32_product(self):
+        rng = np.random.default_rng(23)
+        for n, k, m in [(1, 1, 1), (3, 5, 2), (12, 12, 12), (30, 30, 30), (151, 151, 151)]:
+            for density in (0.02, 0.3, 0.9, 1.0):
+                a = rng.random((n, k)) < density
+                b = rng.random((k, m)) < density
+                expected = (a.astype(np.int32) @ b.astype(np.int32)) > 0
+                out = _bool_matmul(a, b)
+                assert out.dtype == np.bool_ and np.array_equal(out, expected)
+
+    def test_insert_zero_closed_matches_zero_rule(self):
+        rng = np.random.default_rng(24)
+        for _ in range(200):
+            n = int(rng.integers(2, 13))
+            pa = random_closed_pa_any(rng, n, float(rng.choice([0.1, 0.3, 0.6])))
+            free = np.argwhere(~pa.decided & ~np.eye(n, dtype=bool))
+            if len(free) == 0:
+                continue
+            p, q = (int(e) for e in free[int(rng.integers(0, len(free)))])
+            one_zero = np.zeros((n, n), dtype=bool)
+            one_zero[p, q] = True
+            reach = pa.ones | np.eye(n, dtype=bool)
+            expected = pa.zeros | implied_zeros(reach, one_zero)
+            assert np.array_equal(insert_zero_closed(pa.ones, pa.zeros, p, q), expected)
+            assert np.array_equal(
+                expected, close(pa.with_assignments([(p, q, 0)])).zeros
+            )
 
 
 class TestConsistency:
@@ -249,3 +282,15 @@ class TestMutualClasses:
 
     def test_no_classes_in_empty(self):
         assert mutual_one_classes(PartialAssignment.empty(4)) == []
+
+    def test_matches_reference(self):
+        rng = np.random.default_rng(25)
+        found = 0
+        for _ in range(600):
+            n = int(rng.integers(2, 13))
+            pa = random_closed_pa_any(rng, n, float(rng.choice([0.3, 0.7, 1.0])))
+            classes = mutual_one_classes(pa)
+            assert repr(classes) == repr(reference_mutual_one_classes(pa))
+            assert all(type(p) is int for cls in classes for p in cls)
+            found += len(classes)
+        assert found >= 100
