@@ -122,7 +122,7 @@ def _greedy_select(triples: np.ndarray, improvement: np.ndarray) -> np.ndarray:
 
 
 class TriplePackingBound:
-    """Reusable triple-packing upper bound with every pair's exclusion bound.
+    """Triple packing over all elements with every pair's exclusion bound.
 
     Builds one packing over all elements from the improving triples (the
     triple table, built in p-slabs from the shared pinned arc values, in
@@ -151,7 +151,6 @@ class TriplePackingBound:
         np.fill_diagonal(uncovered, False)
         uncovered_total = float(m_vals[uncovered].sum())
         tri_max_total = float(sum(self.tri_max))
-        self._total = uncovered_total + tri_max_total
 
         # uncovered arcs: drop those incident to i or j; the arcs between i
         # and j are dropped twice, so they come back once
@@ -180,10 +179,6 @@ class TriplePackingBound:
 
         self.excluding = part + tri_part
         np.fill_diagonal(self.excluding, np.nan)
-
-    def bound(self) -> float:
-        """Upper bound on the optimum over all elements."""
-        return self._total
 
 
 def induced_value(instance: Instance, pa: PartialAssignment, b: int) -> np.ndarray:

@@ -10,7 +10,7 @@ import csv
 import statistics
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import NoReturn
 
@@ -250,16 +250,11 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
             _usage_error(f"cannot create --emit-partial directory {emit_dir!r}: {exc}")
     _check_out_parent(out_csv)
     jobs = [(path, cfg, emit_dir) for path in instances]
+    workers = min(threads, len(jobs))  # at most one worker per instance
     rows = []
     try:
-        if threads > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for name, row in pool.map(_run_one, jobs):
-                    rows.append(row)
-                    click.echo(f"{name}: {row['percent_fixed']}% fixed")
-        else:
-            for job in jobs:
-                name, row = _run_one(job)
+        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+            for name, row in (pool.map if workers > 1 else map)(_run_one, jobs):
                 rows.append(row)
                 click.echo(f"{name}: {row['percent_fixed']}% fixed")
     except SoundnessError as exc:

@@ -452,8 +452,8 @@ def _neighbor_subset(instance: Instance, i: int, j: int, k: int) -> list[int]:
     """The pair plus the k elements with the largest value mass to or from it."""
     c = np.abs(instance.values)
     mass = c[i] + c[:, i] + c[j] + c[:, j]
-    mass[i] = mass[j] = -1.0
     order = np.argsort(-mass, kind="stable")  # ties in element order
+    order = order[(order != i) & (order != j)]
     return sorted([i, j] + order[:k].tolist())
 
 

@@ -99,9 +99,6 @@ class OptimumSet:
     value: float
     matrices: np.ndarray  # (count, n, n) boolean stack of all optima
 
-    def count(self) -> int:
-        return self.matrices.shape[0]
-
 
 def solve_exact(instance: Instance, pa: PartialAssignment | None = None) -> OptimumSet:
     """Exact optimum set over all completions of pa (all preorders if None)."""

@@ -97,9 +97,6 @@ class Relation:
     def n(self) -> int:
         return self.matrix.shape[0]
 
-    def pairs(self) -> list[Pair]:
-        return [(int(p), int(q)) for p, q in np.argwhere(self.matrix)]
-
     def count(self) -> int:
         return int(self.matrix.sum())
 
@@ -306,8 +303,12 @@ def merge_classes(
 ) -> tuple["Instance", PartialAssignment, float, np.ndarray]:
     """Contract a class of mutually joined elements into a single element.
 
-    Requires every internal ordered pair of ``elements`` to be assigned one.
-    Returns the contracted instance, the contracted (re-closed) assignment,
+    Requires every internal ordered pair of ``elements`` to be assigned one
+    in the closure of ``pa``; raises ``InconsistentAssignmentError`` when
+    ``pa`` has no transitive completion. In the closure every member of a
+    class has the same row and column, so the contracted assignment is the
+    closure restricted to the other elements and one representative.
+    Returns the contracted instance, the contracted (closed) assignment,
     the value offset collected from internal pairs, and the old-to-new
     element index map. The contracted element sits at the last new index.
     The optimum of the original constrained problem equals the offset plus
@@ -321,8 +322,9 @@ def merge_classes(
         raise ValueError("merge requires at least two elements")
     if any(e < 0 or e >= n for e in cls):
         raise IndexError("class element out of range")
+    closed = close(pa)
     sub = np.ix_(cls, cls)
-    block = pa.ones[sub]
+    block = closed.ones[sub]
     np.fill_diagonal(block, True)
     if not block.all():
         raise ValueError("all internal pairs of the class must be assigned one")
@@ -338,29 +340,7 @@ def merge_classes(
     new_c[:m, m] = c[np.ix_(keep, cls)].sum(axis=1)
     new_c[m, :m] = c[np.ix_(cls, keep)].sum(axis=0)
 
-    def contract_side(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        kept = mat[np.ix_(keep, keep)]
-        to_class = mat[np.ix_(keep, cls)]
-        from_class = mat[np.ix_(cls, keep)]
-        return kept, to_class, from_class
-
-    ones_k, ones_to, ones_from = contract_side(pa.ones)
-    zeros_k, zeros_to, zeros_from = contract_side(pa.zeros)
-    new_ones = np.zeros((new_n, new_n), dtype=bool)
-    new_zeros = np.zeros((new_n, new_n), dtype=bool)
-    new_ones[:m, :m] = ones_k
-    new_zeros[:m, :m] = zeros_k
-    # a contracted pair is decided only when all constituents agree
-    new_ones[:m, m] = ones_to.all(axis=1)
-    new_zeros[:m, m] = zeros_to.all(axis=1)
-    new_ones[m, :m] = ones_from.all(axis=0)
-    new_zeros[m, :m] = zeros_from.all(axis=0)
-
     old_to_new = np.empty(n, dtype=np.int64)
-    for new_idx, p in enumerate(keep):
-        old_to_new[p] = new_idx
-    for p in cls:
-        old_to_new[p] = m
-
-    contracted = close(PartialAssignment(new_ones, new_zeros, copy=False))
-    return Instance(new_c, copy=False), contracted, offset, old_to_new
+    old_to_new[keep] = np.arange(m)
+    old_to_new[cls] = m
+    return Instance(new_c, copy=False), closed.restrict(keep + [cls[0]]), offset, old_to_new

@@ -1,8 +1,8 @@
 """Shared test utilities: seeded random instances and partial assignments,
 plus the reference definitions the library's closed forms are checked
 against (the self-maps applied to whole relations, brute-force
-enumeration, and local search and contraction classes with the join and
-zero rules written out by hand)."""
+enumeration, local search and contraction classes with the join and zero
+rules written out by hand, and contraction pair by pair)."""
 
 from __future__ import annotations
 
@@ -323,6 +323,15 @@ def dense_triple_table(
     return triples, tri_sum, tri_max
 
 
+def packing_total(instance: Instance, pa: PartialAssignment, packing: TriplePackingBound) -> float:
+    """The packing's upper bound on the optimum over all elements: each
+    packed triple's true maximum plus the pinned arc maximum of every arc
+    no triple covers."""
+    uncovered = ~packing.covered
+    np.fill_diagonal(uncovered, False)
+    return float(arc_max_values(instance, pa)[uncovered].sum()) + float(sum(packing.tri_max))
+
+
 def scalar_exclusion_bound(
     instance: Instance, pa: PartialAssignment, packing: TriplePackingBound, i: int, j: int
 ) -> float:
@@ -483,3 +492,60 @@ def reference_mutual_one_classes(pa: PartialAssignment) -> list[list[int]]:
             seen[q] = True
         classes.append(cls)
     return classes
+
+
+def reference_merge_classes(
+    instance: Instance, pa: PartialAssignment, elements
+) -> tuple[Instance, PartialAssignment, float, np.ndarray]:
+    """Reference for ``relations.merge_classes`` on closed input: each
+    contracted pair decided only when all its constituents agree, then the
+    result closed again. On unclosed input this drops pins."""
+    cls = sorted(set(int(e) for e in elements))
+    n = pa.n
+    if len(cls) < 2:
+        raise ValueError("merge requires at least two elements")
+    if any(e < 0 or e >= n for e in cls):
+        raise IndexError("class element out of range")
+    sub = np.ix_(cls, cls)
+    block = pa.ones[sub]
+    np.fill_diagonal(block, True)
+    if not block.all():
+        raise ValueError("all internal pairs of the class must be assigned one")
+
+    keep = [p for p in range(n) if p not in set(cls)]
+    m = len(keep)
+    new_n = m + 1
+    c = instance.values
+    offset = float(c[sub].sum())
+
+    new_c = np.zeros((new_n, new_n), dtype=np.float64)
+    new_c[:m, :m] = c[np.ix_(keep, keep)]
+    new_c[:m, m] = c[np.ix_(keep, cls)].sum(axis=1)
+    new_c[m, :m] = c[np.ix_(cls, keep)].sum(axis=0)
+
+    def contract_side(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        kept = mat[np.ix_(keep, keep)]
+        to_class = mat[np.ix_(keep, cls)]
+        from_class = mat[np.ix_(cls, keep)]
+        return kept, to_class, from_class
+
+    ones_k, ones_to, ones_from = contract_side(pa.ones)
+    zeros_k, zeros_to, zeros_from = contract_side(pa.zeros)
+    new_ones = np.zeros((new_n, new_n), dtype=bool)
+    new_zeros = np.zeros((new_n, new_n), dtype=bool)
+    new_ones[:m, :m] = ones_k
+    new_zeros[:m, :m] = zeros_k
+    # a contracted pair is decided only when all constituents agree
+    new_ones[:m, m] = ones_to.all(axis=1)
+    new_zeros[:m, m] = zeros_to.all(axis=1)
+    new_ones[m, :m] = ones_from.all(axis=0)
+    new_zeros[m, :m] = zeros_from.all(axis=0)
+
+    old_to_new = np.empty(n, dtype=np.int64)
+    for new_idx, p in enumerate(keep):
+        old_to_new[p] = new_idx
+    for p in cls:
+        old_to_new[p] = m
+
+    contracted = close(PartialAssignment(new_ones, new_zeros, copy=False))
+    return Instance(new_c, copy=False), contracted, offset, old_to_new

@@ -10,6 +10,7 @@ from helpers import (
     apply_map,
     completions,
     dense_triple_table,
+    packing_total,
     random_closed_pa,
     random_closed_pa_any,
     random_instance,
@@ -125,7 +126,7 @@ class TestLocalSearch:
             inst, PartialAssignment.empty(3), ((0, 1), 1), greedy=False
         )
         assert value == pytest.approx(5.0)
-        assert witness.pairs() == [(0, 1)]
+        assert np.argwhere(witness.matrix).tolist() == [[0, 1]]
 
 
 class TestInducedValue:
@@ -237,7 +238,7 @@ class TestTriplePackingBound:
         inst = Instance(c)
         pa = PartialAssignment.from_pairs(2, one_pairs=[(1, 0)])
         # no triples on 2 elements; bound = c_01+ + c_10 * 1
-        assert TriplePackingBound(inst, pa).bound() == pytest.approx(2.0 - 1.0)
+        assert packing_total(inst, pa, TriplePackingBound(inst, pa)) == pytest.approx(2.0 - 1.0)
 
     def test_single_triangle_max(self):
         c = np.zeros((3, 3))
@@ -248,7 +249,7 @@ class TestTriplePackingBound:
         pa = PartialAssignment.empty(3)
         # termwise gives 2; the triangle constraint caps pq+qr at 1 with pr
         # free, and the packed triple tightens the bound to 1
-        assert TriplePackingBound(inst, pa).bound() == pytest.approx(1.0)
+        assert packing_total(inst, pa, TriplePackingBound(inst, pa)) == pytest.approx(1.0)
 
     def test_dominates_oracle(self):
         rng = np.random.default_rng(11)
@@ -256,7 +257,7 @@ class TestTriplePackingBound:
             n = int(rng.integers(3, 6))
             inst = random_instance(rng, n)
             pa = random_closed_pa(rng, n, density=0.2)
-            bound = TriplePackingBound(inst, pa).bound()
+            bound = packing_total(inst, pa, TriplePackingBound(inst, pa))
             assert bound >= oracle.solve_exact(inst, pa).value - 1e-12
 
     def test_excluding_matches_restricted(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from preopt import oracle
+from preopt import cli, oracle
 from preopt.cli import STATS_FIELDS, main
 from preopt.instance import Instance, save_instance
 
@@ -226,6 +226,32 @@ class TestFix:
             ]
 
         assert strip_times(serial) == strip_times(parallel)
+
+    @pytest.mark.parametrize("count, threads, workers", [(1, "8", None), (3, "8", 3), (3, "2", 2)])
+    def test_threads_capped_by_instances(self, runner, tmp_path, monkeypatch, count, threads, workers):
+        requested = []
+
+        class InProcessExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InProcessExecutor)
+        files = [str(tmp_path / f"inst{k}.csv") for k in range(count)]
+        for path in files:
+            save_instance(Instance(FIG1), path)
+        result = runner.invoke(main, ["fix", *files, "--threads", threads])
+        assert result.exit_code == 0, result.output
+        assert result.output.count("% fixed") == count
+        assert requested == ([] if workers is None else [workers])
 
     def test_unknown_condition_is_usage_error(self, runner, tmp_path):
         inst = write_fig1(tmp_path)

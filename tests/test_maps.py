@@ -100,12 +100,12 @@ class TestDicutMap:
 class TestJoinMap:
     def test_join_on_empty_relation(self):
         out = apply_join(Relation.empty(3), 0, 1)
-        assert out.pairs() == [(0, 1)]
+        assert np.argwhere(out.matrix).tolist() == [[0, 1]]
 
     def test_join_propagates_through_target(self):
         x = Relation.from_pairs(3, [(1, 2)])
         out = apply_join(x, 0, 1)
-        assert set(out.pairs()) == {(1, 2), (0, 1), (0, 2)}
+        assert {tuple(e) for e in np.argwhere(out.matrix).tolist()} == {(1, 2), (0, 1), (0, 2)}
 
     def test_identity_when_arc_present(self):
         stack = oracle.relation_stack(4)

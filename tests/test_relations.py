@@ -9,6 +9,7 @@ from helpers import (
     random_closed_pa_any,
     random_consistent_pa,
     random_instance,
+    reference_merge_classes,
     reference_mutual_one_classes,
 )
 from preopt import Instance
@@ -26,6 +27,7 @@ from preopt.relations import (
     merge_classes,
     mutual_one_classes,
     transitive_closure,
+    transitive_closure_matrix,
 )
 
 
@@ -254,6 +256,74 @@ class TestMergeClasses:
             original = oracle.solve_exact(inst, pa).value
             contracted = oracle.solve_exact(merged_inst, merged_pa).value
             assert original == pytest.approx(offset + contracted, abs=1e-12)
+
+    @staticmethod
+    def _random_class_pa(rng, n, density):
+        """A class of 2..n elements, assigned one inside, plus random pins
+        revealed from a preorder that holds it; the result is not closed."""
+        cls = sorted(rng.choice(n, size=int(rng.integers(2, n + 1)), replace=False).tolist())
+        x = rng.random((n, n)) < 0.15
+        x[np.ix_(cls, cls)] = True
+        x = transitive_closure_matrix(x)
+        reveal = rng.random((n, n)) < density
+        reveal[np.ix_(cls, cls)] = True
+        np.fill_diagonal(reveal, False)
+        return PartialAssignment(x & reveal, ~x & reveal), cls
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_matches_reference_on_closed_input(self, kind):
+        rng = np.random.default_rng(24)
+        for _ in range(150):
+            n = int(rng.integers(2, 13))
+            inst = random_instance(rng, n, kind)
+            pa, cls = self._random_class_pa(rng, n, float(rng.uniform(0.1, 0.6)))
+            pa = close(pa)
+            got = merge_classes(inst, pa, cls)
+            want = reference_merge_classes(inst, pa, cls)
+            assert got[0].values.tobytes() == want[0].values.tobytes()
+            assert got[1].ones.tobytes() == want[1].ones.tobytes()
+            assert got[1].zeros.tobytes() == want[1].zeros.tobytes()
+            assert got[2] == want[2]
+            assert got[3].tobytes() == want[3].tobytes()
+
+    def test_keeps_pins_of_unclosed_input(self):
+        # 0 -> 2 with 1 joined to 0 pins 1 -> 2 as well; each costs 5
+        c = np.zeros((3, 3))
+        c[0, 2] = c[1, 2] = -5.0
+        inst = Instance(c)
+        pa = PartialAssignment.from_pairs(3, one_pairs=[(0, 1), (1, 0), (0, 2)])
+        merged_inst, merged_pa, offset, _ = merge_classes(inst, pa, [0, 1])
+        assert merged_pa.value(1, 0) == 1
+        assert oracle.solve_exact(inst, pa).value == -10.0
+        assert offset + oracle.solve_exact(merged_inst, merged_pa).value == -10.0
+
+    def test_class_pinned_by_the_closure_accepted(self):
+        rng = np.random.default_rng(26)
+        inst = random_instance(rng, 4)
+        pa = PartialAssignment.from_pairs(4, one_pairs=[(0, 1), (1, 2), (2, 0)])
+        merged_inst, merged_pa, offset, old_to_new = merge_classes(inst, pa, [0, 1, 2])
+        assert old_to_new.tolist() == [1, 1, 1, 0]
+        assert oracle.solve_exact(inst, pa).value == pytest.approx(
+            offset + oracle.solve_exact(merged_inst, merged_pa).value, abs=1e-12
+        )
+
+    def test_optimum_conservation_on_unclosed_input(self):
+        rng = np.random.default_rng(25)
+        for _ in range(120):
+            n = int(rng.integers(3, 7))
+            inst = random_instance(rng, n)
+            pa, cls = self._random_class_pa(rng, n, float(rng.uniform(0.1, 0.6)))
+            merged_inst, merged_pa, offset, _ = merge_classes(inst, pa, cls)
+            original = oracle.solve_exact(inst, pa).value
+            contracted = oracle.solve_exact(merged_inst, merged_pa).value
+            assert original == pytest.approx(offset + contracted, abs=1e-9)
+
+    def test_inconsistent_input_rejected(self):
+        pa = PartialAssignment.from_pairs(
+            3, one_pairs=[(0, 1), (1, 0), (1, 2)], zero_pairs=[(0, 2)]
+        )
+        with pytest.raises(InconsistentAssignmentError):
+            merge_classes(Instance(np.zeros((3, 3))), pa, [0, 1])
 
     def test_contraction_order_does_not_matter(self):
         rng = np.random.default_rng(17)
