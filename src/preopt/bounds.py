@@ -328,14 +328,14 @@ class TractableBounds:
         self.y = y
         self.opt = float(instance.values[y.matrix].sum())
         self.net = FlowNetwork(cut_capacities(instance, pa))
-        self._eligible = ~pa.decided & (instance.values >= 0)
+        self.eligible = ~pa.decided & (instance.values >= 0) & ~np.eye(instance.n, dtype=bool)
 
     def optima(self, i: int, j: int) -> tuple[float, float]:
-        """(optimum with x_ij = 1, optimum with x_ij = 0) for an undecided
-        pair with c_ij >= 0; the latter is -inf (an infinite cut) when no
-        completion has x_ij = 0."""
-        if not self._eligible[i, j]:
-            raise ValueError("tractable bounds need pair ij undecided with c_ij >= 0")
+        """(optimum with x_ij = 1, optimum with x_ij = 0) for an ``eligible``
+        pair: undecided, off the diagonal, with c_ij >= 0. The latter is -inf
+        (an infinite cut) when no completion has x_ij = 0."""
+        if not self.eligible[i, j]:
+            raise ValueError("tractable bounds need pair ij off the diagonal, undecided, c_ij >= 0")
         value, _ = min_st_cut(self.net, i, j)
         return self.opt, self.opt - value
 

@@ -92,6 +92,18 @@ def _check_out_parent(out_path: str | None) -> None:
         _usage_error(f"output directory {str(Path(out_path).parent)!r} does not exist")
 
 
+def _stats_header_needed(out_csv: str) -> bool:
+    """True when the stats file is missing or empty; exit 1 before any work
+    when it exists with a first line other than the stats header."""
+    path = Path(out_csv)
+    if not path.exists() or path.stat().st_size == 0:
+        return True
+    with path.open(newline="", errors="replace") as fh:
+        if next(csv.reader(fh), []) != STATS_FIELDS:
+            _usage_error(f"--out file {out_csv!r} exists without the stats header")
+    return False
+
+
 def _pipeline_config(conditions_text: str | None, **options) -> PipelineConfig:
     """The run's config from the comma-separated condition ids; exit 1 if invalid."""
     conditions = DEFAULT_CONDITIONS
@@ -249,6 +261,7 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
         except OSError as exc:
             _usage_error(f"cannot create --emit-partial directory {emit_dir!r}: {exc}")
     _check_out_parent(out_csv)
+    write_header = out_csv is not None and _stats_header_needed(out_csv)
     jobs = [(path, cfg, emit_dir) for path in instances]
     workers = min(threads, len(jobs))  # at most one worker per instance
     rows = []
@@ -265,9 +278,7 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
         sys.exit(EXIT_DATA)
 
     if out_csv is not None:
-        path = Path(out_csv)
-        write_header = not path.exists()
-        with path.open("a", newline="") as fh:
+        with Path(out_csv).open("a", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=STATS_FIELDS)
             if write_header:
                 writer.writeheader()

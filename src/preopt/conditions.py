@@ -52,7 +52,6 @@ import numpy as np
 
 from .bounds import (
     BoundReport,
-    TractableBounds,
     TriplePackingBound,
     boundary_bound,
     exact_bounds_tractable,
@@ -299,77 +298,62 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
     return fixations
 
 
-def _pair_bounds(
-    instance: Instance,
-    pa: PartialAssignment,
-    upper: np.ndarray,
-    tractable: TractableBounds | None,
-    i: int,
-    j: int,
-    b: int,
-    lb: float | None = None,
-) -> tuple[float, float]:
-    """Lower bound on the optimum with x_ij = b, upper bound with x_ij = 1 - b.
-
-    ``upper`` holds every pair's upper bound with x_ij = 1 - b: the induced
-    value of the incident arcs plus the packing bound on the rest. ``lb``,
-    when given, is an unconstrained lower bound used in place of a
-    constrained local search. For b = 1 and c_ij >= 0, the exact optima of
-    ``tractable`` replace both bounds.
+def boecker_conditions(instance: Instance, pa: PartialAssignment, b: int) -> list[Fixation]:
+    """Strong bound-comparison condition bbk-strong-b: one unconstrained lower
+    bound against every pair's upper bound with x_ij = 1 - b (induced value
+    plus packing bound), as one margin array. For b = 1 in the tractable
+    case, each eligible pair takes the exact optima, one minimum cut each.
+    NaN margins, on the diagonal and decided pairs among them, never fix.
     """
-    if b == 1 and tractable is not None and instance.values[i, j] >= 0.0:
-        opt_one, opt_zero = tractable.optima(i, j)
-        return (opt_one if lb is None else max(lb, opt_one)), opt_zero
-    if lb is None:
-        lb, _ = local_search_lower_bound(instance, pa, ((i, j), b))
-    return lb, float(upper[i, j])
+    lb = local_search_lower_bound(instance, pa)[0]
+    margin = lb - (induced_value(instance, pa, 1 - b) + TriplePackingBound(instance, pa).excluding)
+    tractable = exact_bounds_tractable(instance, pa) if b == 1 else None
+    if tractable is not None:
+        for i, j in np.argwhere(tractable.eligible).tolist():
+            opt_one, opt_zero = tractable.optima(i, j)
+            margin[i, j] = max(lb, opt_one) - opt_zero
+    return [
+        Fixation((p, q), b, (BBK_STRONG_ZERO, BBK_STRONG_ONE)[b], float(margin[p, q]))
+        for p, q in np.argwhere(margin >= instance.tolerance).tolist()
+    ]
 
 
-def boecker_conditions(
-    instance: Instance,
-    pa: PartialAssignment,
-    strong: bool = True,
-    bs: tuple[int, ...] = (0, 1),
-) -> list[Fixation]:
-    """Bound-comparison conditions fixing pairs to either value.
-
-    Strong: one unconstrained lower bound against per-pair constrained upper
-    bounds, every pair judged against pa. Weak: per-pair constrained lower
-    bounds, applied sequentially against the evolving assignment. Both
-    compare with the tolerance; ``_pair_bounds`` gives the bounds. The upper
-    bounds of all pairs and the tractable case are derived for pa, and in
-    the weak branch again after each fixation; the packing stays the one
-    of pa, whose completions include those of every later assignment.
+def boecker_weak_condition(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
+    """Weak bound-comparison condition: per pair and value b, a lower bound
+    constrained to x_ij = b (the exact optima for an eligible b = 1 pair of
+    the tractable case) against the upper bound with x_ij = 1 - b, applied
+    one fixation at a time. The upper bounds, and the tractable case when
+    pa's was tractable, are derived again after each fixation; the packing
+    stays pa's, whose completions include every later assignment's.
     """
     tol = instance.tolerance
     excluding = TriplePackingBound(instance, pa).excluding
 
-    def upper_bounds(assignment: PartialAssignment) -> dict[int, np.ndarray]:
-        return {b: induced_value(instance, assignment, 1 - b) + excluding for b in bs}
+    def upper_bounds(assignment: PartialAssignment) -> list[np.ndarray]:
+        return [induced_value(instance, assignment, 1 - b) + excluding for b in (0, 1)]
 
     upper = upper_bounds(pa)
-    tractable = exact_bounds_tractable(instance, pa) if 1 in bs else None
-    rederive = not strong and tractable is not None
-    lb = local_search_lower_bound(instance, pa)[0] if strong else None
+    tractable = exact_bounds_tractable(instance, pa)
+    rederive = tractable is not None
     working = pa
     fixations: list[Fixation] = []
     for i, j in _undecided_pairs(pa):
         if working.value(i, j) is not None:
             continue
-        for b in bs:
-            pair_lb, ub = _pair_bounds(instance, working, upper[b], tractable, i, j, b, lb)
-            margin = pair_lb - ub
+        for b in (0, 1):
+            if b == 1 and tractable is not None and tractable.eligible[i, j]:
+                lb, ub = tractable.optima(i, j)
+            else:
+                lb = local_search_lower_bound(instance, working, ((i, j), b))[0]
+                ub = float(upper[b][i, j])
+            margin = lb - ub
             if not margin >= tol:  # a NaN margin never fixes
                 continue
-            if strong:
-                condition = (BBK_STRONG_ZERO, BBK_STRONG_ONE)[b]
-            else:
-                condition = BBK_WEAK
-                working = close(working.with_assignments([(i, j, b)]))
-                upper = upper_bounds(working)
-                if rederive:
-                    tractable = exact_bounds_tractable(instance, working)
-            fixations.append(Fixation((i, j), b, condition, margin))
+            working = close(working.with_assignments([(i, j, b)]))
+            upper = upper_bounds(working)
+            if rederive:
+                tractable = exact_bounds_tractable(instance, working)
+            fixations.append(Fixation((i, j), b, BBK_WEAK, margin))
             break
     return fixations
 
@@ -529,11 +513,11 @@ def _dispatch(cond: str, instance: Instance, pa: PartialAssignment) -> list[Fixa
     if cond == EDGE_CUT:
         return edge_cut_condition(instance, pa)
     if cond == BBK_STRONG_ZERO:
-        return boecker_conditions(instance, pa, strong=True, bs=(0,))
+        return boecker_conditions(instance, pa, 0)
     if cond == BBK_STRONG_ONE:
-        return boecker_conditions(instance, pa, strong=True, bs=(1,))
+        return boecker_conditions(instance, pa, 1)
     if cond == BBK_WEAK:
-        return boecker_conditions(instance, pa, strong=False)
+        return boecker_weak_condition(instance, pa)
     if cond == EDGE_JOIN:
         return edge_join_condition(instance, pa)
     if cond == SUBSET_FIX:

@@ -1,7 +1,9 @@
 """Max-flow/min-cut and reachability substrates.
 
-The dicut network of a partial assignment is built once, as a dense capacity
-matrix (``cut_capacities``), and read by every caller that needs it. A
+The dicut network of a partial assignment is a dense capacity matrix
+(``cut_capacities``) that each caller builds again: directed-cut, edge-cut and
+``TractableBounds`` per call, ``build_join_energy`` per pair, subset-u per
+fixation and sub-problem (one per assignment is ROADMAP direction 13). A
 ``FlowNetwork`` takes such a matrix, checks it and keeps it as the residual
 graph: one row of residual capacities per node, plus the nodes each node
 shares a positive arc with. ``min_st_cut(net, source, sink)`` copies the

@@ -2,7 +2,8 @@
 plus the reference definitions the library's closed forms are checked
 against (the self-maps applied to whole relations, brute-force
 enumeration, local search and contraction classes with the join and zero
-rules written out by hand, and contraction pair by pair)."""
+rules written out by hand, contraction pair by pair, and the bbk
+conditions pair by pair behind their strong and value flags)."""
 
 from __future__ import annotations
 
@@ -19,7 +20,13 @@ from preopt.bounds import (
     induced_value,
     local_search_lower_bound,
 )
-from preopt.conditions import SUBSET_FIX, Fixation
+from preopt.conditions import (
+    BBK_STRONG_ONE,
+    BBK_STRONG_ZERO,
+    BBK_WEAK,
+    SUBSET_FIX,
+    Fixation,
+)
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.maps import (
     GAMMA,
@@ -410,6 +417,79 @@ def reference_subset_fixation(
     if true and margin >= instance.tolerance:
         return Fixation(pair, 1, SUBSET_FIX, margin), report
     return None, report
+
+
+def _reference_pair_bounds(
+    instance: Instance,
+    pa: PartialAssignment,
+    upper: np.ndarray,
+    tractable,
+    i: int,
+    j: int,
+    b: int,
+    lb: float | None = None,
+) -> tuple[float, float]:
+    """Lower bound on the optimum with x_ij = b, upper bound with x_ij = 1 - b.
+
+    ``upper`` holds every pair's upper bound with x_ij = 1 - b. ``lb``, when
+    given, replaces a constrained local search. For b = 1 and c_ij >= 0,
+    the exact optima of ``tractable`` replace both bounds.
+    """
+    if b == 1 and tractable is not None and instance.values[i, j] >= 0.0:
+        opt_one, opt_zero = tractable.optima(i, j)
+        return (opt_one if lb is None else max(lb, opt_one)), opt_zero
+    if lb is None:
+        lb, _ = local_search_lower_bound(instance, pa, ((i, j), b))
+    return lb, float(upper[i, j])
+
+
+def reference_boecker_conditions(
+    instance: Instance,
+    pa: PartialAssignment,
+    strong: bool = True,
+    bs: tuple[int, ...] = (0, 1),
+) -> list[Fixation]:
+    """Reference for ``conditions.boecker_conditions`` (strong, one value in
+    ``bs``) and ``conditions.boecker_weak_condition`` (weak, both values):
+    every undecided pair in row-major order through ``_reference_pair_bounds``.
+    Strong judges every pair against pa with one unconstrained lower bound;
+    weak applies each fixation to the evolving assignment and derives the
+    upper bounds, and the tractable case when pa's was tractable, again.
+    """
+    tol = instance.tolerance
+    excluding = TriplePackingBound(instance, pa).excluding
+
+    def upper_bounds(assignment: PartialAssignment) -> dict[int, np.ndarray]:
+        return {b: induced_value(instance, assignment, 1 - b) + excluding for b in bs}
+
+    upper = upper_bounds(pa)
+    tractable = exact_bounds_tractable(instance, pa) if 1 in bs else None
+    rederive = not strong and tractable is not None
+    lb = local_search_lower_bound(instance, pa)[0] if strong else None
+    working = pa
+    fixations: list[Fixation] = []
+    for i in range(instance.n):
+        for j in range(instance.n):
+            if i == j or working.value(i, j) is not None:
+                continue
+            for b in bs:
+                pair_lb, ub = _reference_pair_bounds(
+                    instance, working, upper[b], tractable, i, j, b, lb
+                )
+                margin = pair_lb - ub
+                if not margin >= tol:
+                    continue
+                if strong:
+                    condition = (BBK_STRONG_ZERO, BBK_STRONG_ONE)[b]
+                else:
+                    condition = BBK_WEAK
+                    working = close(working.with_assignments([(i, j, b)]))
+                    upper = upper_bounds(working)
+                    if rederive:
+                        tractable = exact_bounds_tractable(instance, working)
+                fixations.append(Fixation((i, j), b, condition, margin))
+                break
+    return fixations
 
 
 def reference_greedy_insertion(instance: Instance, base: PartialAssignment) -> np.ndarray:

@@ -415,6 +415,13 @@ class TestTractableBounds:
         with pytest.raises(ValueError):
             exact_bounds_tractable(Instance(np.zeros((2, 2))), pa).optima(1, 0)
 
+    def test_diagonal_pair_not_eligible(self):
+        tractable = exact_bounds_tractable(Instance(np.zeros((3, 3))), PartialAssignment.empty(3))
+        assert tractable.eligible.tolist() == (~np.eye(3, dtype=bool)).tolist()
+        for p in range(3):
+            with pytest.raises(ValueError, match="tractable bounds need"):
+                tractable.optima(p, p)
+
 
 class TestBoundaryBound:
     def test_whole_set_has_zero_boundary(self):

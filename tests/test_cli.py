@@ -332,6 +332,36 @@ class TestFix:
         assert result.output.startswith("usage error: output directory")
         assert result.output.count("\n") == 1  # no instance ran
 
+    def test_out_empty_file_gets_header(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        out = tmp_path / "empty.csv"
+        out.write_text("")
+        result = runner.invoke(main, ["fix", str(inst), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        assert lines[0].split(",") == STATS_FIELDS and len(lines) == 2
+
+    def test_out_appends_below_matching_header(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        out = tmp_path / "stats.csv"
+        for _ in range(2):
+            result = runner.invoke(main, ["fix", str(inst), "--out", str(out)])
+            assert result.exit_code == 0, result.output
+        lines = out.read_text().splitlines()
+        assert lines[0].split(",") == STATS_FIELDS and len(lines) == 3
+        rows = list(csv.DictReader(out.open()))
+        assert [row["instance"] for row in rows] == ["fig1.csv", "fig1.csv"]
+
+    def test_out_with_foreign_header_is_usage_error(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        out = tmp_path / "other.csv"
+        out.write_text("a,b\n1,2\n")
+        result = runner.invoke(main, ["fix", str(inst), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: --out file")
+        assert result.output.count("\n") == 1  # no instance ran
+        assert out.read_text() == "a,b\n1,2\n"
+
     def test_out_in_emit_partial_directory_still_written(self, runner, tmp_path):
         inst = write_fig1(tmp_path)
         emit = tmp_path / "new"

@@ -10,6 +10,7 @@ from helpers import (
     per_pair_edge_cut,
     random_closed_pa_any,
     random_instance,
+    reference_boecker_conditions,
     reference_subset_fixation,
 )
 from preopt import Instance, PipelineConfig, bounds, conditions, oracle, run_joint
@@ -21,6 +22,7 @@ from preopt.conditions import (
     EDGE_JOIN,
     TIER_ONE,
     boecker_conditions,
+    boecker_weak_condition,
     directed_cut_condition,
     edge_cut_condition,
     edge_join_condition,
@@ -36,6 +38,7 @@ from preopt.relations import (
     PartialAssignment,
     Relation,
     close,
+    transitive_closure_matrix,
 )
 
 FIG1 = Instance(
@@ -207,19 +210,24 @@ class TestEdgeJoin:
             assert fixations_sound(inst, fixations)
 
 
+def _strong_both(inst: Instance, pa: PartialAssignment) -> list:
+    """bbk-strong-0's fixations, then bbk-strong-1's, both judged against pa."""
+    return boecker_conditions(inst, pa, 0) + boecker_conditions(inst, pa, 1)
+
+
 class TestBoecker:
     def test_weak_two_element(self):
         inst = two_element_instance(5.0, -1.0)
-        fixations = boecker_conditions(inst, PartialAssignment.empty(2), strong=False)
+        fixations = boecker_weak_condition(inst, PartialAssignment.empty(2))
         assert (((0, 1), 1)) in {(f.pair, f.value) for f in fixations}
 
     def test_strong_requires_strict_inequality(self):
         inst = Instance(np.zeros((3, 3)))
-        assert boecker_conditions(inst, PartialAssignment.empty(3), strong=True) == []
+        assert _strong_both(inst, PartialAssignment.empty(3)) == []
 
     def test_strong_two_element(self):
         inst = two_element_instance(5.0, -1.0)
-        fixations = boecker_conditions(inst, PartialAssignment.empty(2), strong=True)
+        fixations = _strong_both(inst, PartialAssignment.empty(2))
         fixed = {(f.pair, f.value) for f in fixations}
         assert ((0, 1), 1) in fixed and ((1, 0), 0) in fixed
 
@@ -229,8 +237,47 @@ class TestBoecker:
         for _ in range(25):
             n = int(rng.integers(3, 6))
             inst = random_instance(rng, n)
-            fixations = boecker_conditions(inst, PartialAssignment.empty(n), strong=strong)
+            pa = PartialAssignment.empty(n)
+            fixations = _strong_both(inst, pa) if strong else boecker_weak_condition(inst, pa)
             assert fixations_sound(inst, fixations)
+
+
+def _bbk_case(rng: np.random.Generator, kind: str) -> tuple[Instance, PartialAssignment]:
+    """A random instance and closed assignment; half of them tractable, with
+    values nonnegative exactly on a preorder whose pairs the assignment
+    reveals, a fifth of them zero (eligible for the exact optima all the same)."""
+    n = int(rng.integers(2, 13))
+    inst = random_instance(rng, n, kind)
+    density = float(rng.uniform(0.0, 0.5))
+    if rng.random() < 0.5:
+        return inst, random_closed_pa_any(rng, n, density)
+    x = transitive_closure_matrix(rng.random((n, n)) < 0.15)
+    c = np.where(x, np.abs(inst.values), -np.abs(inst.values))
+    c[x & (rng.random((n, n)) < 0.2)] = 0.0
+    reveal = rng.random((n, n)) < density
+    np.fill_diagonal(reveal, False)
+    return Instance(c), close(PartialAssignment(x & reveal, ~x & reveal))
+
+
+class TestBoeckerMatchesReference:
+    """The split deciders emit the reference's fixation lists: pairs, values,
+    conditions, margins and order."""
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_fixation_lists(self, kind):
+        rng = np.random.default_rng(25)
+        tractable = fired = 0
+        for _ in range(40):
+            inst, pa = _bbk_case(rng, kind)
+            tractable += bounds.exact_bounds_tractable(inst, pa) is not None
+            for b in (0, 1):
+                got = boecker_conditions(inst, pa, b)
+                assert got == reference_boecker_conditions(inst, pa, strong=True, bs=(b,))
+                fired += bool(got)
+            got = boecker_weak_condition(inst, pa)
+            assert got == reference_boecker_conditions(inst, pa, strong=False)
+            fired += bool(got)
+        assert 5 <= tractable <= 35 and fired >= 20
 
 
 class TestTractableOncePerRun:
@@ -265,7 +312,7 @@ class TestTractableOncePerRun:
             for name in counts:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        fixations = boecker_conditions(inst, pa, strong=True, bs=(1,))
+        fixations = boecker_conditions(inst, pa, 1)
         assert counts == {"sign_greedy_relation": 1, "FlowNetwork": 1}
         assert len(fixations) >= 5
         for f in fixations:
@@ -570,11 +617,22 @@ class TestNanMargin:
     """A NaN margin compares False both ways, so it must never fix."""
 
     def test_boecker_nan_bound_fixes_nothing(self, monkeypatch):
-        inst = _n12(0.1)
-        assert boecker_conditions(inst, PartialAssignment.empty(12), bs=(0,))
-        monkeypatch.setattr(conditions, "_pair_bounds", lambda *args: (math.nan, 0.0))
-        for strong in (True, False):
-            assert boecker_conditions(inst, PartialAssignment.empty(12), strong=strong) == []
+        inst = _n12(0.1)  # tractable, so bbk-strong-1 and bbk-weak also cut
+        pa = PartialAssignment.empty(12)
+        runs = (
+            lambda: boecker_conditions(inst, pa, 0),
+            lambda: boecker_conditions(inst, pa, 1),
+            lambda: boecker_weak_condition(inst, pa),
+        )
+        assert all(run() for run in runs)
+        search = conditions.local_search_lower_bound
+        monkeypatch.setattr(
+            conditions, "local_search_lower_bound",
+            lambda *args, **kwargs: (math.nan, search(*args, **kwargs)[1]),
+        )
+        monkeypatch.setattr(bounds.TractableBounds, "optima", lambda self, i, j: (math.nan, 0.0))
+        for run in runs:
+            assert run() == []
 
     def test_edge_join_nan_energy_fixes_nothing(self, monkeypatch):
         pa = PartialAssignment.empty(FIG1.n)

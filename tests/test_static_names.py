@@ -1,11 +1,18 @@
-"""Every global name a module reads is bound, imported or builtin.
+"""Every global name a module reads is bound, imported or builtin, and
+every name it imports is read.
 
 A stdlib stand-in for a linter's undefined-name check: ``symtable`` lists,
 per scope, the names read as globals; each must be bound at module level
 (by assignment, def, class, import, or a ``global`` statement that assigns
 it), be a builtin, or be one of the attributes every module is given.
+
+And for its unused-import check: ``ast`` lists the names each import binds,
+and each must be read somewhere in the module, quoted annotations included.
+``from __future__`` imports and the names a module re-exports in its
+``__all__`` are exempt.
 """
 
+import ast
 import builtins
 import symtable
 import types
@@ -64,3 +71,63 @@ def test_scan_finds_an_unbound_name(tmp_path):
         "Y = UNDEFINED + X\n"
     )
     assert sorted(name for _, name in unbound_globals(source)) == ["IN_U", "UNDEFINED"]
+
+
+def _annotation_names(tree: ast.Module) -> set[str]:
+    """Names read inside quoted annotations, such as ``"Instance"``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg | ast.AnnAssign):
+            annotations = [node.annotation]
+        elif isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef):
+            annotations = [node.returns]
+        else:
+            continue
+        for annotation in filter(None, annotations):
+            for sub in ast.walk(annotation):
+                if isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+                    quoted = ast.parse(sub.value, mode="eval")
+                    names |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return names
+
+
+def unread_imports(path: Path) -> list[str]:
+    """Every name the module's imports bind that the module never reads."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+        elif isinstance(node, ast.Assign) and any(
+            getattr(target, "id", None) == "__all__" for target in node.targets
+        ):
+            exported |= set(ast.literal_eval(node.value))
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(imported - read - _annotation_names(tree) - exported)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unread_imports(path):
+    assert unread_imports(path) == []
+
+
+def test_scan_finds_an_unread_import(tmp_path):
+    source = tmp_path / "probe.py"
+    source.write_text(
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from m import A, B as C, D, E\n"
+        "__all__ = ['D']\n"
+        "def f(x: A, y: 'E') -> np.ndarray:\n"
+        "    return x\n"
+    )
+    assert unread_imports(source) == ["C", "os"]
