@@ -577,16 +577,19 @@ def run_joint(
                     f"condition {cond!r} emitted fixations with no common completion"
                 ) from exc
             version += 1
+            # the original elements of each contracted one, in ascending order
+            members: list[list[int]] = [[] for _ in range(current.n)]
+            for original, index in enumerate(group.tolist()):
+                members[index].append(original)
             for f in fixations:
                 p, q = f.pair
-                members_p, members_q = np.flatnonzero(group == p), np.flatnonzero(group == q)
-                weight = len(members_p) * len(members_q)
+                weight = len(members[p]) * len(members[q])
                 if f.value == 0:
                     record.fixed_zero += weight
                 else:
                     record.fixed_one += weight
-                for op in members_p.tolist():
-                    for oq in members_q.tolist():
+                for op in members[p]:
+                    for oq in members[q]:
                         all_fixations.append(replace(f, pair=(op, oq)))
             classes = mutual_one_classes(pa)
             while classes:

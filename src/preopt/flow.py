@@ -5,13 +5,16 @@ The dicut network of a partial assignment is a dense capacity matrix
 ``TractableBounds`` per call, ``build_join_energy`` per pair, subset-u per
 fixation and sub-problem (one per assignment is ROADMAP direction 13). A
 ``FlowNetwork`` takes such a matrix, checks it and keeps it as the residual
-graph: one row of residual capacities per node, plus the nodes each node
-shares a positive arc with. ``min_st_cut(net, source, sink)`` copies the
-residual rows, so one network serves every source-sink pair the caller asks
-about. The solver finds shortest augmenting paths by breadth-first search
-(Edmonds-Karp); every network here is dense with a few dozen nodes, where
-this plain loop beats push-relabel's bookkeeping. Each augmentation empties
-its bottleneck entry exactly, so float capacities cannot make it loop.
+graph: one row of residual capacities per node, plus one bit row per node, a
+Python int whose bit w is set when the residual arc v -> w is positive.
+``min_st_cut(net, source, sink)`` copies both, so one network serves every
+source-sink pair the caller asks about. The solver finds shortest augmenting
+paths by breadth-first search (Edmonds-Karp), one level at a time: the next
+level is the OR of the current level's bit rows less the nodes already seen,
+so the interpreter loops over nodes, not over arcs. Every network here is
+dense with a few dozen nodes, where this beats push-relabel's bookkeeping.
+Each augmentation empties its bottleneck entry exactly, so float capacities
+cannot make it loop.
 The flow value at any step bounds every s-t cut from below, so a caller
 that only needs to know whether the minimum cut stays within a limit can
 have the solver stop once the flow exceeds it.
@@ -22,9 +25,7 @@ finite capacities plus one, which can never be part of a finite minimum cut.
 from __future__ import annotations
 
 import math
-from collections import deque
 from functools import cached_property
-from itertools import compress
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,8 +54,8 @@ class FlowNetwork:
 
     ``capacities[u, v]`` is the capacity of the arc u -> v; entries must be
     nonnegative, math.inf marks uncuttable arcs, and the diagonal is
-    ignored. The matrix is checked and its residual rows and neighbor lists
-    are built once, so one network serves minimum cuts between any source
+    ignored. The matrix is checked and its residual rows and bit rows are
+    built once, so one network serves minimum cuts between any source
     and sink.
     """
 
@@ -73,9 +74,9 @@ class FlowNetwork:
         # the same float sum, in the same row-major order, as the arc list gives
         self._finite_total = sum(cap[positive & finite].tolist())
         self._residual = np.where(finite, cap, self._finite_total + 1.0).tolist()
-        # the nodes joined to each node by a positive arc in either direction
-        nodes = range(n)
-        self._neighbors = [list(compress(nodes, row)) for row in (positive | positive.T).tolist()]
+        # bit w of row v is set when the residual arc v -> w is positive
+        packed = np.packbits(positive, axis=1, bitorder="little").tolist()
+        self._bits = [int.from_bytes(row, "little") for row in packed]
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -107,48 +108,64 @@ def min_st_cut(
     Shortest augmenting paths (Edmonds & Karp, J. ACM 1972) on the residual
     matrix: a breadth-first search finds a path with the fewest arcs, the
     bottleneck is pushed along it, and this repeats until the sink is
-    unreachable. The bottleneck entry is left at exactly 0.0 (x - x is exact
-    in floating point), every other residual stays nonnegative, and positive
-    residual appears only on the reverse pairs of the path, so the O(V E)
-    bound on augmentations holds in floating point too: float residue cannot
-    keep the loop going.
+    unreachable. The search grows one level at a time on the bit rows; the
+    path is walked back from the sink, taking in each earlier level the
+    lowest node with a positive arc into the current one. After each
+    augmentation the bit of every entry at exactly 0.0 is cleared and the
+    bit of every reverse arc set, so the bit rows mark the positive
+    residuals throughout. The bottleneck entry is left at exactly 0.0
+    (x - x is exact in floating point), every other residual stays
+    nonnegative, and positive residual appears only on the reverse pairs of
+    the path, so the O(V E) bound on augmentations holds in floating point
+    too: float residue cannot keep the loop going.
     """
     n, s, t = net.n, source, sink
     if not (0 <= s < n and 0 <= t < n):
         raise ValueError(f"source/sink ({s}, {t}) out of range for {n} nodes")
     if s == t:
         raise ValueError("source and sink must differ")
-    neighbors = net._neighbors
+    bits = net._bits.copy()
     residual = [row.copy() for row in net._residual]
+    sink_bit = 1 << t
     value = 0.0
     while True:
         if value > limit:
             return value, None
-        # parent[v]: the node v was reached from; -1 while unreached
-        parent = [-1] * n
-        parent[s] = s
-        queue = deque([s])
-        while queue and parent[t] < 0:
-            v = queue.popleft()
-            row = residual[v]
-            for w in neighbors[v]:
-                if parent[w] < 0 and row[w] > 0.0:
-                    parent[w] = v
-                    queue.append(w)
-        if parent[t] < 0:
+        # levels[k]: the nodes k arcs from the source, as a bit set
+        levels = []
+        seen = frontier = 1 << s
+        while frontier and not frontier & sink_bit:
+            levels.append(frontier)
+            reached = 0
+            while frontier:
+                low = frontier & -frontier
+                reached |= bits[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reached & ~seen
+            seen |= frontier
+        if not frontier:
             break
         path = []
         w = t
-        while w != s:
-            v = parent[w]
+        for level in reversed(levels):
+            while True:
+                low = level & -level
+                v = low.bit_length() - 1
+                if bits[v] >> w & 1:
+                    break
+                level ^= low
             path.append((v, w))
             w = v
         d = min([residual[v][w] for v, w in path])
         for v, w in path:
-            residual[v][w] -= d
+            row = residual[v]
+            row[w] -= d
+            if row[w] == 0.0:
+                bits[v] &= ~(1 << w)
             residual[w][v] += d
+            bits[w] |= 1 << v
         value += d
-    reachable = {v for v in range(n) if parent[v] >= 0}
+    reachable = {v for v in range(n) if seen >> v & 1}
     if value > net._finite_total + 0.5:
         return math.inf, reachable
     return value, reachable

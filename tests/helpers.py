@@ -2,10 +2,15 @@
 plus the reference definitions the library's closed forms are checked
 against (the self-maps applied to whole relations, brute-force
 enumeration, local search and contraction classes with the join and zero
-rules written out by hand, contraction pair by pair, and the bbk
-conditions pair by pair behind their strong and value flags)."""
+rules written out by hand, contraction pair by pair, the bbk
+conditions pair by pair behind their strong and value flags, and the min
+cut search queue by queue over neighbor lists)."""
 
 from __future__ import annotations
+
+import math
+from collections import deque
+from itertools import compress
 
 import numpy as np
 
@@ -381,6 +386,58 @@ def per_pair_edge_cut(instance: Instance, pa: PartialAssignment) -> set[tuple[in
             if float(-c[p, q]) - value >= tol:
                 fixed.add((p, q))
     return fixed
+
+
+def reference_min_st_cut(
+    net: FlowNetwork, source: int, sink: int, limit: float = math.inf
+) -> tuple[float, set[int] | None]:
+    """Reference for ``flow.min_st_cut``: the same Edmonds-Karp contract,
+    with a first-in first-out queue over per-node neighbor lists (the nodes
+    joined by a positive arc in either direction) and a parent array, so
+    a path may differ from the library's in which of several shortest
+    paths it takes."""
+    n, s, t = net.n, source, sink
+    if not (0 <= s < n and 0 <= t < n):
+        raise ValueError(f"source/sink ({s}, {t}) out of range for {n} nodes")
+    if s == t:
+        raise ValueError("source and sink must differ")
+    positive = net.capacities > 0.0
+    positive.flat[:: n + 1] = False
+    nodes = range(n)
+    neighbors = [list(compress(nodes, row)) for row in (positive | positive.T).tolist()]
+    residual = [row.copy() for row in net._residual]
+    value = 0.0
+    while True:
+        if value > limit:
+            return value, None
+        # parent[v]: the node v was reached from; -1 while unreached
+        parent = [-1] * n
+        parent[s] = s
+        queue = deque([s])
+        while queue and parent[t] < 0:
+            v = queue.popleft()
+            row = residual[v]
+            for w in neighbors[v]:
+                if parent[w] < 0 and row[w] > 0.0:
+                    parent[w] = v
+                    queue.append(w)
+        if parent[t] < 0:
+            break
+        path = []
+        w = t
+        while w != s:
+            v = parent[w]
+            path.append((v, w))
+            w = v
+        d = min([residual[v][w] for v, w in path])
+        for v, w in path:
+            residual[v][w] -= d
+            residual[w][v] += d
+        value += d
+    reachable = {v for v in range(n) if parent[v] >= 0}
+    if value > net._finite_total + 0.5:
+        return math.inf, reachable
+    return value, reachable
 
 
 def reference_subset_fixation(

@@ -6,7 +6,13 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from helpers import arc_matrix, random_closed_pa, random_closed_pa_any, random_instance
+from helpers import (
+    arc_matrix,
+    random_closed_pa,
+    random_closed_pa_any,
+    random_instance,
+    reference_min_st_cut,
+)
 from preopt.bounds import TriplePackingBound, _triple_table
 from preopt.flow import FlowNetwork, min_st_cut, reachability_sets
 from preopt import GeneratorConfig, Instance, generate_synthetic, run_joint
@@ -184,6 +190,27 @@ class TestNetworkReuse:
                 for s, t in permutations(range(n), 2):
                     assert min_st_cut(net, s, t) == min_st_cut(plain, s, t)
 
+    def test_every_pair_twice_leaves_network_as_built(self):
+        # edge-cut reuses one network for all its cuts, so no solve, stopped
+        # or not, may leave residue in the rows it copies
+        rng = np.random.default_rng(16)
+        for kind in ("grid", "pm1", "raw"):
+            for _ in range(15):
+                n = int(rng.integers(2, 10))
+                cap = dense_network(rng, n, kind)
+                net = FlowNetwork(cap)
+                first = [(min_st_cut(net, s, t), min_st_cut(net, s, t, 0.5))
+                         for s, t in permutations(range(n), 2)]
+                second = [(min_st_cut(net, s, t), min_st_cut(net, s, t, 0.5))
+                          for s, t in permutations(range(n), 2)]
+                assert first == second
+                fresh = FlowNetwork(cap)
+                assert net._residual == fresh._residual
+                assert net._bits == fresh._bits
+                for v in range(n):
+                    row = [w != v and net._residual[v][w] > 0.0 for w in range(n)]
+                    assert [bool(net._bits[v] >> w & 1) for w in range(n)] == row
+
     def test_rejects_bad_capacities(self):
         for bad in (np.zeros((2, 3)), np.zeros(3), np.zeros((2, 2, 2))):
             with pytest.raises(ValueError, match="square"):
@@ -199,6 +226,82 @@ class TestNetworkReuse:
         for s, t in ((0, 0), (2, 2), (-1, 1), (0, 3), (3, 0)):
             with pytest.raises(ValueError):
                 min_st_cut(net, s, t)
+
+
+def dense_network(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
+    """The positive parts of a random instance's values (multiples of 1/1024,
+    0 or 1, or raw floats) as capacities, with about one arc in twelve made
+    infinite."""
+    cap = random_instance(rng, n, kind).c_plus.copy()
+    cap[rng.random((n, n)) < 0.08] = math.inf
+    np.fill_diagonal(cap, 0.0)
+    return cap
+
+
+class TestMatchesReference:
+    """``min_st_cut`` against the queue-and-parent search it replaced."""
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1"])
+    def test_exact_data_same_value_and_side(self, kind):
+        # every flow is exact on these values, so the value and the
+        # inclusion-minimal side cannot depend on which shortest paths are taken
+        rng = np.random.default_rng(17)
+        stopped = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            net = FlowNetwork(dense_network(rng, n, kind))
+            for s, t in permutations(range(n), 2):
+                expected = reference_min_st_cut(net, s, t)
+                assert min_st_cut(net, s, t) == expected
+                value = expected[0]
+                if math.isinf(value):
+                    total = net._finite_total
+                    limits = [0.0, total * rng.uniform(), total]
+                else:
+                    limits = [0.0, value * rng.uniform(), math.nextafter(value, -math.inf),
+                              value, value * (1.0 + rng.uniform())]
+                for limit in limits:
+                    got = min_st_cut(net, s, t, limit)
+                    if value > limit:
+                        stopped += 1
+                        assert got[1] is None and got[0] > limit
+                        assert reference_min_st_cut(net, s, t, limit)[1] is None
+                    else:
+                        assert got == expected
+        assert stopped > 1000
+
+    def test_raw_floats_same_side_and_bruteforce(self):
+        # on raw floats another choice of shortest paths may round the
+        # value differently, so it is checked against brute force
+        rng = np.random.default_rng(18)
+        stopped = 0
+        for _ in range(60):
+            n = int(rng.integers(2, 9))
+            cap = dense_network(rng, n, "raw")
+            arcs = [(u, v, float(cap[u, v])) for u in range(n) for v in range(n) if cap[u, v] > 0]
+            net = FlowNetwork(cap)
+            for s, t in permutations(range(n), 2):
+                value, side = min_st_cut(net, s, t)
+                expected_value, expected_side = reference_min_st_cut(net, s, t)
+                assert side == expected_side
+                assert_min_cut(n, arcs, s, t, value, side)
+                if math.isinf(expected_value):
+                    assert math.isinf(value)
+                    total = net._finite_total
+                    limits = [0.0, total * rng.uniform(0.0, 0.9), total]
+                else:
+                    # clear of the value, so rounding cannot decide the stop
+                    limits = [0.0, expected_value * rng.uniform(0.0, 0.9),
+                              expected_value * rng.uniform(1.1, 2.0) + 1e-9, math.inf]
+                for limit in limits:
+                    got = min_st_cut(net, s, t, limit)
+                    assert (got[1] is None) == (expected_value > limit)
+                    if got[1] is None:
+                        stopped += 1
+                        assert got[0] > limit
+                    else:
+                        assert got == (value, side)
+        assert stopped > 500
 
 
 class TestLimit:
