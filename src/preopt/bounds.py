@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -321,14 +322,19 @@ class TractableBounds:
     The sign-greedy relation ``y`` is transitive, so it maximizes the problem
     and every x_ij = 1 branch with c_ij >= 0; ``opt`` is its value. The
     x_ij = 0 branch is one minimum i-j cut over positive parts, assigned-one
-    arcs uncuttable, on a network built once for all pairs.
+    arcs uncuttable, on a network built at the first cut and shared by all
+    pairs.
     """
 
     def __init__(self, instance: Instance, pa: PartialAssignment, y: Relation):
         self.y = y
         self.opt = float(instance.values[y.matrix].sum())
-        self.net = FlowNetwork(cut_capacities(instance, pa))
         self.eligible = ~pa.decided & (instance.values >= 0) & ~np.eye(instance.n, dtype=bool)
+        self._instance, self._pa = instance, pa
+
+    @cached_property
+    def net(self) -> FlowNetwork:
+        return FlowNetwork(cut_capacities(self._instance, self._pa))
 
     def optima(self, i: int, j: int) -> tuple[float, float]:
         """(optimum with x_ij = 1, optimum with x_ij = 0) for an ``eligible``

@@ -11,9 +11,10 @@ compose from a common snapshot.
 Condition inequalities only fire when they hold by more than the instance
 tolerance, so float noise can never turn a tie into an unsound fixation.
 
-Three deciders first test a necessary condition in O(n) and skip the
-expensive call when it fails, so the fixation set is the same as without
-the tests:
+Four deciders first make a cheap test that settles some pairs and skip the
+expensive call for them, so the fixation set is the same as without the
+tests. Three test a necessary condition in O(n) and skip the call when it
+fails:
 
 - edge-join: every energy cost is nonnegative, so the costs of the terms
   touching i and j, each minimized over the other element's label, bound
@@ -33,6 +34,18 @@ the tests:
   and bounds every i-j cut from below; when it exceeds -c_ij minus the
   tolerance, neither the pair's own cut nor a reused one can fix it.
 
+bbk-strong-1 tests a sufficient condition in the tractable case, from the
+arrays it holds. An eligible pair's margin is max(lb, opt) - (opt - cut),
+with cut its minimum i-j cut. Every i-j cut holds the arc ij; when
+c_ij > 0 the max-flow's first augmenting path is that arc alone, carrying
+exactly c_ij, and every later path adds a nonnegative amount, so the float
+cut value is at least c_ij (for c_ij = 0, trivially). Float subtraction is monotone, so
+settled = max(lb, opt) - (opt - c_ij) is at most the margin. A pair whose
+settled value reaches the tolerance is fixed with that lower bound as its
+margin and no max-flow; every other eligible pair takes its cut. lb comes
+first in the max, so a NaN lb gives a NaN settled value, which settles
+nothing. bbk-weak keeps one cut per eligible pair.
+
 Edge-cut also stops each max-flow as soon as its flow value exceeds -c_ij
 minus the tolerance (``_fixing_limit``): the flow so far bounds every i-j
 cut from below, so the finished cut could not have fixed the pair, and a
@@ -46,12 +59,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bounds import (
     BoundReport,
+    TractableBounds,
     TriplePackingBound,
     boundary_bound,
     exact_bounds_tractable,
@@ -298,18 +313,58 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
     return fixations
 
 
-def boecker_conditions(instance: Instance, pa: PartialAssignment, b: int) -> list[Fixation]:
+class BoundState:
+    """The bounds the bbk deciders read that depend on the (instance,
+    assignment) alone, each computed at most once, at its first read.
+
+    ``run_joint`` makes one per assignment version, so bbk-strong-0,
+    bbk-strong-1 and bbk-weak share the unconstrained lower bound, the
+    packing and the tractable case. The bounds come from this module's
+    globals, so whatever wraps those names sees every call.
+    """
+
+    def __init__(self, instance: Instance, pa: PartialAssignment):
+        self.instance = instance
+        self.pa = pa
+
+    @cached_property
+    def lower(self) -> float:
+        """The unconstrained local-search lower bound."""
+        return local_search_lower_bound(self.instance, self.pa)[0]
+
+    @cached_property
+    def excluding(self) -> np.ndarray:
+        """``TriplePackingBound.excluding``: every pair's packing bound."""
+        return TriplePackingBound(self.instance, self.pa).excluding
+
+    @cached_property
+    def tractable(self) -> TractableBounds | None:
+        """The tractable case, or None when pa has none."""
+        return exact_bounds_tractable(self.instance, self.pa)
+
+
+def boecker_conditions(
+    instance: Instance, pa: PartialAssignment, b: int, state: BoundState | None = None
+) -> list[Fixation]:
     """Strong bound-comparison condition bbk-strong-b: one unconstrained lower
     bound against every pair's upper bound with x_ij = 1 - b (induced value
     plus packing bound), as one margin array. For b = 1 in the tractable
-    case, each eligible pair takes the exact optima, one minimum cut each.
-    NaN margins, on the diagonal and decided pairs among them, never fix.
+    case, each eligible pair takes the exact optima, one minimum cut each,
+    unless c_ij already settles it (module docstring); a settled pair's
+    margin is then a lower bound on the exact one. NaN margins, on the
+    diagonal and decided pairs among them, never fix. ``state`` holds pa's
+    bounds; without it they are computed here.
     """
-    lb = local_search_lower_bound(instance, pa)[0]
-    margin = lb - (induced_value(instance, pa, 1 - b) + TriplePackingBound(instance, pa).excluding)
-    tractable = exact_bounds_tractable(instance, pa) if b == 1 else None
+    if state is None:
+        state = BoundState(instance, pa)
+    lb = state.lower
+    margin = lb - (induced_value(instance, pa, 1 - b) + state.excluding)
+    tractable = state.tractable if b == 1 else None
     if tractable is not None:
-        for i, j in np.argwhere(tractable.eligible).tolist():
+        # lb first: max keeps a NaN lb, so a NaN settles nothing
+        settled = max(lb, tractable.opt) - (tractable.opt - instance.values)
+        margin[tractable.eligible] = settled[tractable.eligible]
+        for i, j in np.argwhere(tractable.eligible & ~(settled >= instance.tolerance)).tolist():
             opt_one, opt_zero = tractable.optima(i, j)
             margin[i, j] = max(lb, opt_one) - opt_zero
     return [
@@ -318,22 +373,28 @@ def boecker_conditions(instance: Instance, pa: PartialAssignment, b: int) -> lis
     ]
 
 
-def boecker_weak_condition(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
+def boecker_weak_condition(
+    instance: Instance, pa: PartialAssignment, state: BoundState | None = None
+) -> list[Fixation]:
     """Weak bound-comparison condition: per pair and value b, a lower bound
     constrained to x_ij = b (the exact optima for an eligible b = 1 pair of
     the tractable case) against the upper bound with x_ij = 1 - b, applied
     one fixation at a time. The upper bounds, and the tractable case when
     pa's was tractable, are derived again after each fixation; the packing
     stays pa's, whose completions include every later assignment's.
+    ``state`` holds pa's packing and tractable case, as for the strong
+    conditions.
     """
+    if state is None:
+        state = BoundState(instance, pa)
     tol = instance.tolerance
-    excluding = TriplePackingBound(instance, pa).excluding
+    excluding = state.excluding
 
     def upper_bounds(assignment: PartialAssignment) -> list[np.ndarray]:
         return [induced_value(instance, assignment, 1 - b) + excluding for b in (0, 1)]
 
     upper = upper_bounds(pa)
-    tractable = exact_bounds_tractable(instance, pa)
+    tractable = state.tractable
     rederive = tractable is not None
     working = pa
     fixations: list[Fixation] = []
@@ -507,17 +568,19 @@ class RunStats:
     per_condition: dict[str, ConditionStats] = field(default_factory=dict)
 
 
-def _dispatch(cond: str, instance: Instance, pa: PartialAssignment) -> list[Fixation]:
+def _dispatch(
+    cond: str, instance: Instance, pa: PartialAssignment, state: BoundState | None = None
+) -> list[Fixation]:
     if cond == DIRECTED_CUT:
         return directed_cut_condition(instance, pa)
     if cond == EDGE_CUT:
         return edge_cut_condition(instance, pa)
     if cond == BBK_STRONG_ZERO:
-        return boecker_conditions(instance, pa, 0)
+        return boecker_conditions(instance, pa, 0, state)
     if cond == BBK_STRONG_ONE:
-        return boecker_conditions(instance, pa, 1)
+        return boecker_conditions(instance, pa, 1, state)
     if cond == BBK_WEAK:
-        return boecker_weak_condition(instance, pa)
+        return boecker_weak_condition(instance, pa, state)
     if cond == EDGE_JOIN:
         return edge_join_condition(instance, pa)
     if cond == SUBSET_FIX:
@@ -553,11 +616,12 @@ def run_joint(
     all_fixations: list[Fixation] = []
     version = 0  # goes up with every applied batch of fixations
     seen: dict[str, int] = {}  # condition -> the version it last ran on
+    state = BoundState(current, pa)  # the bbk bounds of this version
 
     def step(cond: str) -> bool:
         """Run one condition unless it already saw this assignment; True
         when its fixations moved the version."""
-        nonlocal current, pa, group, version
+        nonlocal current, pa, group, version, state
         if current.n <= 1:
             return False
         record = stats.per_condition[cond]
@@ -566,7 +630,7 @@ def run_joint(
             return False
         seen[cond] = version
         tick = time.perf_counter_ns()
-        fixations = _dispatch(cond, current, pa)
+        fixations = _dispatch(cond, current, pa, state)
         if fixations:
             try:
                 pa = close(
@@ -590,13 +654,14 @@ def run_joint(
                     record.fixed_one += weight
                 for op in members[p]:
                     for oq in members[q]:
-                        all_fixations.append(replace(f, pair=(op, oq)))
+                        all_fixations.append(Fixation((op, oq), f.value, f.condition, f.margin))
             classes = mutual_one_classes(pa)
             while classes:
                 current, pa, _, old_to_new = merge_classes(current, pa, classes[0])
                 stats.merged_classes += 1
                 group = old_to_new[group]
                 classes = mutual_one_classes(pa)
+            state = BoundState(current, pa)
         record.time_ns += time.perf_counter_ns() - tick
         return bool(fixations)
 

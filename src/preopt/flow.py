@@ -1,9 +1,10 @@
 """Max-flow/min-cut and reachability substrates.
 
 The dicut network of a partial assignment is a dense capacity matrix
-(``cut_capacities``) that each caller builds again: directed-cut, edge-cut and
-``TractableBounds`` per call, ``build_join_energy`` per pair, subset-u per
-fixation and sub-problem (one per assignment is ROADMAP direction 13). A
+(``cut_capacities``) that each caller builds again: directed-cut and
+edge-cut per call, ``TractableBounds`` at its first cut (``run_joint`` shares
+one tractable case per assignment among the bbk conditions),
+``build_join_energy`` per pair, subset-u per fixation and sub-problem. A
 ``FlowNetwork`` takes such a matrix, checks it and keeps it as the residual
 graph: one row of residual capacities per node, plus one bit row per node, a
 Python int whose bit w is set when the residual arc v -> w is positive.

@@ -9,9 +9,10 @@ spans the per-layer metrics read record calls.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from preopt import GeneratorConfig, generate_synthetic
+from preopt import GeneratorConfig, Instance, generate_synthetic
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -53,6 +54,9 @@ def test_traced_names_present_and_called(tracer):
     for alpha in (0.1, 0.5, 0.9):
         instance, _ = generate_synthetic(GeneratorConfig(n=12, p_edges=0.5, alpha=alpha, seed=0))
         run_joint(instance)
+    # bbk-strong-1 settles every tractable pair with c_ij >= tol without a
+    # cut; the zero-valued pair 0 -> 2 of this tractable instance needs one
+    run_joint(Instance(np.array([[0, 1, 0], [-1, 0, 1], [-1, -1, 0]], dtype=float)))
     totals = tracer.totals()
     assert totals["absent"] == []
     silent = [name for name in EXPECTED_SPANS if totals["calls"].get(name, 0) == 0]

@@ -15,6 +15,8 @@ from helpers import (
 )
 from preopt import Instance, PipelineConfig, bounds, conditions, oracle, run_joint
 from preopt.conditions import (
+    BBK_STRONG_ONE,
+    BBK_STRONG_ZERO,
     BBK_WEAK,
     DEFAULT_CONDITIONS,
     DIRECTED_CUT,
@@ -259,32 +261,78 @@ def _bbk_case(rng: np.random.Generator, kind: str) -> tuple[Instance, PartialAss
     return Instance(c), close(PartialAssignment(x & reveal, ~x & reveal))
 
 
+def _settled_margins(inst: Instance, pa: PartialAssignment) -> dict:
+    """bbk-strong-1's settled value max(lb, opt) - (opt - c_ij), pair by
+    pair, for every eligible pair of the tractable case."""
+    tractable = bounds.exact_bounds_tractable(inst, pa)
+    if tractable is None:
+        return {}
+    lb = bounds.local_search_lower_bound(inst, pa)[0]
+    return {
+        (i, j): max(lb, tractable.opt) - (tractable.opt - float(inst.values[i, j]))
+        for i, j in np.argwhere(tractable.eligible).tolist()
+    }
+
+
 class TestBoeckerMatchesReference:
     """The split deciders emit the reference's fixation lists: pairs, values,
-    conditions, margins and order."""
+    conditions and order. Margins equal the reference's wherever a flow ran;
+    a bbk-strong-1 pair that c_ij settles records the settled formula, a
+    lower bound on the reference's margin that still reaches the tolerance."""
 
     @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
     def test_fixation_lists(self, kind):
         rng = np.random.default_rng(25)
-        tractable = fired = 0
+        tractable = fired = settled = flowed = 0
         for _ in range(40):
             inst, pa = _bbk_case(rng, kind)
+            tol = inst.tolerance
             tractable += bounds.exact_bounds_tractable(inst, pa) is not None
+            formulas = _settled_margins(inst, pa)
             for b in (0, 1):
                 got = boecker_conditions(inst, pa, b)
-                assert got == reference_boecker_conditions(inst, pa, strong=True, bs=(b,))
+                expected = reference_boecker_conditions(inst, pa, strong=True, bs=(b,))
+                assert [(f.pair, f.value, f.condition) for f in got] == [
+                    (f.pair, f.value, f.condition) for f in expected
+                ]
+                for f, ref in zip(got, expected):
+                    formula = formulas.get(f.pair, math.nan) if b == 1 else math.nan
+                    if formula >= tol:
+                        assert f.margin == formula and tol <= f.margin <= ref.margin
+                        settled += 1
+                    else:
+                        assert f.margin == ref.margin
+                        flowed += not math.isnan(formula)
                 fired += bool(got)
             got = boecker_weak_condition(inst, pa)
             assert got == reference_boecker_conditions(inst, pa, strong=False)
             fired += bool(got)
-        assert 5 <= tractable <= 35 and fired >= 20
+        assert 5 <= tractable <= 35 and fired >= 20 and settled >= 5 and flowed >= 5
+
+
+def _counting(monkeypatch, counts: dict) -> None:
+    """Count the calls of each name in ``counts`` wherever bounds or
+    conditions binds it."""
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    for module in (bounds, conditions):
+        for name in counts:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
 
 class TestTractableOncePerRun:
-    """bbk-strong-1 derives the tractable case once per run, and each pair
-    then costs one minimum cut on that case's network."""
+    """bbk-strong-1 derives the tractable case once per run; a pair whose
+    c_ij settles it costs no minimum cut, and every other eligible pair one
+    cut on a network built at the first of them."""
 
-    def test_one_derivation_and_direct_margins(self, monkeypatch):
+    def _case(self, zero_pair=None):
         rng = np.random.default_rng(61)
         rank = np.array([0, 0, 1, 2, 2, 3, 4, 5])
         n = len(rank)
@@ -293,32 +341,72 @@ class TestTractableOncePerRun:
         magnitude = rng.integers(1, 9, size=(n, n)).astype(float)
         c = np.where(rank[:, None] <= rank[None, :], magnitude, -magnitude)
         np.fill_diagonal(c, 0.0)
+        if zero_pair is not None:
+            c[zero_pair] = 0.0  # still eligible, but c_ij settles nothing
         inst = Instance(c)
         pa = close(PartialAssignment.from_pairs(n, one_pairs=[(3, 4)], zero_pairs=[(6, 2)]))
         lb = bounds.local_search_lower_bound(inst, pa)[0]
         opt = float(c[bounds.sign_greedy_relation(inst, pa).matrix].sum())
-        net = FlowNetwork(cut_capacities(inst, pa))
+        return inst, pa, lb, opt
 
+    def test_one_derivation_and_direct_margins(self, monkeypatch):
+        inst, pa, lb, opt = self._case()
+        c = inst.values
         counts = {"sign_greedy_relation": 0, "FlowNetwork": 0}
-
-        def counted(name, func):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return func(*args, **kwargs)
-
-            return wrapper
-
-        for module in (bounds, conditions):
-            for name in counts:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        _counting(monkeypatch, counts)
         fixations = boecker_conditions(inst, pa, 1)
-        assert counts == {"sign_greedy_relation": 1, "FlowNetwork": 1}
+        assert counts == {"sign_greedy_relation": 1, "FlowNetwork": 0}
         assert len(fixations) >= 5
         for f in fixations:
             i, j = f.pair
-            assert f.value == 1 and c[i, j] >= 0.0 and pa.value(i, j) is None
-            assert f.margin == max(lb, opt) - (opt - min_st_cut(net, i, j)[0])
+            assert f.value == 1 and c[i, j] >= inst.tolerance and pa.value(i, j) is None
+            assert f.margin == max(lb, opt) - (opt - c[i, j])
+
+    def test_zero_valued_pair_takes_one_network(self, monkeypatch):
+        inst, pa, lb, opt = self._case(zero_pair=(0, 5))
+        net = FlowNetwork(cut_capacities(inst, pa))
+        counts = {"sign_greedy_relation": 0, "FlowNetwork": 0}
+        _counting(monkeypatch, counts)
+        fixations = boecker_conditions(inst, pa, 1)
+        assert counts == {"sign_greedy_relation": 1, "FlowNetwork": 1}
+        margins = {f.pair: f.margin for f in fixations}
+        assert margins[(0, 5)] == max(lb, opt) - (opt - min_st_cut(net, 0, 5)[0])
+        assert margins[(0, 5)] >= inst.tolerance
+
+
+def _unconstrained_calls(func, keys: list):
+    """func, recording the state of every call it gets without a constraint."""
+
+    def wrapper(instance, pa, *constraint, **kwargs):
+        if not constraint:
+            keys.append(_state(instance, pa))
+        return func(instance, pa, *constraint, **kwargs)
+
+    return wrapper
+
+
+class TestBoundStatePerVersion:
+    """run_joint builds the packing and the unconstrained lower bound at most
+    once per assignment version, and the bbk deciders share them."""
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+    def test_one_build_per_version(self, monkeypatch, alpha):
+        builds = {"TriplePackingBound": [], "local_search_lower_bound": []}
+        for name, keys in builds.items():
+            monkeypatch.setattr(conditions, name, _unconstrained_calls(getattr(conditions, name), keys))
+        cfg = PipelineConfig(conditions=DEFAULT_CONDITIONS[:-1] + (BBK_WEAK,))
+        bbk = (BBK_STRONG_ZERO, BBK_STRONG_ONE, BBK_WEAK)
+        for seed in range(2):
+            for keys in builds.values():
+                keys.clear()
+            calls, _ = _recorded_run(monkeypatch, _n12(alpha, seed), cfg)
+            bbk_inputs = [_state(instance, pa) for cond, instance, pa in calls if cond in bbk]
+            versions = set(bbk_inputs)
+            assert len(versions) < len(bbk_inputs)  # some version served two deciders
+            for keys in builds.values():
+                assert len(keys) == len(set(keys)) and set(keys) <= versions
+            # every bbk decider reads the packing
+            assert set(builds["TriplePackingBound"]) == versions
 
 
 class TestSubsetFixation:
@@ -550,9 +638,9 @@ def _recorded_run(monkeypatch, inst, cfg=None):
     calls = []
     dispatch = conditions._dispatch
 
-    def recording(cond, instance, pa):
+    def recording(cond, instance, pa, *state):
         calls.append((cond, instance, pa))
-        return dispatch(cond, instance, pa)
+        return dispatch(cond, instance, pa, *state)
 
     monkeypatch.setattr(conditions, "_dispatch", recording)
     _, _, stats = run_joint(inst, cfg)
