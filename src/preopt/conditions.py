@@ -13,8 +13,7 @@ tolerance, so float noise can never turn a tie into an unsound fixation.
 
 Four deciders first make a cheap test that settles some pairs and skip the
 expensive call for them, so the fixation set is the same as without the
-tests. Three test a necessary condition in O(n) and skip the call when it
-fails:
+tests. Three test a necessary condition and skip the call when it fails:
 
 - edge-join: every energy cost is nonnegative, so the costs of the terms
   touching i and j, each minimized over the other element's label, bound
@@ -29,10 +28,17 @@ fails:
   comes first: trueness and the boundary bound are computed before the
   sub-problem's bounds, which are skipped when the map is not true or the
   gain cap minus the boundary bound itself is below the tolerance;
-- edge-cut: the paths i->k->j through distinct k are arc-disjoint, so the
-  sum of their bottleneck capacities plus the direct arc is a feasible flow
-  and bounds every i-j cut from below; when it exceeds -c_ij minus the
-  tolerance, neither the pair's own cut nor a reused one can fix it.
+- edge-cut: one (n, n) cut floor bounds every minimum cut from below. It
+  starts at the two-hop flows: the paths i->k->j through distinct k are
+  arc-disjoint, so the sum of their bottleneck capacities plus the direct
+  arc is a feasible flow. Every p-q cut separates p from i, i from j or j
+  from q, so minimum cut values obey min(cut(p,i), cut(i,j), cut(j,q)) <=
+  cut(p,q) (Gomory & Hu, 1961); the floor is therefore closed over widest
+  paths, and raised after every max-flow by the value it returned, which
+  bounds that pair's cuts from below whether the flow stopped or ran to
+  the end. When a pair's floor exceeds -c_ij minus the tolerance, its
+  max-flow is one the solver would have stopped at the fixing limit below,
+  with no cut and no fixation, and no reused cut can fix the pair either.
 
 bbk-strong-1 tests a sufficient condition in the tractable case, from the
 arrays it holds. An eligible pair's margin is max(lb, opt) - (opt - cut),
@@ -52,7 +58,10 @@ cut from below, so the finished cut could not have fixed the pair, and a
 cut reused from another pair never costs less than the pair's own. Only
 cuts solved to the end are reused. The fixed set is therefore the set of
 targets whose own minimum cut fixes them, as before; only edge-cut's
-margins and the order of its fixations can differ.
+margins and the order of its fixations can differ. A max-flow the cut
+floor skips is one that would have stopped with no cut, so the floor
+leaves the flows solved to the end, their cuts and their order as they
+were, and with them every fixation and margin.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import bounds
 from .bounds import (
     BoundReport,
     TractableBounds,
@@ -204,11 +214,39 @@ def directed_cut_condition(instance: Instance, pa: PartialAssignment) -> list[Fi
     ]
 
 
-def _two_hop_flow(cap: np.ndarray, i: int, j: int) -> float:
-    """Value of a feasible i-j flow: the arc ij plus every path i->k->j at its
-    bottleneck. The paths are arc-disjoint, so every i-j cut costs at least
-    this much; the zero diagonal drops k = i and k = j from the sum."""
-    return float(cap[i, j] + np.minimum(cap[i], cap[:, j]).sum())
+def _two_hop_flows(cap: np.ndarray) -> np.ndarray:
+    """Value of a feasible i-j flow at [i, j]: the arc ij plus every path
+    i->k->j at its bottleneck, inf on the diagonal.
+
+    The paths are arc-disjoint, so every i-j cut costs at least this much;
+    the zero diagonal of ``cap`` drops k = i and k = j from the sum. The
+    paths are built for a slab of rows i at a time, at most
+    ``SLAB_ENTRIES`` of them.
+    """
+    n = cap.shape[0]
+    cap_t = np.ascontiguousarray(cap.T)
+    flows = np.empty((n, n))
+    rows = max(1, bounds.SLAB_ENTRIES // (n * n))
+    for start in range(0, n, rows):
+        slab = slice(start, min(start + rows, n))
+        # [i - start, j, k]: the bottleneck of i->k->j
+        flows[slab] = np.minimum(cap[slab, None, :], cap_t[None]).sum(axis=2)
+    flows += cap
+    np.fill_diagonal(flows, math.inf)
+    return flows
+
+
+def _raise_floor(floor: np.ndarray, i: int, j: int, value: float) -> None:
+    """Raise the cut floor, in place, with ``value``, a lower bound on every
+    i-j cut.
+
+    Every p-q cut separates p from i, i from j or j from q, so the minimum
+    p-q cut is at least min(floor[p, i], value, floor[j, q]) (Gomory & Hu,
+    1961); the inf diagonal covers p = i and q = j. On a floor closed over
+    widest paths this one update keeps it closed, and with i = j = k and an
+    inf value it is step k of that closure.
+    """
+    np.maximum(floor, np.minimum.outer(np.minimum(floor[:, i], value), floor[j]), out=floor)
 
 
 def _fixing_limit(gain: float, tol: float) -> float:
@@ -228,28 +266,39 @@ def _fixing_limit(gain: float, tol: float) -> float:
 def edge_cut_condition(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
     """Fix x_ij = 0 whenever the cheapest dicut through ij costs at most c_ij-.
 
-    One minimum i-j cut per candidate pair whose two-hop flow does not
-    already exceed c_ij-, all on one network built at the first cut. Each
-    max-flow stops once its flow shows the pair cannot be fixed; each cut
-    solved to the end is tested against every target it separates, which
-    saves most of the remaining max-flow calls without changing the
-    fixation set.
+    One minimum i-j cut per candidate pair that the cut floor does not rule
+    out, all on one network built at the first cut. The floor bounds every
+    minimum cut from below: it starts at the two-hop flows, is closed over
+    widest paths because minimum cuts obey the triangle inequality
+    min(cut(p,i), cut(i,j), cut(j,q)) <= cut(p,q), and is raised by the
+    value of every max-flow. A pair whose floor exceeds -c_ij minus the
+    tolerance would have its max-flow stopped at the fixing limit with no
+    cut, so it takes none; when the two-hop flows already rule out every
+    target, nothing else is built. Each max-flow stops once its flow shows
+    the pair cannot be fixed; each cut solved to the end is tested against
+    every target it separates, which saves most of the remaining max-flow
+    calls without changing the fixation set.
     """
     n = instance.n
     c = instance.values
     tol = instance.tolerance
     cap = cut_capacities(instance, pa)
+    floor = _two_hop_flows(cap)
+    target = ~pa.decided & (c < -tol) & (floor <= -c - tol)
+    if not target.any():
+        return []
+    for k in range(n):  # widest paths, one intermediate node at a time
+        _raise_floor(floor, k, k, math.inf)
     net = None
-    target = ~pa.decided & (c < -tol)
-    np.fill_diagonal(target, False)
     fixed = np.zeros((n, n), dtype=bool)
     fixations: list[Fixation] = []
     for i, j in np.argwhere(target).tolist():
-        if fixed[i, j] or _two_hop_flow(cap, i, j) > -c[i, j] - tol:
+        if fixed[i, j] or floor[i, j] > -c[i, j] - tol:
             continue
         if net is None:
             net = FlowNetwork(cap)
         value, side = min_st_cut(net, i, j, _fixing_limit(float(-c[i, j]), tol))
+        _raise_floor(floor, i, j, value)
         if side is None or math.isinf(value):
             continue
         inside = np.zeros(n, dtype=bool)

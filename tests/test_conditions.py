@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from helpers import (
     reference_boecker_conditions,
     reference_subset_fixation,
 )
-from preopt import Instance, PipelineConfig, bounds, conditions, oracle, run_joint
+from preopt import (
+    Instance,
+    PipelineConfig,
+    bounds,
+    conditions,
+    ingest_ego_network,
+    oracle,
+    run_joint,
+)
 from preopt.conditions import (
     BBK_STRONG_ONE,
     BBK_STRONG_ZERO,
@@ -42,6 +51,8 @@ from preopt.relations import (
     close,
     transitive_closure_matrix,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 FIG1 = Instance(
     np.array(
@@ -741,11 +752,19 @@ def _lifted_assignments(instances):
     return out
 
 
+def _closed_floor(cap):
+    """Edge-cut's cut floor before its first max-flow."""
+    floor = conditions._two_hop_flows(cap)
+    for k in range(len(cap)):
+        conditions._raise_floor(floor, k, k, math.inf)
+    return floor
+
+
 def _gates_off(monkeypatch):
     """Replace each gate's bound by a trivially valid one that never skips."""
     monkeypatch.setattr(conditions, "_join_energy_floor", lambda model: 0.0)
     monkeypatch.setattr(conditions, "_subset_gain_cap", lambda cap, i, j, subset: math.inf)
-    monkeypatch.setattr(conditions, "_two_hop_flow", lambda cap, i, j: 0.0)
+    monkeypatch.setattr(conditions, "_two_hop_flows", np.zeros_like)
 
 
 class TestSoundGates:
@@ -801,18 +820,65 @@ class TestSoundGates:
                 assert report.lb - report.ub <= cap
                 assert report.ub_prime >= inst.c_plus[p10].sum()
 
-    def test_two_hop_flow_below_min_cut(self):
+    def test_cut_floor_below_min_cut(self):
+        # raw floats need slack; 2^-10-grid and +-1 capacities sum exactly
         rng = np.random.default_rng(22)
-        for _ in range(60):
+        for trial in range(120):
+            kind = ("raw", "raw", "grid", "pm1")[trial % 4]
             n = int(rng.integers(2, 9))
-            cap = np.where(rng.random((n, n)) < 0.6, 10.0 ** rng.uniform(-3, 3, (n, n)), 0.0)
+            arcs = rng.random((n, n)) < 0.6
+            if kind == "raw":
+                cap = np.where(arcs, 10.0 ** rng.uniform(-3, 3, (n, n)), 0.0)
+            elif kind == "grid":
+                cap = np.where(arcs, rng.integers(1, 4096, (n, n)) / 1024, 0.0)
+            else:
+                cap = arcs.astype(float)
             cap[rng.random((n, n)) < 0.08] = math.inf
             np.fill_diagonal(cap, 0.0)
             net = FlowNetwork(cap)
             scale = max(1.0, float(cap[np.isfinite(cap)].sum()))
-            for s, t in itertools.permutations(range(n), 2):
-                value, _ = min_st_cut(net, s, t)
-                assert conditions._two_hop_flow(cap, s, t) <= value + 1e-9 * scale
+            floor = _closed_floor(cap)
+            pairs = list(itertools.permutations(range(n), 2))
+            for k in rng.permutation(len(pairs)):
+                s, t = pairs[k]
+                limit = scale * 10.0 ** rng.uniform(-4, 0)
+                conditions._raise_floor(floor, s, t, min_st_cut(net, s, t, limit)[0])
+            slack = 1e-9 * scale if kind == "raw" else 0.0
+            for s, t in pairs:
+                assert floor[s, t] <= min_st_cut(net, s, t)[0] + slack
+
+    @pytest.mark.parametrize("rows", [1, 4])
+    def test_cut_floor_slabs_match_one_block(self, monkeypatch, rows):
+        rng = np.random.default_rng(25)
+        n = 13
+        cases = []
+        for kind in ("raw", "grid", "pm1"):
+            inst = random_instance(rng, n, kind)
+            cases.append(cut_capacities(inst, random_closed_pa_any(rng, n, 0.2)))
+        whole = [_closed_floor(cap) for cap in cases]
+        monkeypatch.setattr(bounds, "SLAB_ENTRIES", rows * n * n)
+        for cap, want in zip(cases, whole):
+            assert _closed_floor(cap).tobytes() == want.tobytes()
+
+    def test_ego_networks_run_no_edge_cut_flow(self, monkeypatch):
+        # widest paths give every pair with a path a floor of at least 1, above
+        # every target's -c_ij - tol = 1 - tol; directed-cut fixes the rest
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        from ego import ego_edges
+
+        instances = [ingest_ego_network(ego_edges(1000 + k, 5), range(16)) for k in range(16)]
+        calls = []
+
+        def counted(net, source, sink, limit=math.inf):
+            calls.append((source, sink))
+            return min_st_cut(net, source, sink, limit)
+
+        monkeypatch.setattr(conditions, "min_st_cut", counted)
+        gated = _lifted_assignments(instances)
+        assert calls == []
+        _gates_off(monkeypatch)
+        assert _lifted_assignments(instances) == gated
+        assert calls
 
     def test_edge_cut_gate_keeps_fixed_set(self, monkeypatch):
         rng = np.random.default_rng(23)
