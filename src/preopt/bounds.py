@@ -24,7 +24,7 @@ import numpy as np
 
 from .flow import FlowNetwork, cut_capacities, min_st_cut
 from .instance import Instance, evaluate
-from .maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, change_sets, tau_loose_sets
+from .maps import MapSpec, change_sets, tau_loose_sets
 from .relations import (
     InconsistentAssignmentError,
     PartialAssignment,
@@ -329,7 +329,7 @@ class TractableBounds:
     def __init__(self, instance: Instance, pa: PartialAssignment, y: Relation):
         self.y = y
         self.opt = float(instance.values[y.matrix].sum())
-        self.eligible = ~pa.decided & (instance.values >= 0) & ~np.eye(instance.n, dtype=bool)
+        self.eligible = y.matrix & ~pa.ones  # undecided, off the diagonal, c >= 0
         self._instance, self._pa = instance, pa
 
     @cached_property
@@ -376,8 +376,6 @@ def boundary_bound(
     the bound uses the y-free flip supersets; given the planted relation y
     it uses that relation's sharp sets.
     """
-    if variant not in (TAU_OUT, TAU_IN, TAU_BOTH):
-        raise ValueError(f"unknown tau variant {variant!r}")
     if y is not None:
         p01, p10 = change_sets(MapSpec.tau(variant, subset, y), pa)
     else:

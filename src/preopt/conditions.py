@@ -17,8 +17,9 @@ tests. Three test a necessary condition and skip the call when it fails:
 
 - edge-join: every energy cost is nonnegative, so the costs of the terms
   touching i and j, each minimized over the other element's label, bound
-  the minimum energy from below; when c_ij minus that floor is below the
-  tolerance, no labeling the swap moves can reach fixes the pair;
+  the minimum energy from below (``EnergyModel.floor``); when c_ij minus
+  that floor is below the tolerance, no labeling the swap moves can reach
+  fixes the pair;
 - subset-u, which only ever fixes pairs to one: zeroing all arcs leaving i
   (or all arcs entering j) inside the subset keeps any relation transitive,
   so the sub-problem's lb - ub is at most the positive value of those arcs,
@@ -83,13 +84,7 @@ from .bounds import (
     induced_value,
     local_search_lower_bound,
 )
-from .energy import (
-    IN_U,
-    IN_U_PRIME,
-    EnergyModel,
-    alpha_beta_swap_minimize,
-    build_join_energy,
-)
+from .energy import IN_U, IN_U_PRIME, alpha_beta_swap_minimize, build_join_energy
 from .flow import FlowNetwork, cut_capacities, min_st_cut, reachability_sets
 from .instance import Instance
 from .maps import (
@@ -312,22 +307,6 @@ def edge_cut_condition(instance: Instance, pa: PartialAssignment) -> list[Fixati
     return fixations
 
 
-def _join_energy_floor(model: EnergyModel) -> float:
-    """Lower bound on the energy of every labeling with i in U and j in U'.
-
-    All costs are nonnegative, so dropping the terms between two elements
-    other than i and j leaves the ij terms plus, per other element p, the
-    cheapest of its costs against i and j as a member of U, U' or REST.
-    """
-    i, j = model.i, model.j
-    join, cut = model.join_cost, model.cut_cost
-    per_label = np.minimum(
-        np.minimum(join[:, j] + cut[j, :], cut[:, i] + join[i, :]), cut[:, i] + cut[j, :]
-    )
-    per_label[[i, j]] = 0.0
-    return float(join[i, j] + cut[j, i] + per_label.sum())
-
-
 def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
     """Fix x_ij = 1 when some subset pair makes the join map improving.
 
@@ -346,7 +325,7 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
         if c[i, j] <= tol or working.value(i, j) is not None:
             continue
         model = build_join_energy(instance, working, i, j)
-        if c[i, j] - _join_energy_floor(model) < tol:
+        if c[i, j] - model.floor() < tol:
             continue
         labeling, energy = alpha_beta_swap_minimize(model)
         margin = float(c[i, j]) - energy
@@ -355,6 +334,7 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
         subset = frozenset(int(p) for p in np.flatnonzero(labeling == IN_U))
         subset_prime = frozenset(int(p) for p in np.flatnonzero(labeling == IN_U_PRIME))
         spec = MapSpec.gamma(subset, subset_prime, i, j)
+        # a safety check: the finite energy a margin needs already implies trueness
         if not is_true_to(spec, working):
             continue
         working = close(working.with_assignments([(i, j, 1)]))
@@ -617,9 +597,8 @@ class RunStats:
     per_condition: dict[str, ConditionStats] = field(default_factory=dict)
 
 
-def _dispatch(
-    cond: str, instance: Instance, pa: PartialAssignment, state: BoundState | None = None
-) -> list[Fixation]:
+def _dispatch(cond: str, state: BoundState) -> list[Fixation]:
+    instance, pa = state.instance, state.pa
     if cond == DIRECTED_CUT:
         return directed_cut_condition(instance, pa)
     if cond == EDGE_CUT:
@@ -660,18 +639,17 @@ def run_joint(
     stats.per_condition = {cond: ConditionStats() for cond in cfg.conditions}
 
     group = np.arange(orig_n)  # original element -> its contracted index
-    current = instance
-    pa = PartialAssignment.empty(orig_n)
     all_fixations: list[Fixation] = []
+    # this version's contracted instance and assignment, with their bbk bounds
+    state = BoundState(instance, PartialAssignment.empty(orig_n))
     version = 0  # goes up with every applied batch of fixations
     seen: dict[str, int] = {}  # condition -> the version it last ran on
-    state = BoundState(current, pa)  # the bbk bounds of this version
 
     def step(cond: str) -> bool:
         """Run one condition unless it already saw this assignment; True
         when its fixations moved the version."""
-        nonlocal current, pa, group, version, state
-        if current.n <= 1:
+        nonlocal group, version, state
+        if state.instance.n <= 1:
             return False
         record = stats.per_condition[cond]
         if seen.get(cond) == version:
@@ -679,12 +657,11 @@ def run_joint(
             return False
         seen[cond] = version
         tick = time.perf_counter_ns()
-        fixations = _dispatch(cond, current, pa, state)
+        fixations = _dispatch(cond, state)
         if fixations:
+            current = state.instance
             try:
-                pa = close(
-                    pa.with_assignments([(f.pair[0], f.pair[1], f.value) for f in fixations])
-                )
+                pa = close(state.pa.with_assignments([(*f.pair, f.value) for f in fixations]))
             except InconsistentAssignmentError as exc:
                 raise SoundnessError(
                     f"condition {cond!r} emitted fixations with no common completion"
@@ -694,22 +671,20 @@ def run_joint(
             members: list[list[int]] = [[] for _ in range(current.n)]
             for original, index in enumerate(group.tolist()):
                 members[index].append(original)
-            for f in fixations:
-                p, q = f.pair
-                weight = len(members[p]) * len(members[q])
-                if f.value == 0:
-                    record.fixed_zero += weight
-                else:
-                    record.fixed_one += weight
-                for op in members[p]:
-                    for oq in members[q]:
-                        all_fixations.append(Fixation((op, oq), f.value, f.condition, f.margin))
-            classes = mutual_one_classes(pa)
-            while classes:
-                current, pa, _, old_to_new = merge_classes(current, pa, classes[0])
+            expanded = [
+                Fixation((op, oq), f.value, f.condition, f.margin)
+                for f in fixations for op in members[f.pair[0]] for oq in members[f.pair[1]]
+            ]
+            all_fixations.extend(expanded)
+            record.fixed_zero += sum(f.value == 0 for f in expanded)
+            record.fixed_one += sum(f.value == 1 for f in expanded)
+            # merging one class leaves the others mutual-one classes, in order
+            to_new = np.arange(current.n)  # index before the merges -> index now
+            for cls in mutual_one_classes(pa):
+                current, pa, _, old_to_new = merge_classes(current, pa, to_new[cls])
+                to_new = old_to_new[to_new]
                 stats.merged_classes += 1
-                group = old_to_new[group]
-                classes = mutual_one_classes(pa)
+            group = to_new[group]
             state = BoundState(current, pa)
         record.time_ns += time.perf_counter_ns() - tick
         return bool(fixations)
@@ -732,13 +707,13 @@ def run_joint(
             for cond in cfg.conditions:
                 if cond in TIER_ONE and step(cond):
                     settle(tier_zero)
-            if current.n <= 1 or all(seen.get(cond) == version for cond in cfg.conditions):
+            if state.instance.n <= 1 or all(seen.get(cond) == version for cond in cfg.conditions):
                 break
 
     # back on the original elements; the members of a merged group are mutual ones
     lifted = PartialAssignment(
-        pa.ones[np.ix_(group, group)] | (group[:, None] == group),
-        pa.zeros[np.ix_(group, group)],
+        state.pa.ones[np.ix_(group, group)] | (group[:, None] == group),
+        state.pa.zeros[np.ix_(group, group)],
         copy=False,
     )
     stats.fixed_zero = int(lifted.zeros.sum())

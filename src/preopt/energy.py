@@ -18,6 +18,7 @@ import numpy as np
 
 from .flow import FlowNetwork, cut_capacities, min_st_cut
 from .instance import Instance
+from .maps import gamma_raise_set
 from .relations import PartialAssignment
 
 IN_U = 0
@@ -45,7 +46,7 @@ class EnergyModel:
     ``join_cost[p, q]`` applies when p is labeled IN_U and q IN_U_PRIME;
     ``cut_cost[p, q]`` applies on the three other label pairs of _PLANES.
     All other label combinations cost nothing. The elements i and j are
-    pinned to IN_U and IN_U_PRIME by infinite unary costs.
+    pinned to IN_U and IN_U_PRIME by infinite terminal arcs in each swap.
     """
 
     i: int
@@ -57,13 +58,6 @@ class EnergyModel:
     @property
     def n(self) -> int:
         return self.join_cost.shape[0]
-
-    def unary(self, p: int, label: int) -> float:
-        if p == self.i:
-            return 0.0 if label == IN_U else math.inf
-        if p == self.j:
-            return 0.0 if label == IN_U_PRIME else math.inf
-        return 0.0
 
     def plane(self, label_p: int, label_q: int) -> np.ndarray | None:
         """The cost matrix read when p has label_p and q has label_q, or None."""
@@ -83,6 +77,22 @@ class EnergyModel:
             block = getattr(self, name)[members[label_p]][:, members[label_q]]
             total += float(block.sum())
         return total
+
+    def floor(self) -> float:
+        """Lower bound on the energy of every labeling with i in U and j in U'.
+
+        All costs are nonnegative, so dropping the terms between two elements
+        other than i and j leaves the ij terms plus, per other element p, the
+        cheapest of its costs against i and j as a member of U, U' or REST.
+        """
+        i, j = self.i, self.j
+        join, cut = self.join_cost, self.cut_cost
+        # p in U, in U' or in REST, each read off _PLANES
+        per_label = np.minimum(
+            np.minimum(join[:, j] + cut[j, :], cut[:, i] + join[i, :]), cut[:, i] + cut[j, :]
+        )
+        per_label[[i, j]] = 0.0
+        return float(join[i, j] + cut[j, i] + per_label.sum())
 
     def initial_labeling(self) -> np.ndarray:
         lab = np.full(self.n, REST, dtype=np.int8)
@@ -105,11 +115,9 @@ def build_join_energy(
     if pa.value(i, j) is not None:
         raise ValueError("pair ij must be undecided")
     cut = cut_capacities(instance, pa)
-    reachable = np.outer(~pa.zeros[:, i], ~pa.zeros[j, :])
     join = np.where(
-        reachable, np.where(pa.ones, 0.0, np.where(pa.zeros, math.inf, instance.c_minus)), 0.0
+        gamma_raise_set(pa, i, j), np.where(pa.zeros, math.inf, instance.c_minus), 0.0
     )
-    np.fill_diagonal(join, 0.0)
     return EnergyModel(i=i, j=j, join_cost=join, cut_cost=cut, tolerance=instance.tolerance)
 
 
@@ -124,14 +132,13 @@ def optimal_swap(model: EnergyModel, labeling: np.ndarray, alpha: int, beta: int
     in_swap = (lab == alpha) | (lab == beta)
     members = np.flatnonzero(in_swap)
     k = members.size
-    if k == 0:
-        return lab
     outside = np.flatnonzero(~in_swap)
     (third,) = set(LABELS) - {alpha, beta}  # the label of every outside node
     source, sink = k, k + 1  # source side keeps alpha, sink side beta
     cap = np.zeros((k + 2, k + 2))
     # terminal arcs: source -> p is cut when p takes beta, p -> sink when it
-    # takes alpha; each prices p's label against every outside node
+    # takes alpha; each prices p's label against every outside node, and
+    # one that would move i or j off its label cannot be cut
     for label, terminal in ((beta, cap[source, :k]), (alpha, cap[:k, sink])):
         costs = model.plane(label, third)
         if costs is not None:
@@ -139,8 +146,9 @@ def optimal_swap(model: EnergyModel, labeling: np.ndarray, alpha: int, beta: int
         costs = model.plane(third, label)
         if costs is not None:
             terminal += costs[outside][:, members].sum(axis=0)
-        for pinned in (model.i, model.j):
-            terminal[members == pinned] += model.unary(pinned, label)
+        for pinned, pinned_label in ((model.i, IN_U), (model.j, IN_U_PRIME)):
+            if label != pinned_label:
+                terminal[members == pinned] = math.inf
     # pairwise arcs: p -> q is cut when p keeps alpha and q takes beta
     block = cap[:k, :k]
     costs = model.plane(alpha, beta)
@@ -173,9 +181,7 @@ def alpha_beta_swap_minimize(
         for alpha, beta in ((IN_U, IN_U_PRIME), (IN_U, REST), (IN_U_PRIME, REST)):
             candidate = optimal_swap(model, lab, alpha, beta)
             cand_energy = model.energy(candidate)
-            if cand_energy < energy - model.tolerance or (
-                math.isinf(energy) and cand_energy < energy
-            ):
+            if cand_energy < energy - model.tolerance:
                 lab = candidate
                 energy = cand_energy
                 improved = True

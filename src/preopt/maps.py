@@ -98,6 +98,17 @@ def tau_trueness_loose(kind: str, subset: frozenset[int], pa: PartialAssignment)
     return not (p10 & pa.ones).any() and not (p01 & pa.zeros).any()
 
 
+def gamma_raise_set(pa: PartialAssignment, i: int, j: int) -> np.ndarray:
+    """The pairs pq gamma may turn 0->1 for every U containing p and U'
+    containing q: pi and jq not assigned zero (the diagonal counts as
+    assigned one), pq not assigned one, and p != q.
+    """
+    not_zero = ~pa.zeros
+    raise_set = np.outer(not_zero[:, i], not_zero[j, :]) & ~pa.ones
+    np.fill_diagonal(raise_set, False)
+    return raise_set
+
+
 def change_sets(spec: MapSpec, pa: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
     """The pairs the map may turn 0->1 and 1->0, as supersets (P01, P10).
 
@@ -110,15 +121,11 @@ def change_sets(spec: MapSpec, pa: PartialAssignment) -> tuple[np.ndarray, np.nd
         u = _subset_mask(n, spec.subset)
         u_prime = _subset_mask(n, spec.subset_prime)
         u_rest = ~(u | u_prime)
-        not_zero = ~pa.zeros  # diagonal counts as assigned one
-        p01 = np.zeros((n, n), dtype=bool)
-        block = np.outer(not_zero[:, spec.i], not_zero[spec.j, :])
-        p01[np.ix_(u, u_prime)] = (block & ~pa.ones)[np.ix_(u, u_prime)]
+        p01 = gamma_raise_set(pa, spec.i, spec.j) & np.outer(u, u_prime)
+        # each block pairs two disjoint label sets, so none touches the diagonal
         p10 = (
             np.outer(u_rest, u) | np.outer(u_prime, u) | np.outer(u_prime, u_rest)
         ) & ~pa.zeros
-        np.fill_diagonal(p01, False)
-        np.fill_diagonal(p10, False)
         return p01, p10
 
     if spec.kind in _TAU_KINDS:

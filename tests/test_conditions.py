@@ -40,7 +40,7 @@ from preopt.conditions import (
     subset_fixation_condition,
     subset_fixation_pass,
 )
-from preopt.energy import LABELS, build_join_energy
+from preopt.energy import LABELS, EnergyModel, build_join_energy
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.instance import GeneratorConfig, generate_synthetic
 from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, tau_loose_sets
@@ -649,9 +649,9 @@ def _recorded_run(monkeypatch, inst, cfg=None):
     calls = []
     dispatch = conditions._dispatch
 
-    def recording(cond, instance, pa, *state):
-        calls.append((cond, instance, pa))
-        return dispatch(cond, instance, pa, *state)
+    def recording(cond, state):
+        calls.append((cond, state.instance, state.pa))
+        return dispatch(cond, state)
 
     monkeypatch.setattr(conditions, "_dispatch", recording)
     _, _, stats = run_joint(inst, cfg)
@@ -693,7 +693,7 @@ class TestSchedule:
         assert tier_one_calls
         for inst, pa in tier_one_calls:
             for cond in tier_zero:
-                assert conditions._dispatch(cond, inst, pa) == []
+                assert conditions._dispatch(cond, conditions.BoundState(inst, pa)) == []
 
     def test_tier_one_fixation_resettles_tier_zero(self, monkeypatch):
         calls, stats = _recorded_run(monkeypatch, _n12(0.8, 5))
@@ -737,7 +737,7 @@ class TestNanMargin:
         pa = PartialAssignment.empty(FIG1.n)
         assert edge_join_condition(FIG1, pa)
         minimize = conditions.alpha_beta_swap_minimize
-        monkeypatch.setattr(conditions, "_join_energy_floor", lambda model: 0.0)
+        monkeypatch.setattr(EnergyModel, "floor", lambda model: 0.0)
         monkeypatch.setattr(
             conditions, "alpha_beta_swap_minimize", lambda model: (minimize(model)[0], math.nan)
         )
@@ -762,7 +762,7 @@ def _closed_floor(cap):
 
 def _gates_off(monkeypatch):
     """Replace each gate's bound by a trivially valid one that never skips."""
-    monkeypatch.setattr(conditions, "_join_energy_floor", lambda model: 0.0)
+    monkeypatch.setattr(EnergyModel, "floor", lambda model: 0.0)
     monkeypatch.setattr(conditions, "_subset_gain_cap", lambda cap, i, j, subset: math.inf)
     monkeypatch.setattr(conditions, "_two_hop_flows", np.zeros_like)
 
@@ -779,7 +779,7 @@ class TestSoundGates:
             for k in rng.permutation(len(pairs))[:3]:
                 i, j = pairs[k]
                 model = build_join_energy(inst, pa, i, j)
-                floor = conditions._join_energy_floor(model)
+                floor = model.floor()
                 others = [p for p in range(n) if p not in (i, j)]
                 best = math.inf
                 for labels in itertools.product(LABELS, repeat=len(others)):

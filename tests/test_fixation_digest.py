@@ -8,7 +8,14 @@ their 2^-10 rounding; 16 ego networks ``ego_edges(1000 + k, 5)``,
 k = 0..15, on nodes 0..15 with the default config; 72 raw-float n = 12
 instances (``p_edges`` 0.5, alpha 0.1/0.5/0.9 outer, seed 0..23 inner)
 with the default config. Each of the five parts is also hashed on its own.
-A change meant to alter fixations updates these pins and states both values.
+
+The fixation lists of the four exact-arithmetic parts (all but raw12, whose
+margins depend on summation order) are hashed too: every run's fixations in
+the order ``run_joint`` returns them, one line
+``f"{p},{q},{value},{condition},{float(margin).hex()}\n"`` each, so the pin
+also covers each fixation's condition, margin and place in the list.
+A change meant to alter fixations or margins updates these pins and states
+both values.
 """
 
 import hashlib
@@ -37,14 +44,9 @@ PARTS = {
     "raw12": "25a6f9ba46fb",
 }
 
-
-@pytest.fixture
-def perfbench(monkeypatch):
-    monkeypatch.syspath_prepend(str(PERFBENCH))
-    import ego
-    import workloads
-
-    return workloads, ego
+FIXATION_LISTS = "8aa214422635a4be42531c50093e291a1c73fd53f823ad27ad69211f1865c6bb"
+FIXATION_COUNT = 19335
+EXACT_PARTS = ("synth-easy", "synth-hard", "cuts-large", "ego16")
 
 
 def _workload_part(workloads, name):
@@ -70,24 +72,49 @@ def _raw_part():
             yield inst, PipelineConfig()
 
 
-def test_fixation_digest(perfbench):
-    workloads, ego = perfbench
-    parts = {
-        "synth-easy": _workload_part(workloads, "synth-easy"),
-        "synth-hard": _workload_part(workloads, "synth-hard"),
-        "cuts-large": _workload_part(workloads, "cuts-large"),
-        "ego16": _ego_part(ego),
-        "raw12": _raw_part(),
-    }
+@pytest.fixture(scope="module")
+def results():
+    """Each part's name with its runs' (lifted assignment, fixations), in order."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import ego
+        import workloads
+
+        parts = {
+            "synth-easy": _workload_part(workloads, "synth-easy"),
+            "synth-hard": _workload_part(workloads, "synth-hard"),
+            "cuts-large": _workload_part(workloads, "cuts-large"),
+            "ego16": _ego_part(ego),
+            "raw12": _raw_part(),
+        }
+        return {
+            name: [run_joint(inst, cfg)[:2] for inst, cfg in runs]
+            for name, runs in parts.items()
+        }
+
+
+def test_fixation_digest(results):
     total = hashlib.sha256()
     found = {}
-    for name, runs in parts.items():
+    for name, runs in results.items():
         part = hashlib.sha256()
-        for inst, cfg in runs:
-            pa, _, _ = run_joint(inst, cfg)
+        for pa, _ in runs:
             data = pa.ones.tobytes() + pa.zeros.tobytes()
             part.update(data)
             total.update(data)
         found[name] = part.hexdigest()[:12]
     assert found == PARTS
     assert total.hexdigest() == TOTAL
+
+
+def test_fixation_lists(results):
+    digest = hashlib.sha256()
+    count = 0
+    for name in EXACT_PARTS:
+        for _, fixations in results[name]:
+            for f in fixations:
+                p, q = f.pair
+                digest.update(f"{p},{q},{f.value},{f.condition},{float(f.margin).hex()}\n".encode())
+            count += len(fixations)
+    assert count == FIXATION_COUNT
+    assert digest.hexdigest() == FIXATION_LISTS
