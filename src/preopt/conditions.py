@@ -17,9 +17,11 @@ tests. Three test a necessary condition and skip the call when it fails:
 
 - edge-join: every energy cost is nonnegative, so the costs of the terms
   touching i and j, each minimized over the other element's label, bound
-  the minimum energy from below (``EnergyModel.floor``); when c_ij minus
-  that floor is below the tolerance, no labeling the swap moves can reach
-  fixes the pair;
+  the minimum energy from below. ``energy.join_floors`` builds this floor
+  for every pair as one (n, n) array, at the first candidate pair and
+  again at the first candidate after each fixation; when c_ij minus the
+  pair's floor is below the tolerance, no labeling the swap moves can
+  reach fixes the pair, and its energy model is never built;
 - subset-u, which only ever fixes pairs to one: zeroing all arcs leaving i
   (or all arcs entering j) inside the subset keeps any relation transitive,
   so the sub-problem's lb - ub is at most the positive value of those arcs,
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -84,7 +86,7 @@ from .bounds import (
     induced_value,
     local_search_lower_bound,
 )
-from .energy import IN_U, IN_U_PRIME, alpha_beta_swap_minimize, build_join_energy
+from .energy import IN_U, IN_U_PRIME, alpha_beta_swap_minimize, build_join_energy, join_floors
 from .flow import FlowNetwork, cut_capacities, min_st_cut, reachability_sets
 from .instance import Instance
 from .maps import (
@@ -312,23 +314,30 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
 
     For each undecided pair with positive value, the cheapest right-hand side
     over subset pairs (U, U') is minimized heuristically by alpha-beta swaps
-    on the three-label energy model, unless the model's energy floor already
-    leaves no margin; the fixation is emitted only after an explicit trueness
-    re-check of the composed map. Fixations apply immediately, so later
-    pairs are judged against the updated assignment.
+    on the three-label energy model, unless the pair's energy floor already
+    leaves no margin. The swaps stop once c_ij minus the energy reaches the
+    tolerance; the energy never rises, so the pair is fixed exactly when
+    full minimization would fix it, and the margin is a lower bound on that
+    run's. The fixation is emitted only after an explicit trueness re-check
+    of the composed map. Fixations apply immediately, so later pairs are
+    judged against the updated assignment.
     """
     c = instance.values
     tol = instance.tolerance
     working = pa
+    floors = None  # join_floors(instance, working), built when first read
     fixations: list[Fixation] = []
     for i, j in _undecided_pairs(pa):
         if c[i, j] <= tol or working.value(i, j) is not None:
             continue
-        model = build_join_energy(instance, working, i, j)
-        if c[i, j] - model.floor() < tol:
+        if floors is None:
+            floors = join_floors(instance, working)
+        if c[i, j] - floors[i, j] < tol:
             continue
+        # the swaps stop once the margin reaches the tolerance
+        model = replace(build_join_energy(instance, working, i, j), gain=float(c[i, j]))
         labeling, energy = alpha_beta_swap_minimize(model)
-        margin = float(c[i, j]) - energy
+        margin = model.gain - energy
         if not margin >= tol:  # a NaN margin never fixes
             continue
         subset = frozenset(int(p) for p in np.flatnonzero(labeling == IN_U))
@@ -338,6 +347,7 @@ def edge_join_condition(instance: Instance, pa: PartialAssignment) -> list[Fixat
         if not is_true_to(spec, working):
             continue
         working = close(working.with_assignments([(i, j, 1)]))
+        floors = None
         fixations.append(Fixation((i, j), 1, EDGE_JOIN, margin))
     return fixations
 

@@ -6,7 +6,13 @@ right-hand side is cast as an energy minimization over labels
 negative parts over pairs that the join map may raise plus positive parts
 over pairs it may lower, with forbidden (infinite) costs wherever a flip
 would contradict the current partial assignment. The minimization runs
-alpha-beta swap moves, each solved exactly as one minimum s-t cut.
+alpha-beta swap moves, each solved exactly as one minimum s-t cut, cycling
+over the three label pairs. It stops when three moves in a row leave the
+labeling unchanged (a full cycle with no change; Boykov, Veksler & Zabih,
+2001), when the model's gain minus the energy reaches the tolerance, or
+after ``3 * MAX_SWEEPS`` swap moves, and it skips the moves whose result
+is already known. ``join_floors`` bounds the minimum energy of every
+pair's model from below in one array.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bounds
 from .flow import FlowNetwork, cut_capacities, min_st_cut
 from .instance import Instance
 from .maps import gamma_raise_set
@@ -26,7 +33,10 @@ IN_U_PRIME = 1
 REST = 2
 LABELS = (IN_U, IN_U_PRIME, REST)
 
-#: the most swap sweeps one minimization runs
+#: the swap moves, in the order a sweep solves them
+SWAPS = ((IN_U, IN_U_PRIME), (IN_U, REST), (IN_U_PRIME, REST))
+
+#: one minimization solves at most this many sweeps' worth of swap moves
 MAX_SWEEPS = 20
 
 #: the cost plane each ordered label pair (label of p, label of q) reads;
@@ -47,6 +57,8 @@ class EnergyModel:
     ``cut_cost[p, q]`` applies on the three other label pairs of _PLANES.
     All other label combinations cost nothing. The elements i and j are
     pinned to IN_U and IN_U_PRIME by infinite terminal arcs in each swap.
+    ``gain`` is the value the energy is compared with: the minimization
+    stops once gain - energy reaches the tolerance. NaN never does.
     """
 
     i: int
@@ -54,6 +66,7 @@ class EnergyModel:
     join_cost: np.ndarray
     cut_cost: np.ndarray
     tolerance: float
+    gain: float = math.nan
 
     @property
     def n(self) -> int:
@@ -78,27 +91,59 @@ class EnergyModel:
             total += float(block.sum())
         return total
 
-    def floor(self) -> float:
-        """Lower bound on the energy of every labeling with i in U and j in U'.
-
-        All costs are nonnegative, so dropping the terms between two elements
-        other than i and j leaves the ij terms plus, per other element p, the
-        cheapest of its costs against i and j as a member of U, U' or REST.
-        """
-        i, j = self.i, self.j
-        join, cut = self.join_cost, self.cut_cost
-        # p in U, in U' or in REST, each read off _PLANES
-        per_label = np.minimum(
-            np.minimum(join[:, j] + cut[j, :], cut[:, i] + join[i, :]), cut[:, i] + cut[j, :]
-        )
-        per_label[[i, j]] = 0.0
-        return float(join[i, j] + cut[j, i] + per_label.sum())
-
     def initial_labeling(self) -> np.ndarray:
         lab = np.full(self.n, REST, dtype=np.int8)
         lab[self.i] = IN_U
         lab[self.j] = IN_U_PRIME
         return lab
+
+
+def _join_base(instance: Instance, pa: PartialAssignment) -> np.ndarray:
+    """The join-plane costs of every pair's model before gamma's raise-set
+    mask: c- where undecided, infinite where assigned zero, 0 where
+    assigned one and on the diagonal."""
+    base = np.where(pa.ones, 0.0, np.where(pa.zeros, math.inf, instance.c_minus))
+    np.fill_diagonal(base, 0.0)
+    return base
+
+
+def join_floors(instance: Instance, pa: PartialAssignment) -> np.ndarray:
+    """Lower bound on the minimum energy of ``build_join_energy(instance,
+    pa, i, j)`` at [i, j], for every undecided pair at once.
+
+    All costs are nonnegative, so dropping the terms between two elements
+    other than i and j leaves the ij terms plus, per other element p, the
+    cheapest of its costs against i and j as a member of U, U' or REST,
+    each read off _PLANES. The cut costs do not depend on the pair, and
+    gamma's raise set keeps the join cost of pj exactly where pi is not
+    assigned zero, and that of ip where jp is not. Both matrices have a
+    zero diagonal, so the terms of p = i and p = j are zero and the sum
+    may run over every p. The terms are built for a slab of rows i at a
+    time, at most ``SLAB_ENTRIES`` of them, with each pair's arithmetic in
+    the order of a single pair's, so each entry is the same float. Entries
+    of decided pairs bound nothing.
+    """
+    n = instance.n
+    cut = cut_capacities(instance, pa)
+    base = _join_base(instance, pa)
+    not_zero = ~pa.zeros
+    cut_t, base_t, not_zero_t = (np.ascontiguousarray(a.T) for a in (cut, base, not_zero))
+    out = base + cut_t  # the terms ij and ji
+    rows = max(1, bounds.SLAB_ENTRIES // (n * n))
+    for start in range(0, n, rows):
+        slab = slice(start, min(start + rows, n))
+        # [i - start, j, p]: p in U pays join[p, j] + cut[j, p]
+        terms = np.where(not_zero_t[slab, None], base_t[None], 0.0)
+        terms += cut[None]
+        # p in U' pays cut[p, i] + join[i, p]
+        other = np.where(not_zero[None], base[slab, None], 0.0)
+        other += cut_t[slab, None]
+        np.minimum(terms, other, out=terms)
+        # p in REST pays cut[p, i] + cut[j, p]
+        np.add(cut_t[slab, None], cut[None], out=other)
+        np.minimum(terms, other, out=terms)
+        out[slab] += terms.sum(axis=2)
+    return out
 
 
 def build_join_energy(
@@ -115,9 +160,7 @@ def build_join_energy(
     if pa.value(i, j) is not None:
         raise ValueError("pair ij must be undecided")
     cut = cut_capacities(instance, pa)
-    join = np.where(
-        gamma_raise_set(pa, i, j), np.where(pa.zeros, math.inf, instance.c_minus), 0.0
-    )
+    join = np.where(gamma_raise_set(pa, i, j), _join_base(instance, pa), 0.0)
     return EnergyModel(i=i, j=j, join_cost=join, cut_cost=cut, tolerance=instance.tolerance)
 
 
@@ -165,28 +208,44 @@ def optimal_swap(model: EnergyModel, labeling: np.ndarray, alpha: int, beta: int
 def alpha_beta_swap_minimize(
     model: EnergyModel, *, history: list[float] | None = None
 ) -> tuple[np.ndarray, float]:
-    """Sweep optimal swaps over all label pairs from the initial labeling
-    until no sweep improves, at most MAX_SWEEPS times.
+    """Cycle optimal swaps over the label pairs, in SWAPS order, from the
+    initial labeling until the model's gain minus the energy reaches the
+    tolerance or three swap moves in a row leave the labeling unchanged, at
+    most ``len(SWAPS) * MAX_SWEEPS`` swap moves.
 
-    Returns the labeling and its energy; the energy is non-increasing across
-    sweeps. ``history``, when given, collects the energy after the initial
-    labeling and each sweep.
+    A swap is accepted when it lowers the energy by more than the tolerance.
+    Moves that cannot change the labeling are not solved: a swap whose
+    members are only the pinned i and j returns its input, and so does the
+    swap just accepted, solved again on its own output (the same members
+    face the same outside labels, so its network is the same). With a NaN
+    gain the labeling and energy are therefore those of full sweeps until
+    one sweep improves nothing; a finite gain stops that same sequence at
+    its first energy with gain - energy >= tolerance, so whether that test
+    holds at the end does not change. Returns the labeling and its energy;
+    the energy never rises. ``history``, when given, collects the energy of
+    the initial labeling and after each accepted swap.
     """
     lab = model.initial_labeling()
     energy = model.energy(lab)
     if history is not None:
         history.append(energy)
-    for _ in range(MAX_SWEEPS):
-        improved = False
-        for alpha, beta in ((IN_U, IN_U_PRIME), (IN_U, REST), (IN_U_PRIME, REST)):
-            candidate = optimal_swap(model, lab, alpha, beta)
-            cand_energy = model.energy(candidate)
-            if cand_energy < energy - model.tolerance:
-                lab = candidate
-                energy = cand_energy
-                improved = True
-        if history is not None:
-            history.append(energy)
-        if not improved:
+    unchanged = 0  # swap moves in a row known to leave lab as it is
+    for move in range(len(SWAPS) * MAX_SWEEPS):
+        if unchanged == len(SWAPS) or model.gain - energy >= model.tolerance:
             break
+        alpha, beta = SWAPS[move % len(SWAPS)]
+        free = (lab == alpha) | (lab == beta)
+        free[[model.i, model.j]] = False
+        if free.any():
+            candidate = optimal_swap(model, lab, alpha, beta)
+            if not np.array_equal(candidate, lab):
+                cand_energy = model.energy(candidate)
+                if cand_energy < energy - model.tolerance:
+                    lab = candidate
+                    energy = cand_energy
+                    unchanged = 1  # this move, solved again, returns its output
+                    if history is not None:
+                        history.append(energy)
+                    continue
+        unchanged += 1
     return lab, energy

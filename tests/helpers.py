@@ -3,8 +3,9 @@ plus the reference definitions the library's closed forms are checked
 against (the self-maps applied to whole relations, brute-force
 enumeration, local search and contraction classes with the join and zero
 rules written out by hand, contraction pair by pair, the bbk
-conditions pair by pair behind their strong and value flags, and the min
-cut search queue by queue over neighbor lists)."""
+conditions pair by pair behind their strong and value flags, the min
+cut search queue by queue over neighbor lists, and the join energy's floor
+and swap sweeps one model at a time)."""
 
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from preopt.conditions import (
     SUBSET_FIX,
     Fixation,
 )
+from preopt.energy import MAX_SWEEPS, SWAPS, EnergyModel, optimal_swap
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.maps import (
     GAMMA,
@@ -438,6 +440,45 @@ def reference_min_st_cut(
     if value > net._finite_total + 0.5:
         return math.inf, reachable
     return value, reachable
+
+
+def reference_join_floor(model: EnergyModel) -> float:
+    """Reference for one entry of ``energy.join_floors``: the floor of one
+    model, from its own cost matrices.
+
+    All costs are nonnegative, so dropping the terms between two elements
+    other than i and j leaves the ij terms plus, per other element p, the
+    cheapest of its costs against i and j as a member of U, U' or REST.
+    """
+    i, j = model.i, model.j
+    join, cut = model.join_cost, model.cut_cost
+    # p in U, in U' or in REST, each read off the energy's planes
+    per_label = np.minimum(
+        np.minimum(join[:, j] + cut[j, :], cut[:, i] + join[i, :]), cut[:, i] + cut[j, :]
+    )
+    per_label[[i, j]] = 0.0
+    return float(join[i, j] + cut[j, i] + per_label.sum())
+
+
+def reference_swap_minimize(model: EnergyModel) -> tuple[np.ndarray, float]:
+    """Reference for ``energy.alpha_beta_swap_minimize`` with a NaN gain:
+    whole sweeps, each solving every label pair's optimal swap and keeping
+    it when it lowers the energy by more than the tolerance, until a sweep
+    keeps none, at most MAX_SWEEPS sweeps. The model's gain is ignored."""
+    lab = model.initial_labeling()
+    energy = model.energy(lab)
+    for _ in range(MAX_SWEEPS):
+        improved = False
+        for alpha, beta in SWAPS:
+            candidate = optimal_swap(model, lab, alpha, beta)
+            cand_energy = model.energy(candidate)
+            if cand_energy < energy - model.tolerance:
+                lab = candidate
+                energy = cand_energy
+                improved = True
+        if not improved:
+            break
+    return lab, energy
 
 
 def reference_subset_fixation(

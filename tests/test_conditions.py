@@ -40,7 +40,7 @@ from preopt.conditions import (
     subset_fixation_condition,
     subset_fixation_pass,
 )
-from preopt.energy import LABELS, EnergyModel, build_join_energy
+from preopt.energy import LABELS, build_join_energy, join_floors
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.instance import GeneratorConfig, generate_synthetic
 from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, tau_loose_sets
@@ -737,7 +737,7 @@ class TestNanMargin:
         pa = PartialAssignment.empty(FIG1.n)
         assert edge_join_condition(FIG1, pa)
         minimize = conditions.alpha_beta_swap_minimize
-        monkeypatch.setattr(EnergyModel, "floor", lambda model: 0.0)
+        monkeypatch.setattr(conditions, "join_floors", _zero_join_floors)
         monkeypatch.setattr(
             conditions, "alpha_beta_swap_minimize", lambda model: (minimize(model)[0], math.nan)
         )
@@ -760,9 +760,14 @@ def _closed_floor(cap):
     return floor
 
 
+def _zero_join_floors(instance, pa):
+    """A join floor that never skips: every energy is nonnegative."""
+    return np.zeros((instance.n, instance.n))
+
+
 def _gates_off(monkeypatch):
     """Replace each gate's bound by a trivially valid one that never skips."""
-    monkeypatch.setattr(EnergyModel, "floor", lambda model: 0.0)
+    monkeypatch.setattr(conditions, "join_floors", _zero_join_floors)
     monkeypatch.setattr(conditions, "_subset_gain_cap", lambda cap, i, j, subset: math.inf)
     monkeypatch.setattr(conditions, "_two_hop_flows", np.zeros_like)
 
@@ -776,10 +781,11 @@ class TestSoundGates:
             inst = random_instance(rng, n, "pm1" if trial % 3 == 0 else "grid")
             pa = random_closed_pa_any(rng, n)
             pairs = conditions._undecided_pairs(pa)
+            floors = join_floors(inst, pa)
             for k in rng.permutation(len(pairs))[:3]:
                 i, j = pairs[k]
                 model = build_join_energy(inst, pa, i, j)
-                floor = model.floor()
+                floor = floors[i, j]
                 others = [p for p in range(n) if p not in (i, j)]
                 best = math.inf
                 for labels in itertools.product(LABELS, repeat=len(others)):

@@ -1,11 +1,20 @@
 import math
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_closed_pa, random_instance
-from preopt import Instance
+from helpers import (
+    random_closed_pa,
+    random_closed_pa_any,
+    random_instance,
+    reference_join_floor,
+    reference_swap_minimize,
+)
+from preopt import Instance, bounds
 from preopt.energy import (
     IN_U,
     IN_U_PRIME,
@@ -14,6 +23,7 @@ from preopt.energy import (
     EnergyModel,
     alpha_beta_swap_minimize,
     build_join_energy,
+    join_floors,
     optimal_swap,
 )
 from preopt.maps import MapSpec, change_sets
@@ -284,3 +294,106 @@ class TestAlphaBetaSwap:
             for alpha, beta in ((IN_U, IN_U_PRIME), (IN_U, REST), (IN_U_PRIME, REST)):
                 after = model.energy(optimal_swap(model, lab, alpha, beta))
                 assert after <= before + 1e-9 or math.isinf(before)
+
+
+class TestJoinFloors:
+    @pytest.mark.parametrize("rows", [None, 1, 4])
+    def test_matches_reference_floor(self, monkeypatch, rows):
+        rng = np.random.default_rng(30)
+        if rows is not None:
+            # several slabs of rows i; n = 13 is the largest size drawn
+            monkeypatch.setattr(bounds, "SLAB_ENTRIES", rows * 13 * 13)
+        checked = set()
+        for trial in range(24):
+            kind = ("raw", "grid", "pm1")[trial % 3]
+            n = (2, 5, 9, 13)[trial % 4]
+            inst = random_instance(rng, n, kind)
+            pa = random_closed_pa_any(rng, n, 0.4)
+            if not (pa.ones.any() and pa.zeros.any()):
+                continue
+            floors = join_floors(inst, pa)
+            undecided = ~pa.decided
+            np.fill_diagonal(undecided, False)
+            for i, j in np.argwhere(undecided).tolist():
+                want = reference_join_floor(build_join_energy(inst, pa, i, j))
+                assert float(floors[i, j]).hex() == want.hex()
+                checked.add(kind)
+        assert checked == {"raw", "grid", "pm1"}
+
+    def test_matches_reference_floor_past_pairwise_block(self):
+        # numpy sums more than 128 terms pairwise; the slab sum must too
+        rng = np.random.default_rng(31)
+        n = 140
+        inst = random_instance(rng, n, "raw")
+        pa = random_closed_pa_any(rng, n, 0.4)
+        floors = join_floors(inst, pa)
+        undecided = np.argwhere(~pa.decided & ~np.eye(n, dtype=bool))
+        for i, j in undecided[rng.permutation(len(undecided))[:20]].tolist():
+            want = reference_join_floor(build_join_energy(inst, pa, i, j))
+            assert float(floors[i, j]).hex() == want.hex()
+
+
+class TestSwapStopping:
+    def test_nan_gain_matches_full_sweeps(self):
+        rng = np.random.default_rng(32)
+        for _, model in swap_models(rng, 400):
+            model = replace(model, gain=math.nan)
+            lab, energy = alpha_beta_swap_minimize(model)
+            want_lab, want_energy = reference_swap_minimize(model)
+            assert np.array_equal(lab, want_lab)
+            assert energy.hex() == want_energy.hex()
+
+    def test_finite_gain_keeps_fix_decision(self):
+        rng = np.random.default_rng(33)
+        tested = 0
+        for kind, model in swap_models(rng, 300):
+            if kind == "grid":
+                # 2^-10 energies and gains sum exactly, so gain - energy can
+                # equal the tolerance
+                model = replace(model, tolerance=2.0**-10)
+            tol = model.tolerance
+            history: list[float] = []
+            alpha_beta_swap_minimize(replace(model, gain=math.nan), history=history)
+            _, final = reference_swap_minimize(model)
+            # gains around every energy the sweeps pass through
+            steps = (0.0, tol / 2, tol, 2 * tol)
+            gains = [e + d for e in history if math.isfinite(e) for d in steps]
+            for gain in [*gains, math.inf, -math.inf]:
+                _, energy = alpha_beta_swap_minimize(replace(model, gain=gain))
+                assert (gain - energy >= tol) == (gain - final >= tol)
+                # the first energy of the same sequence that reaches the goal
+                goal = next((e for e in history if gain - e >= tol), final)
+                assert energy.hex() == goal.hex()
+                tested += 1
+        assert tested > 1000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([math.nan, 0.0, 1.0, 10.0]))
+def test_swap_solves_only_moves_that_can_change(seed, gain):
+    """No swap is solved whose members are only the pinned i and j, and no
+    (alpha, beta) swap is solved on a labeling it was solved on or
+    returned."""
+    solved = set()
+    count = 0
+
+    def recording(model, labeling, alpha, beta):
+        free = (labeling == alpha) | (labeling == beta)
+        free[[model.i, model.j]] = False
+        assert free.any()
+        key = (alpha, beta, labeling.tobytes())
+        assert key not in solved
+        solved.add(key)
+        nonlocal count
+        count += 1
+        swapped = optimal_swap(model, labeling, alpha, beta)
+        solved.add((alpha, beta, swapped.tobytes()))
+        return swapped
+
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("preopt.energy.optimal_swap", recording)
+        for _, model in swap_models(rng, 8):
+            solved.clear()
+            alpha_beta_swap_minimize(replace(model, gain=gain))
+    assert count > 0

@@ -44,7 +44,7 @@ PARTS = {
     "raw12": "25a6f9ba46fb",
 }
 
-FIXATION_LISTS = "8aa214422635a4be42531c50093e291a1c73fd53f823ad27ad69211f1865c6bb"
+FIXATION_LISTS = "6e48613798d765af8c203ce67843e3cca8c4f2a5b008bce02711bcd26b1c521f"
 FIXATION_COUNT = 19335
 EXACT_PARTS = ("synth-easy", "synth-hard", "cuts-large", "ego16")
 
