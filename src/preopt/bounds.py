@@ -17,6 +17,7 @@ tau map replants the subset's interior.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +42,15 @@ Pair = tuple[int, int]
 #: of rows keep the working memory of ``induced_value`` O(n^2) and that of
 #: the triple table O(n^2 + improving triples)
 SLAB_ENTRIES = 1 << 17
+
+
+def row_slabs(n: int) -> Iterator[slice]:
+    """Consecutive slices of the rows 0..n-1 whose (rows, n, n) blocks hold
+    at most ``SLAB_ENTRIES`` entries each, one row at the least.
+    ``SLAB_ENTRIES`` is read when the slabs are first asked for."""
+    rows = max(1, SLAB_ENTRIES // (n * n))
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
 
 
 @dataclass
@@ -83,19 +93,17 @@ def _triple_table(
 
     x_pq + x_qr - x_pr <= 1 excludes only (1, 1, 0), so the true maximum is
     the best of x_pq = 0, of x_pq = 1 with x_qr = 0, and of all three arcs
-    set to one. The triples are built for a slab of first elements p at a
-    time, at most ``SLAB_ENTRIES`` of them. A triple that repeats an element
-    never improves: its diagonal arc is zero and unpinned, so one of the
-    three cases takes every arc at its best.
+    set to one. The triples are built for one ``row_slabs`` slab of first
+    elements p at a time. A triple that repeats an element never improves:
+    its diagonal arc is zero and unpinned, so one of the three cases takes
+    every arc at its best.
     """
     n = instance.n
     hi, lo = _pinned_values(instance, pa)
     m = arc_max_values(instance, pa)
-    rows = max(1, SLAB_ENTRIES // (n * n))
     found = []
-    for start in range(0, n, rows):
-        slab = slice(start, min(start + rows, n))
-        # [p - start, q, r]: the arcs pq, qr and pr
+    for slab in row_slabs(n):
+        # [p - slab.start, q, r]: the arcs pq, qr and pr
         tri_sum = m[slab, :, None] + m[None] + m[slab, None]
         tri_max = np.maximum(
             lo[slab, :, None] + m[None] + m[slab, None],
@@ -103,7 +111,8 @@ def _triple_table(
         )
         np.maximum(tri_max, hi[slab, :, None] + hi[None] + hi[slab, None], out=tri_max)
         p, q, r = np.nonzero(tri_sum - tri_max > 0.0)
-        found.append((np.stack([p + start, q, r], axis=1), tri_sum[p, q, r], tri_max[p, q, r]))
+        triples = np.stack([p + slab.start, q, r], axis=1)
+        found.append((triples, tri_sum[p, q, r], tri_max[p, q, r]))
     return tuple(np.concatenate(parts) for parts in zip(*found))
 
 
@@ -190,19 +199,16 @@ def induced_value(instance: Instance, pa: PartialAssignment, b: int) -> np.ndarr
     inclusion. Each term maximizes one or two incident arcs subject to the
     pinned pairs and the triangle coupling that x_ij = b imposes on them.
     Decided pairs and the diagonal are NaN. The terms of the other elements
-    w are built for a slab of rows i at a time, at most ``SLAB_ENTRIES`` of
-    them.
+    w are built for one ``row_slabs`` slab of rows i at a time.
     """
     n = instance.n
     m = arc_max_values(instance, pa)
     hi, lo = _pinned_values(instance, pa)
     m_t, hi_t, lo_t = (np.ascontiguousarray(a.T) for a in (m, hi, lo))
     out = np.empty((n, n))
-    rows = max(1, SLAB_ENTRIES // (n * n))
     every = np.arange(n)
-    for start in range(0, n, rows):
-        slab = slice(start, min(start + rows, n))
-        # terms[i - start, j, w] for the other elements w
+    for slab in row_slabs(n):
+        # terms[i - slab.start, j, w] for the other elements w
         if b == 0:
             # x_iw + x_wj <= 1 once x_ij = 0: (0, any) or (1, 0)
             terms = np.maximum(lo[slab, None] + m_t[None], hi[slab, None] + lo_t[None])
@@ -212,7 +218,7 @@ def induced_value(instance: Instance, pa: PartialAssignment, b: int) -> np.ndarr
             terms = np.maximum(lo[None] + m[slab, None], hi[None] + hi[slab, None])
             terms += np.maximum(lo_t[slab, None] + m_t[None], hi_t[slab, None] + hi_t[None])
         own = every[slab]
-        terms[own - start, :, own] = 0.0  # w = i
+        terms[own - slab.start, :, own] = 0.0  # w = i
         terms[:, every, every] = 0.0  # w = j
         out[slab] = terms.sum(axis=2)
     out += m.T  # the arc ji

@@ -146,8 +146,13 @@ def _run_one(args) -> tuple[str, dict]:
 
 
 @contextmanager
-def _click_usage_errors():
-    """Arguments click itself rejects are usage errors too: exit 1, not 2."""
+def _exit_codes():
+    """The one place that turns an escaping error into an exit code.
+
+    Arguments click itself rejects are usage errors (exit 1, not click's 2),
+    a ``SoundnessError`` is a soundness violation (exit 3) and any other
+    ``ValueError`` is a data error (exit 2), each with a one-line message.
+    """
     try:
         yield
     except NoArgsIsHelpError as exc:
@@ -155,17 +160,23 @@ def _click_usage_errors():
         raise
     except click.UsageError as exc:
         _usage_error(exc.format_message())
+    except SoundnessError as exc:
+        click.echo(f"soundness violation: {exc}", err=True)
+        sys.exit(EXIT_INCONSISTENT)
+    except ValueError as exc:
+        click.echo(f"data error: {exc}", err=True)
+        sys.exit(EXIT_DATA)
 
 
 class _Group(click.Group):
-    """The command group, with click's argument errors as usage errors."""
+    """The command group: parsing and every command run under ``_exit_codes``."""
 
     def make_context(self, *args, **kwargs):
-        with _click_usage_errors():
+        with _exit_codes():
             return super().make_context(*args, **kwargs)
 
     def invoke(self, ctx):
-        with _click_usage_errors():
+        with _exit_codes():
             return super().invoke(ctx)
 
 
@@ -265,18 +276,10 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
     jobs = [(path, cfg, emit_dir) for path in instances]
     workers = min(threads, len(jobs))  # at most one worker per instance
     rows = []
-    try:
-        with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-            for name, row in (pool.map if workers > 1 else map)(_run_one, jobs):
-                rows.append(row)
-                click.echo(f"{name}: {row['percent_fixed']}% fixed")
-    except SoundnessError as exc:
-        click.echo(f"soundness violation: {exc}", err=True)
-        sys.exit(EXIT_INCONSISTENT)
-    except ValueError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
-
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for name, row in (pool.map if workers > 1 else map)(_run_one, jobs):
+            rows.append(row)
+            click.echo(f"{name}: {row['percent_fixed']}% fixed")
     if out_csv is not None:
         with Path(out_csv).open("a", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=STATS_FIELDS)
@@ -297,26 +300,14 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
 def oracle_check(instance_path, conditions_text, partial_path):
     """Certify pipeline fixations against the exhaustive oracle (n <= 6)."""
     cfg = _pipeline_config(conditions_text)
-    try:
-        instance = load_instance(instance_path)
-    except ValueError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    instance = load_instance(instance_path)
     if instance.n > oracle.MAX_ORACLE_N:
         click.echo(f"oracle check needs n <= {oracle.MAX_ORACLE_N}, got {instance.n}", err=True)
         sys.exit(EXIT_USAGE)
     if partial_path is not None:
-        try:
-            pa = load_partial(partial_path, instance.n)
-        except ValueError as exc:
-            click.echo(f"data error: {exc}", err=True)
-            sys.exit(EXIT_DATA)
+        pa = load_partial(partial_path, instance.n)
     else:
-        try:
-            pa, _, _ = run_joint(instance, cfg)
-        except SoundnessError as exc:
-            click.echo(f"soundness violation: {exc}", err=True)
-            sys.exit(EXIT_INCONSISTENT)
+        pa, _, _ = run_joint(instance, cfg)
     optima = oracle.solve_exact(instance)
     agrees = oracle.completion_mask(optima.matrices, pa)
     if agrees.any():
@@ -340,12 +331,8 @@ def oracle_check(instance_path, conditions_text, partial_path):
 def ingest_ego(edge_file, out_csv):
     """Convert a "src dst" edge list into an instance file."""
     _check_out_parent(out_csv)
-    try:
-        nodes, edges = read_edge_list(edge_file)
-        instance = ingest_ego_network(edges, nodes)
-    except ValueError as exc:
-        click.echo(f"data error: {exc}", err=True)
-        sys.exit(EXIT_DATA)
+    nodes, edges = read_edge_list(edge_file)
+    instance = ingest_ego_network(edges, nodes)
     save_instance(instance, out_csv)
     click.echo(f"{len(nodes)} nodes, {len(edges)} edges -> {out_csv}")
 

@@ -76,7 +76,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import bounds
 from .bounds import (
     BoundReport,
     TractableBounds,
@@ -85,6 +84,7 @@ from .bounds import (
     exact_bounds_tractable,
     induced_value,
     local_search_lower_bound,
+    row_slabs,
 )
 from .energy import IN_U, IN_U_PRIME, alpha_beta_swap_minimize, build_join_energy, join_floors
 from .flow import FlowNetwork, cut_capacities, min_st_cut, reachability_sets
@@ -217,16 +217,13 @@ def _two_hop_flows(cap: np.ndarray) -> np.ndarray:
 
     The paths are arc-disjoint, so every i-j cut costs at least this much;
     the zero diagonal of ``cap`` drops k = i and k = j from the sum. The
-    paths are built for a slab of rows i at a time, at most
-    ``SLAB_ENTRIES`` of them.
+    paths are built for one ``row_slabs`` slab of rows i at a time.
     """
     n = cap.shape[0]
     cap_t = np.ascontiguousarray(cap.T)
     flows = np.empty((n, n))
-    rows = max(1, bounds.SLAB_ENTRIES // (n * n))
-    for start in range(0, n, rows):
-        slab = slice(start, min(start + rows, n))
-        # [i - start, j, k]: the bottleneck of i->k->j
+    for slab in row_slabs(n):
+        # [i - slab.start, j, k]: the bottleneck of i->k->j
         flows[slab] = np.minimum(cap[slab, None, :], cap_t[None]).sum(axis=2)
     flows += cap
     np.fill_diagonal(flows, math.inf)

@@ -118,10 +118,10 @@ def join_floors(instance: Instance, pa: PartialAssignment) -> np.ndarray:
     gamma's raise set keeps the join cost of pj exactly where pi is not
     assigned zero, and that of ip where jp is not. Both matrices have a
     zero diagonal, so the terms of p = i and p = j are zero and the sum
-    may run over every p. The terms are built for a slab of rows i at a
-    time, at most ``SLAB_ENTRIES`` of them, with each pair's arithmetic in
-    the order of a single pair's, so each entry is the same float. Entries
-    of decided pairs bound nothing.
+    may run over every p. The terms are built for one ``bounds.row_slabs``
+    slab of rows i at a time, with each pair's arithmetic in the order of a
+    single pair's, so each entry is the same float. Entries of decided
+    pairs bound nothing.
     """
     n = instance.n
     cut = cut_capacities(instance, pa)
@@ -129,10 +129,8 @@ def join_floors(instance: Instance, pa: PartialAssignment) -> np.ndarray:
     not_zero = ~pa.zeros
     cut_t, base_t, not_zero_t = (np.ascontiguousarray(a.T) for a in (cut, base, not_zero))
     out = base + cut_t  # the terms ij and ji
-    rows = max(1, bounds.SLAB_ENTRIES // (n * n))
-    for start in range(0, n, rows):
-        slab = slice(start, min(start + rows, n))
-        # [i - start, j, p]: p in U pays join[p, j] + cut[j, p]
+    for slab in bounds.row_slabs(n):
+        # [i - slab.start, j, p]: p in U pays join[p, j] + cut[j, p]
         terms = np.where(not_zero_t[slab, None], base_t[None], 0.0)
         terms += cut[None]
         # p in U' pays cut[p, i] + join[i, p]

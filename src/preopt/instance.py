@@ -246,8 +246,9 @@ def load_instance(path: str | Path) -> Instance:
 
     Unlisted pairs default to value zero. Rejects, with a "path:line"
     message, a count or row field that is not a plain ASCII number, malformed
-    rows, duplicate pairs, diagonal entries and non-finite values; rejects
-    values whose absolute sum overflows.
+    rows, duplicate pairs, diagonal entries and non-finite values; rejects,
+    with a "path:" message, a count too large to allocate and values whose
+    absolute sum overflows.
     """
     lines = [
         (lineno, ln.strip())
@@ -267,7 +268,7 @@ def load_instance(path: str | Path) -> Instance:
         raise ValueError(f"{path}: missing 'p,q,c' header")
     try:
         c = np.zeros((n, n), dtype=np.float64)
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
         raise ValueError(f"{path}: element count {n} is too large to allocate") from exc
     seen = set()
     for lineno, line in lines[2:]:

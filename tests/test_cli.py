@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from preopt import cli, oracle
+from preopt import cli, conditions, oracle
 from preopt.cli import STATS_FIELDS, main
+from preopt.conditions import DIRECTED_CUT, Fixation
 from preopt.instance import Instance, save_instance
 
 FIG1 = np.array(
@@ -324,6 +325,15 @@ class TestFix:
         assert f"data error: {big}: element count 100000000 is too large" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
 
+    def test_element_count_beyond_numpy_limit_is_named(self, runner, tmp_path):
+        # past numpy's size limit np.zeros raises ValueError, not MemoryError
+        big = tmp_path / "huge.csv"
+        big.write_text("n=99999999999\np,q,c\n0,1,1.0\n")
+        result = runner.invoke(main, ["fix", str(big)])
+        assert (result.exit_code, result.output) == (
+            2, f"data error: {big}: element count 99999999999 is too large to allocate\n"
+        )
+
     def test_out_in_missing_directory_is_usage_error(self, runner, tmp_path):
         inst = write_fig1(tmp_path)
         out = tmp_path / "missing" / "o.csv"
@@ -541,3 +551,80 @@ class TestIngestEgo:
         assert result.exit_code == 1, result.output
         assert result.output.startswith("usage error: output directory")
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+def unsound_directed_cut(instance, pa):
+    """A batch with no transitive completion: 0->1 and 1->2, but not 0->2."""
+    return [
+        Fixation((0, 1), 1, DIRECTED_CUT, 1.0),
+        Fixation((1, 2), 1, DIRECTED_CUT, 1.0),
+        Fixation((0, 2), 0, DIRECTED_CUT, 1.0),
+    ]
+
+
+def assert_exit(result, exit_code: int, output: str) -> None:
+    """The exit code and the whole output: one line, with no traceback."""
+    assert (result.exit_code, result.output) == (exit_code, output)
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+
+
+class TestExitCodes:
+    """Every command maps an escaping error to its exit code in one handler."""
+
+    def test_policy_is_stated_once(self):
+        source = Path(cli.__file__).read_text()
+        assert (source.count("data error:"), source.count("soundness violation:")) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "command, copies",
+        [(["fix"], 1), (["fix", "--threads", "2"], 2), (["oracle-check"], 1)],
+        ids=["fix", "fix-threads", "oracle-check"],
+    )
+    def test_soundness_violation_exits_3(self, runner, tmp_path, monkeypatch, command, copies):
+        # forked workers inherit the patch
+        monkeypatch.setattr(conditions, "directed_cut_condition", unsound_directed_cut)
+        paths = []
+        for k in range(copies):
+            (tmp_path / str(k)).mkdir()
+            paths.append(str(write_fig1(tmp_path / str(k))))
+        result = runner.invoke(main, [*command, *paths])
+        assert_exit(result, 3, "soundness violation: condition 'directed-cut' emitted "
+                    "fixations with no common completion\n")
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("ingest-ego", "0 1\n1 2 3\n", "{path}:2: expected 'src dst', got '1 2 3'"),
+            ("oracle-check --partial", "0,1\n", "{path}:1: malformed row '0,1'"),
+            ("oracle-check", "n=2\np,q,c\n0,0,1\n", "{path}:3: diagonal pair (0, 0) forbidden"),
+        ],
+        ids=["ingest-ego", "oracle-check-partial", "oracle-check-instance"],
+    )
+    def test_data_error_exits_2(self, runner, tmp_path, command, text, message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        if command == "ingest-ego":
+            args = ["ingest-ego", str(path), "--out", str(tmp_path / "out.csv")]
+        elif command == "oracle-check":
+            args = ["oracle-check", str(path)]
+        else:
+            args = ["oracle-check", str(write_fig1(tmp_path)), "--partial", str(path)]
+        result = runner.invoke(main, args)
+        assert_exit(result, 2, f"data error: {message.format(path=path)}\n")
+
+    @pytest.mark.parametrize(
+        "name, args",
+        [
+            ("run_joint", ["oracle-check", "INSTANCE"]),
+            ("draw_values", ["generate", "--out", "OUT", "--n", "3"]),
+        ],
+        ids=["oracle-check-pipeline", "generate"],
+    )
+    def test_escaping_value_error_is_data_error(self, runner, tmp_path, monkeypatch, name, args):
+        def broken(*args, **kwargs):
+            raise ValueError("broken input")
+
+        monkeypatch.setattr(cli, name, broken)
+        swap = {"INSTANCE": str(write_fig1(tmp_path)), "OUT": str(tmp_path / "ens")}
+        result = runner.invoke(main, [swap.get(arg, arg) for arg in args])
+        assert_exit(result, 2, "data error: broken input\n")
