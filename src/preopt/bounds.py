@@ -38,19 +38,25 @@ from .relations import (
 
 Pair = tuple[int, int]
 
-#: entries of one (rows, n, n) slab of induced-value terms or triples; slabs
-#: of rows keep the working memory of ``induced_value`` O(n^2) and that of
-#: the triple table O(n^2 + improving triples)
+#: entries of one slab of per-row work, such as a (rows, n, n) block of
+#: induced-value terms or triples; slabs of rows keep the working memory of
+#: ``induced_value`` O(n^2) and that of the triple table O(n^2 + improving
+#: triples)
 SLAB_ENTRIES = 1 << 17
 
 
+def slabs(count: int, width: int) -> Iterator[slice]:
+    """Consecutive slices of the rows 0..count-1 whose blocks of ``width``
+    entries per row hold at most ``SLAB_ENTRIES`` entries each, one row at
+    the least. ``SLAB_ENTRIES`` is read when the slabs are first asked for."""
+    rows = max(1, SLAB_ENTRIES // max(1, width))
+    for start in range(0, count, rows):
+        yield slice(start, min(start + rows, count))
+
+
 def row_slabs(n: int) -> Iterator[slice]:
-    """Consecutive slices of the rows 0..n-1 whose (rows, n, n) blocks hold
-    at most ``SLAB_ENTRIES`` entries each, one row at the least.
-    ``SLAB_ENTRIES`` is read when the slabs are first asked for."""
-    rows = max(1, SLAB_ENTRIES // (n * n))
-    for start in range(0, n, rows):
-        yield slice(start, min(start + rows, n))
+    """``slabs`` of the rows 0..n-1 of (rows, n, n) blocks."""
+    return slabs(n, n * n)
 
 
 @dataclass

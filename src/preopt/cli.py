@@ -266,6 +266,8 @@ def fix(instances, conditions_text, rounds, single_pass, threads, emit_dir, out_
             out = _partial_path(emit_dir, path)
             if out in owners:
                 _usage_error(f"{owners[out]} and {path} would both write {out}")
+            if out.is_dir():
+                _usage_error(f"{path} would write {out}, which is a directory")
             owners[out] = path
         try:
             Path(emit_dir).mkdir(parents=True, exist_ok=True)

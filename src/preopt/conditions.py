@@ -25,12 +25,19 @@ tests. Three test a necessary condition and skip the call when it fails:
 - subset-u, which only ever fixes pairs to one: zeroing all arcs leaving i
   (or all arcs entering j) inside the subset keeps any relation transitive,
   so the sub-problem's lb - ub is at most the positive value of those arcs,
-  and the boundary bound is at least the positive value of the flip set P10
-  that sharp and loose sets share; when the first minus the second is below
-  the tolerance, the variant cannot fire. Inside each call the map side
-  comes first: trueness and the boundary bound are computed before the
-  sub-problem's bounds, which are skipped when the map is not true or the
-  gain cap minus the boundary bound itself is below the tolerance;
+  the gain cap. The boundary bound is at least a floor: the positive value
+  of the flip set P10 that sharp and loose sets share, plus the negative
+  value of the undecided pairs of the opposite boundary, which every sharp
+  and loose P01 holds because the planted relation keeps U's diagonal. An
+  assigned one on P10 makes the map untrue and the floor infinite. The
+  subsets of all candidate pairs are one array, and ``_subset_gates``
+  builds their gain caps and floors as arrays, at the first candidate and
+  again after each fixation; when the cap minus a variant's floor is below
+  the tolerance minus a slack for the float sums, the variant cannot fire
+  and is not called. Inside each call the map side comes first: trueness
+  and the boundary bound are computed before the sub-problem's bounds,
+  which are skipped when the map is not true or the gain cap minus the
+  boundary bound itself is below the tolerance;
 - edge-cut: one (n, n) cut floor bounds every minimum cut from below. It
   starts at the two-hop flows: the paths i->k->j through distinct k are
   arc-disjoint, so the sum of their bottleneck capacities plus the direct
@@ -73,6 +80,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -85,6 +93,7 @@ from .bounds import (
     induced_value,
     local_search_lower_bound,
     row_slabs,
+    slabs,
 )
 from .energy import IN_U, IN_U_PRIME, alpha_beta_swap_minimize, build_join_energy, join_floors
 from .flow import FlowNetwork, cut_capacities, min_st_cut, reachability_sets
@@ -95,7 +104,6 @@ from .maps import (
     TAU_OUT,
     MapSpec,
     is_true_to,
-    tau_loose_sets,
     tau_trueness_loose,
 )
 from .relations import (
@@ -136,6 +144,9 @@ TIER_ONE = (EDGE_JOIN, SUBSET_FIX)
 
 #: elements added to a pair to form subset-u's candidate subset
 SUBSET_NEIGHBORS = 4
+
+#: the tau variants subset-u tries for each pair, in order
+SUBSET_VARIANTS = (TAU_BOTH, TAU_OUT, TAU_IN)
 
 
 class SoundnessError(RuntimeError):
@@ -529,13 +540,37 @@ def subset_fixation_condition(
     return None, report
 
 
-def _neighbor_subset(instance: Instance, i: int, j: int, k: int) -> list[int]:
-    """The pair plus the k elements with the largest value mass to or from it."""
-    c = np.abs(instance.values)
-    mass = c[i] + c[:, i] + c[j] + c[:, j]
-    order = np.argsort(-mass, kind="stable")  # ties in element order
-    order = order[(order != i) & (order != j)]
-    return sorted([i, j] + order[:k].tolist())
+def _neighbor_subsets(instance: Instance, pairs: np.ndarray, k: int) -> np.ndarray:
+    """Row r: the pair ``pairs[r]`` plus the k other elements with the
+    largest value mass to or from it, ties to the lower element, ascending.
+
+    Each pair's mass is summed in the order of a single pair's sum, so raw
+    float ties break the same way for every pair. The masses are built for
+    one ``bounds.slabs`` slab of pairs at a time, n entries per pair.
+    """
+    n = instance.n
+    a = np.abs(instance.values)
+    a_t = np.ascontiguousarray(a.T)
+    k = min(k, n - 2)
+    if k <= 0:
+        return np.sort(pairs, axis=1)
+    subsets = np.empty((len(pairs), k + 2), dtype=np.intp)
+    for slab in slabs(len(pairs), n):
+        i, j = pairs[slab, 0], pairs[slab, 1]
+        rows = np.arange(len(i))
+        mass = a[i] + a_t[i]
+        mass += a[j]
+        mass += a_t[j]
+        mass[rows, i] = mass[rows, j] = -math.inf  # below every other element
+        # the k-th largest mass; every element above it is taken, and the
+        # lowest of those equal to it until k are taken
+        kth = np.partition(mass, n - k, axis=1)[:, n - k, None]
+        above = mass > kth
+        tied = mass == kth
+        take = above | (tied & (np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)))
+        take[rows, i] = take[rows, j] = True
+        subsets[slab] = np.nonzero(take)[1].reshape(-1, k + 2)
+    return subsets
 
 
 def _subset_gain_cap(cap: np.ndarray, i: int, j: int, subset: list[int]) -> float:
@@ -549,35 +584,102 @@ def _subset_gain_cap(cap: np.ndarray, i: int, j: int, subset: list[int]) -> floa
     return float(min(cap[i, subset].sum(), cap[subset, j].sum()))
 
 
+def _boundary_sums(
+    u: np.ndarray, matrix: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of ``matrix`` over the out- and the in-boundary of each row
+    of subsets ``u``: the subset's row (column) sums minus its inner block."""
+    inner = matrix[u[:, :, None], u[:, None, :]].sum(axis=(1, 2))
+    return row_sums[u].sum(axis=1) - inner, col_sums[u].sum(axis=1) - inner
+
+
+def _subset_gates(
+    instance: Instance, pa: PartialAssignment, pairs: np.ndarray, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row r's gain cap, its floor under each of ``SUBSET_VARIANTS``'
+    boundary bounds, and the slack of the float sums behind both.
+
+    The cap is ``_subset_gain_cap`` of pair r and subset r, the same float.
+    A variant's floor is the cut capacity of its flip set P10 (the boundary
+    pairs it may turn 1 -> 0, infinite on an assigned one, which makes the
+    map untrue) plus c- over the undecided pairs of the opposite boundary:
+    the in-boundary for tau_out, the out-boundary for tau_in, none for
+    tau_both. ``change_sets`` plants y with U's diagonal set, so every sharp
+    P01 holds those pairs, as the loose one does, and the floor is at most
+    ``boundary_bound``. Each boundary sum is the subset's row (or column)
+    sums minus its inner block.
+
+    Every float sum here and in ``boundary_bound`` adds fewer than
+    n^2 + 64 nonnegative terms, so it is off by less than (n^2 + 64) eps / 2
+    of its terms' total. The floor's terms total at most the subset's weight
+    (its rows and columns of both matrices), and ``boundary_bound`` can
+    round below the floor only by that share of the floor, so a slack of
+    (n^2 + 64) eps (weight + cap + tol) covers both and the rounding of
+    cap - floor. The arrays are built for one ``bounds.slabs`` slab of pairs
+    at a time.
+    """
+    n = instance.n
+    cap = cut_capacities(instance, pa)
+    pos = np.where(pa.ones, 0.0, cap)  # c+ on the undecided pairs
+    neg = np.where(pa.decided, 0.0, instance.c_minus)  # c- on the undecided pairs
+    sums = [(m, m.sum(axis=1), m.sum(axis=0)) for m in (pos, neg, pa.ones.astype(np.intp))]
+    per_element = sum(row + col for _, row, col in sums[:2])
+    gain_cap = np.empty(len(pairs))
+    floor = np.empty((len(pairs), len(SUBSET_VARIANTS)))
+    weight = np.empty(len(pairs))
+    width = subsets.shape[1]
+    for slab in slabs(len(pairs), width * width):
+        u = subsets[slab]
+        i, j = pairs[slab, 0, None], pairs[slab, 1, None]
+        gain_cap[slab] = np.minimum(cap[i, u].sum(axis=1), cap[u, j].sum(axis=1))
+        (pos_out, pos_in), (neg_out, neg_in), (ones_out, ones_in) = (
+            _boundary_sums(u, *m) for m in sums
+        )
+        pos_out[ones_out > 0] = math.inf
+        pos_in[ones_in > 0] = math.inf
+        floor[slab] = np.stack([pos_out + pos_in, pos_out + neg_in, pos_in + neg_out], axis=1)
+        weight[slab] = per_element[u].sum(axis=1)
+    slack = (n * n + 64) * np.finfo(float).eps * (weight + gain_cap + instance.tolerance)
+    return gain_cap, floor, slack
+
+
 def subset_fixation_pass(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
     """Run the subset condition over all undecided positive pairs.
 
-    Candidate subsets are the pair plus its strongest neighbors; all three
-    tau variants are tried, except those whose boundary bound is known to
-    eat the largest gain ``_subset_gain_cap`` allows. Fixations apply
-    immediately.
+    Candidate subsets are the pair plus its strongest neighbors; the tau
+    variants are tried in ``SUBSET_VARIANTS`` order, except those whose
+    floor ``_subset_gates`` shows eats the largest gain the cap allows or
+    whose map it shows is not true. The gates are built at the first
+    candidate and again after each fixation, which applies immediately.
     """
     tol = instance.tolerance
+    pairs = np.argwhere(~pa.decided & (instance.values > tol))
+    if not len(pairs):
+        return []
+    subsets = _neighbor_subsets(instance, pairs, SUBSET_NEIGHBORS)
     working = pa
-    cap = cut_capacities(instance, working)
     fixations: list[Fixation] = []
-    for i, j in _undecided_pairs(pa):
-        if instance.values[i, j] <= tol or working.value(i, j) is not None:
-            continue
-        subset = _neighbor_subset(instance, i, j, SUBSET_NEIGHBORS)
-        gain_cap = _subset_gain_cap(cap, i, j, subset)
-        for variant in (TAU_BOTH, TAU_OUT, TAU_IN):
-            # sharp and loose flip sets share P10, so every boundary bound
-            # subset_fixation_condition can compute is at least its value
-            _, p10 = tau_loose_sets(variant, frozenset(subset), working)
-            if gain_cap - float(instance.c_plus[p10].sum()) < tol:
-                continue
-            fix, _ = subset_fixation_condition(instance, working, (i, j), subset, variant)
-            if fix is not None:
-                working = close(working.with_assignments([(i, j, 1)]))
-                cap = cut_capacities(instance, working)
-                fixations.append(fix)
-                break
+    rows = np.arange(len(pairs))  # the candidates left, in order
+    while rows.size:
+        gain_cap, floor, slack = _subset_gates(instance, working, pairs[rows], subsets[rows])
+        # inf - inf is NaN, which skips: the infinite floor alone rules the map out
+        with np.errstate(invalid="ignore"):
+            tried = gain_cap[:, None] - floor >= tol - slack[:, None]
+        live = tried.any(axis=1)
+        outcomes = (  # lazily, in order, up to the first fixation
+            (r, subset_fixation_condition(
+                instance, working, tuple(pairs[r].tolist()), subsets[r].tolist(), variant
+            )[0])
+            for r, tries in zip(rows[live].tolist(), tried[live].tolist())
+            for variant in compress(SUBSET_VARIANTS, tries)
+        )
+        r, fix = next(((r, fix) for r, fix in outcomes if fix is not None), (None, None))
+        if fix is None:
+            break
+        working = close(working.with_assignments([(*fix.pair, 1)]))
+        fixations.append(fix)
+        rows = rows[rows > r]
+        rows = rows[~working.decided[pairs[rows, 0], pairs[rows, 1]]]
     return fixations
 
 

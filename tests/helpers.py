@@ -4,8 +4,9 @@ against (the self-maps applied to whole relations, brute-force
 enumeration, local search and contraction classes with the join and zero
 rules written out by hand, contraction pair by pair, the bbk
 conditions pair by pair behind their strong and value flags, the min
-cut search queue by queue over neighbor lists, and the join energy's floor
-and swap sweeps one model at a time)."""
+cut search queue by queue over neighbor lists, the join energy's floor
+and swap sweeps one model at a time, and subset-u's neighbor subsets one
+pair at a time)."""
 
 from __future__ import annotations
 
@@ -479,6 +480,16 @@ def reference_swap_minimize(model: EnergyModel) -> tuple[np.ndarray, float]:
         if not improved:
             break
     return lab, energy
+
+
+def reference_neighbor_subset(instance: Instance, i: int, j: int, k: int) -> list[int]:
+    """Reference for ``conditions._neighbor_subsets``: the pair plus the k
+    elements with the largest value mass to or from it, by a stable sort."""
+    c = np.abs(instance.values)
+    mass = c[i] + c[:, i] + c[j] + c[:, j]
+    order = np.argsort(-mass, kind="stable")  # ties in element order
+    order = order[(order != i) & (order != j)]
+    return sorted([i, j] + order[:k].tolist())
 
 
 def reference_subset_fixation(

@@ -381,6 +381,20 @@ class TestFix:
         assert result.exit_code == 0, result.output
         assert (emit / "o.csv").exists() and (emit / "fig1.partial.csv").exists()
 
+    def test_emit_partial_onto_a_directory_is_usage_error(self, runner, tmp_path):
+        inst = write_fig1(tmp_path)
+        emit = tmp_path / "parts"
+        (emit / "fig1.partial.csv").mkdir(parents=True)
+        out = tmp_path / "stats.csv"
+        result = runner.invoke(
+            main, ["fix", str(inst), "--emit-partial", str(emit), "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert result.output.startswith("usage error: ")
+        assert "fig1.partial.csv" in result.output and "directory" in result.output
+        assert result.output.count("\n") == 1  # no instance ran
+        assert [p.name for p in emit.rglob("*")] == ["fig1.partial.csv"] and not out.exists()
+
     def test_uncreatable_emit_partial_is_usage_error(self, runner, tmp_path):
         inst = write_fig1(tmp_path)
         blocker = tmp_path / "afile"

@@ -12,6 +12,7 @@ from helpers import (
     random_closed_pa_any,
     random_instance,
     reference_boecker_conditions,
+    reference_neighbor_subset,
     reference_subset_fixation,
 )
 from preopt import (
@@ -43,7 +44,16 @@ from preopt.conditions import (
 from preopt.energy import LABELS, build_join_energy, join_floors
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.instance import GeneratorConfig, generate_synthetic
-from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, tau_loose_sets
+from preopt.bounds import boundary_bound, exact_bounds_tractable
+from preopt.maps import (
+    TAU_BOTH,
+    TAU_IN,
+    TAU_OUT,
+    MapSpec,
+    is_true_to,
+    tau_loose_sets,
+    tau_trueness_loose,
+)
 from preopt.relations import (
     InconsistentAssignmentError,
     PartialAssignment,
@@ -464,13 +474,41 @@ class TestSubsetFixation:
             mass = a[i] + a[:, i] + a[j] + a[:, j]
             others = sorted((p for p in range(n) if p not in (i, j)), key=lambda p: (-mass[p], p))
             expected = sorted([i, j] + others[:4])
-            subset = conditions._neighbor_subset(inst, i, j, 4)
+            subset = conditions._neighbor_subsets(inst, np.array([[i, j]]), 4)[0].tolist()
             assert subset == expected and all(type(p) is int for p in subset)
             assert len(set(subset)) == len(subset)
             cap = cut_capacities(inst, PartialAssignment.empty(n))
             assert conditions._subset_gain_cap(cap, i, j, subset) == conditions._subset_gain_cap(
                 cap, i, j, sorted(set(subset))
             )
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw", "ties"])
+    def test_neighbor_subsets_match_reference(self, kind):
+        rng = np.random.default_rng(28)
+        for trial in range(40):
+            n = 2 + trial % 11  # 2..12
+            if kind == "ties":  # few distinct masses: values in {-1, 0, 1}, or all 1
+                values = rng.integers(-1, 2, (n, n)) * (trial % 2) + (1 - trial % 2)
+                np.fill_diagonal(values, 0)
+                inst = Instance(values.astype(float))
+            else:
+                inst = random_instance(rng, n, kind)
+            pairs = np.argwhere(~np.eye(n, dtype=bool))
+            subsets = conditions._neighbor_subsets(inst, pairs, conditions.SUBSET_NEIGHBORS)
+            for (i, j), subset in zip(pairs.tolist(), subsets.tolist()):
+                assert subset == reference_neighbor_subset(inst, i, j, conditions.SUBSET_NEIGHBORS)
+
+    def test_pass_slabs_match_one_block(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        cases = []
+        for trial in range(36):
+            n = 3 + trial % 7  # 3..9
+            inst = random_instance(rng, n, ("grid", "pm1", "raw")[trial % 3])
+            cases.append((inst, random_closed_pa_any(rng, n, 0.2)))
+        whole = [subset_fixation_pass(inst, pa) for inst, pa in cases]
+        assert sum(map(len, whole)) >= 20
+        monkeypatch.setattr(bounds, "SLAB_ENTRIES", 1)  # one pair per slab
+        assert [subset_fixation_pass(inst, pa) for inst, pa in cases] == whole
 
 
 class TestSubsetMapSideFirst:
@@ -765,10 +803,17 @@ def _zero_join_floors(instance, pa):
     return np.zeros((instance.n, instance.n))
 
 
+def _open_subset_gates(instance, pa, pairs, subsets):
+    """Gain caps, floors and slacks that never skip a variant."""
+    m = len(pairs)
+    return np.full(m, math.inf), np.zeros((m, len(conditions.SUBSET_VARIANTS))), np.zeros(m)
+
+
 def _gates_off(monkeypatch):
     """Replace each gate's bound by a trivially valid one that never skips."""
     monkeypatch.setattr(conditions, "join_floors", _zero_join_floors)
     monkeypatch.setattr(conditions, "_subset_gain_cap", lambda cap, i, j, subset: math.inf)
+    monkeypatch.setattr(conditions, "_subset_gates", _open_subset_gates)
     monkeypatch.setattr(conditions, "_two_hop_flows", np.zeros_like)
 
 
@@ -825,6 +870,87 @@ class TestSoundGates:
                 _, p10 = tau_loose_sets(variant, frozenset(subset), pa)
                 assert report.lb - report.ub <= cap
                 assert report.ub_prime >= inst.c_plus[p10].sum()
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_subset_floor_below_boundary_bound(self, kind):
+        # every floor is at most the loose boundary bound and the sharp one
+        # of any planted y (the tractable optimum and random preorders on U);
+        # grid and +-1 sums are exact, raw ones need the slack
+        rng = np.random.default_rng(30)
+        loose = sharp = 0
+        for trial in range(120):
+            n = 3 + trial % 6  # 3..8
+            inst = random_instance(rng, n, kind)
+            pa = random_closed_pa_any(rng, n)
+            width = int(rng.integers(2, n))  # leaves a boundary
+            subsets = np.sort([rng.choice(n, size=width, replace=False) for _ in range(5)])
+            pairs = np.array([rng.choice(u, size=2, replace=False) for u in subsets])
+            _, floors, slack = conditions._subset_gates(inst, pa, pairs, subsets)
+            if kind != "raw":
+                slack[:] = 0.0
+            for u, row, s in zip(subsets.tolist(), floors, slack):
+                planted = [transitive_closure_matrix(rng.random((width, width)) < 0.3)]
+                tractable = exact_bounds_tractable(inst.restrict(u), pa.restrict(u))
+                if tractable is not None:
+                    planted.append(tractable.y.matrix)
+                for variant, floor in zip(conditions.SUBSET_VARIANTS, row):
+                    bounds_and_trueness = [(
+                        boundary_bound(inst, pa, u, variant),
+                        tau_trueness_loose(variant, frozenset(u), pa),
+                    )]
+                    for y in planted:
+                        y_full = np.zeros((n, n), dtype=bool)
+                        y_full[np.ix_(u, u)] = y
+                        y_rel = Relation(y_full, copy=False)
+                        bounds_and_trueness.append((
+                            boundary_bound(inst, pa, u, variant, y_rel),
+                            is_true_to(MapSpec.tau(variant, u, y_rel), pa),
+                        ))
+                    for k, (bound, true) in enumerate(bounds_and_trueness):
+                        if math.isinf(floor):  # an assigned one on P10
+                            assert not true
+                        else:
+                            assert floor <= bound + s
+                        loose += k == 0
+                        sharp += k > 0
+        assert loose >= 1500 and sharp >= 1500
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_subset_gain_caps_match_scalar(self, kind):
+        rng = np.random.default_rng(31)
+        for trial in range(40):
+            n = 2 + trial % 11  # 2..12
+            inst = random_instance(rng, n, kind)
+            pa = random_closed_pa_any(rng, n, 0.3)
+            pairs = np.argwhere(~np.eye(n, dtype=bool))
+            subsets = conditions._neighbor_subsets(inst, pairs, conditions.SUBSET_NEIGHBORS)
+            caps, _, _ = conditions._subset_gates(inst, pa, pairs, subsets)
+            cap = cut_capacities(inst, pa)
+            for (i, j), subset, got in zip(pairs.tolist(), subsets.tolist(), caps.tolist()):
+                assert got == conditions._subset_gain_cap(cap, i, j, subset)
+
+    def test_subset_gates_keep_fixation_lists(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        cases = []
+        for trial in range(45):
+            n = 3 + trial % 7  # 3..9
+            inst = random_instance(rng, n, ("grid", "pm1", "raw")[trial % 3])
+            cases.append((inst, random_closed_pa_any(rng, n, 0.2)))
+        calls = []
+        condition = conditions.subset_fixation_condition
+
+        def counted(*args, **kwargs):
+            calls.append(args[2:5])
+            return condition(*args, **kwargs)
+
+        monkeypatch.setattr(conditions, "subset_fixation_condition", counted)
+        gated = [subset_fixation_pass(inst, pa) for inst, pa in cases]
+        gated_calls = len(calls)
+        assert sum(map(len, gated)) >= 20
+        _gates_off(monkeypatch)
+        calls.clear()
+        assert [subset_fixation_pass(inst, pa) for inst, pa in cases] == gated
+        assert gated_calls < len(calls)
 
     def test_cut_floor_below_min_cut(self):
         # raw floats need slack; 2^-10-grid and +-1 capacities sum exactly
