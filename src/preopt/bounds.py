@@ -11,7 +11,8 @@ values and the packing's triple table both read each arc's pinned values
 the induced values in O(n^2) working memory, the triple table, one p-slab
 at a time, in O(n^2 + improving triples).
 Boundary bounds cap how much value the boundary of a subset can lose when a
-tau map replants the subset's interior.
+true tau map replants the subset's interior, one array over subsets and tau
+variants.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .flow import FlowNetwork, cut_capacities, min_st_cut
 from .instance import Instance, evaluate
-from .maps import MapSpec, change_sets, tau_loose_sets
+from .maps import TAU_BOTH, TAU_IN, TAU_OUT
 from .relations import (
     InconsistentAssignmentError,
     PartialAssignment,
@@ -43,6 +44,10 @@ Pair = tuple[int, int]
 #: ``induced_value`` O(n^2) and that of the triple table O(n^2 + improving
 #: triples)
 SLAB_ENTRIES = 1 << 17
+
+#: the tau variants subset-u tries for each pair, in order: the columns of
+#: ``boundary_bound``
+SUBSET_VARIANTS = (TAU_BOTH, TAU_OUT, TAU_IN)
 
 
 def slabs(count: int, width: int) -> Iterator[slice]:
@@ -65,7 +70,10 @@ class BoundReport:
 
     A subset-u call that its map side rules out computes no sub-problem
     bounds: it reports the trivial bounds lb = -inf and ub = +inf, still
-    valid, with provenance "map-side".
+    valid, with provenance "map-side". Its ``ub_prime`` is still
+    ``boundary_bound``'s value, which bounds the boundary loss only of a
+    true map: for a map that is not true it is infinite when the cut
+    boundary holds an assigned one, and otherwise bounds nothing.
     """
 
     lb: float
@@ -374,22 +382,46 @@ def sign_greedy_relation(instance: Instance, pa: PartialAssignment) -> Relation:
     return Relation(pa.ones | (undecided & (instance.values >= 0)), copy=False)
 
 
-def boundary_bound(
-    instance: Instance,
-    pa: PartialAssignment,
-    subset,
-    variant: str,
-    y: Relation | None = None,
-) -> float:
-    """Upper bound on the boundary value a tau map can lose.
+def boundary_bound(instance: Instance, pa: PartialAssignment, subsets: np.ndarray) -> np.ndarray:
+    """Upper bounds on the boundary value a true tau map can lose: row r,
+    column v for the subset ``subsets[r]`` (rows of distinct elements, all
+    of one width) and the variant ``SUBSET_VARIANTS[v]``.
 
-    For every completion x, the boundary terms satisfy
-    sum_{pq in boundary} c_pq (x_pq - tau(x)_pq) <= this bound. Without y
-    the bound uses the y-free flip supersets; given the planted relation y
-    it uses that relation's sharp sets.
+    A tau map that is true to the assignment may turn 1 -> 0 only undecided
+    pairs of its cut boundary (the whole boundary for tau_both, the
+    out-boundary for tau_out, the in-boundary for tau_in), and 0 -> 1 only
+    undecided pairs of the opposite boundary (none for tau_both). So for
+    every completion x the boundary terms satisfy
+    sum_{pq in boundary} c_pq (x_pq - tau(x)_pq) <= c+ over the undecided
+    cut boundary plus c- over the undecided opposite boundary. This is the
+    bound of the map's sharp flip sets and of its loose ones alike: both
+    hold every undecided pair of the opposite boundary, because the planted
+    relation keeps U's diagonal.
+    A cut boundary holding an assigned one makes the map untrue and the
+    bound infinite; for any other untrue map the value bounds nothing. Each
+    boundary sum is the subset's row (or column) sums minus its inner
+    block, built for one ``slabs`` slab of subsets at a time.
     """
-    if y is not None:
-        p01, p10 = change_sets(MapSpec.tau(variant, subset, y), pa)
-    else:
-        p01, p10 = tau_loose_sets(variant, frozenset(subset), pa)
-    return float(instance.c_minus[p01].sum() + instance.c_plus[p10].sum())
+    pos = np.where(pa.decided, 0.0, instance.c_plus)
+    neg = np.where(pa.decided, 0.0, instance.c_minus)
+    sums = [(m, m.sum(axis=1), m.sum(axis=0)) for m in (pos, neg, pa.ones.astype(np.intp))]
+    out = np.empty((len(subsets), len(SUBSET_VARIANTS)))
+    width = subsets.shape[1]
+    for slab in slabs(len(subsets), width * width):
+        u = subsets[slab]
+        (pos_out, pos_in), (neg_out, neg_in), (ones_out, ones_in) = (
+            _boundary_sums(u, *m) for m in sums
+        )
+        pos_out[ones_out > 0] = math.inf
+        pos_in[ones_in > 0] = math.inf
+        out[slab] = np.stack([pos_out + pos_in, pos_out + neg_in, pos_in + neg_out], axis=1)
+    return out
+
+
+def _boundary_sums(
+    u: np.ndarray, matrix: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sums of ``matrix`` over the out- and the in-boundary of each row
+    of subsets ``u``: the subset's row (column) sums minus its inner block."""
+    inner = matrix[u[:, :, None], u[:, None, :]].sum(axis=(1, 2))
+    return row_sums[u].sum(axis=1) - inner, col_sums[u].sum(axis=1) - inner

@@ -25,19 +25,18 @@ tests. Three test a necessary condition and skip the call when it fails:
 - subset-u, which only ever fixes pairs to one: zeroing all arcs leaving i
   (or all arcs entering j) inside the subset keeps any relation transitive,
   so the sub-problem's lb - ub is at most the positive value of those arcs,
-  the gain cap. The boundary bound is at least a floor: the positive value
-  of the flip set P10 that sharp and loose sets share, plus the negative
-  value of the undecided pairs of the opposite boundary, which every sharp
-  and loose P01 holds because the planted relation keeps U's diagonal. An
-  assigned one on P10 makes the map untrue and the floor infinite. The
-  subsets of all candidate pairs are one array, and ``_subset_gates``
-  builds their gain caps and floors as arrays, at the first candidate and
-  again after each fixation; when the cap minus a variant's floor is below
-  the tolerance minus a slack for the float sums, the variant cannot fire
-  and is not called. Inside each call the map side comes first: trueness
-  and the boundary bound are computed before the sub-problem's bounds,
-  which are skipped when the map is not true or the gain cap minus the
-  boundary bound itself is below the tolerance;
+  the gain cap. The gate reads the boundary bound itself, with no slack:
+  ``bounds.boundary_bound`` is one array over subsets and tau variants,
+  the bound of every true map, sharp or loose, and infinite where an
+  assigned one on the cut boundary makes the map untrue. The subsets of
+  all candidate pairs are one array, and their gain caps
+  (``_subset_gain_caps``) and boundary bounds are built at the first
+  candidate and again after each fixation; when the cap minus a variant's
+  bound is below the tolerance, the variant cannot fire and is not
+  called. Inside each call the map side comes first: trueness, the cap
+  and the boundary bound, for the call's one row of the same arrays, are
+  computed before the sub-problem's bounds, which are skipped when the
+  map is not true or the pass's test fails on the same floats;
 - edge-cut: one (n, n) cut floor bounds every minimum cut from below. It
   starts at the two-hop flows: the paths i->k->j through distinct k are
   arc-disjoint, so the sum of their bottleneck capacities plus the direct
@@ -85,6 +84,7 @@ from itertools import compress
 import numpy as np
 
 from .bounds import (
+    SUBSET_VARIANTS,
     BoundReport,
     TractableBounds,
     TriplePackingBound,
@@ -98,14 +98,7 @@ from .bounds import (
 from .energy import IN_U, IN_U_PRIME, alpha_beta_swap_minimize, build_join_energy, join_floors
 from .flow import FlowNetwork, cut_capacities, min_st_cut, reachability_sets
 from .instance import Instance
-from .maps import (
-    TAU_BOTH,
-    TAU_IN,
-    TAU_OUT,
-    MapSpec,
-    is_true_to,
-    tau_trueness_loose,
-)
+from .maps import TAU_BOTH, MapSpec, is_true_to, tau_trueness_loose
 from .relations import (
     InconsistentAssignmentError,
     PartialAssignment,
@@ -144,9 +137,6 @@ TIER_ONE = (EDGE_JOIN, SUBSET_FIX)
 
 #: elements added to a pair to form subset-u's candidate subset
 SUBSET_NEIGHBORS = 4
-
-#: the tau variants subset-u tries for each pair, in order
-SUBSET_VARIANTS = (TAU_BOTH, TAU_OUT, TAU_IN)
 
 
 class SoundnessError(RuntimeError):
@@ -487,10 +477,10 @@ def subset_fixation_condition(
     y-free loose sets.
 
     The map side comes first: when the map is not true, or
-    ``_subset_gain_cap`` minus the boundary bound is below the tolerance,
-    the pair cannot be fixed and lb and ub are not computed. The report
-    then holds the trivial bounds -inf and +inf, with provenance
-    "map-side".
+    ``_subset_gain_caps`` minus ``boundary_bound`` (the pass's arrays, for
+    this one row) is below the tolerance, the pair cannot be fixed and lb
+    and ub are not computed. The report then holds the trivial bounds -inf
+    and +inf, with provenance "map-side".
     """
     i, j = pair
     elements = sorted(set(int(p) for p in subset))
@@ -509,18 +499,16 @@ def subset_fixation_condition(
     if tractable is not None:
         y_full = np.zeros((instance.n, instance.n), dtype=bool)
         y_full[np.ix_(elements, elements)] = tractable.y.matrix
-        y = Relation(y_full, copy=False)
-        ub_prime = boundary_bound(instance, pa, elements, variant, y)
-        true = is_true_to(MapSpec.tau(variant, elements, y), pa)
+        true = is_true_to(MapSpec.tau(variant, elements, Relation(y_full, copy=False)), pa)
     else:
-        ub_prime = boundary_bound(instance, pa, elements, variant)
         true = tau_trueness_loose(variant, frozenset(elements), pa)
+    row = np.array([elements])
+    ub_prime = float(boundary_bound(instance, pa, row)[0, SUBSET_VARIANTS.index(variant)])
+    cap = _subset_gain_caps(instance, pa, np.array([pair]), row)[0]
 
     # lb - ub <= the gain cap and float subtraction is monotone, so a cap
     # the boundary bound eats leaves no margin for any lb and ub either
-    if not true or _subset_gain_cap(
-        cut_capacities(sub_instance, sub_pa), si, sj, list(range(len(elements)))
-    ) - ub_prime < tol:
+    if not true or not cap - ub_prime >= tol:
         return None, BoundReport(-math.inf, math.inf, ub_prime, provenance="map-side")
 
     if tractable is not None:
@@ -573,74 +561,20 @@ def _neighbor_subsets(instance: Instance, pairs: np.ndarray, k: int) -> np.ndarr
     return subsets
 
 
-def _subset_gain_cap(cap: np.ndarray, i: int, j: int, subset: list[int]) -> float:
-    """Upper bound on OPT1 - OPT0 of the sub-problem on the subset.
-
-    ``cap`` is the assignment's dicut capacity matrix. Cutting every arc
-    leaving i (or entering j) inside the subset turns an optimum with
-    x_ij = 1 into a completion with x_ij = 0 and loses at most these arcs'
-    capacities; an assigned one among them makes the bound infinite.
-    """
-    return float(min(cap[i, subset].sum(), cap[subset, j].sum()))
-
-
-def _boundary_sums(
-    u: np.ndarray, matrix: np.ndarray, row_sums: np.ndarray, col_sums: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sums of ``matrix`` over the out- and the in-boundary of each row
-    of subsets ``u``: the subset's row (column) sums minus its inner block."""
-    inner = matrix[u[:, :, None], u[:, None, :]].sum(axis=(1, 2))
-    return row_sums[u].sum(axis=1) - inner, col_sums[u].sum(axis=1) - inner
-
-
-def _subset_gates(
+def _subset_gain_caps(
     instance: Instance, pa: PartialAssignment, pairs: np.ndarray, subsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row r's gain cap, its floor under each of ``SUBSET_VARIANTS``'
-    boundary bounds, and the slack of the float sums behind both.
+) -> np.ndarray:
+    """Row r: an upper bound on OPT1 - OPT0 of the sub-problem of the pair
+    ``pairs[r]`` on the subset ``subsets[r]``.
 
-    The cap is ``_subset_gain_cap`` of pair r and subset r, the same float.
-    A variant's floor is the cut capacity of its flip set P10 (the boundary
-    pairs it may turn 1 -> 0, infinite on an assigned one, which makes the
-    map untrue) plus c- over the undecided pairs of the opposite boundary:
-    the in-boundary for tau_out, the out-boundary for tau_in, none for
-    tau_both. ``change_sets`` plants y with U's diagonal set, so every sharp
-    P01 holds those pairs, as the loose one does, and the floor is at most
-    ``boundary_bound``. Each boundary sum is the subset's row (or column)
-    sums minus its inner block.
-
-    Every float sum here and in ``boundary_bound`` adds fewer than
-    n^2 + 64 nonnegative terms, so it is off by less than (n^2 + 64) eps / 2
-    of its terms' total. The floor's terms total at most the subset's weight
-    (its rows and columns of both matrices), and ``boundary_bound`` can
-    round below the floor only by that share of the floor, so a slack of
-    (n^2 + 64) eps (weight + cap + tol) covers both and the rounding of
-    cap - floor. The arrays are built for one ``bounds.slabs`` slab of pairs
-    at a time.
+    Cutting every arc leaving i (or entering j) inside the subset turns an
+    optimum with x_ij = 1 into a completion with x_ij = 0 and loses at most
+    these arcs' dicut capacities; an assigned one among them makes the cap
+    infinite.
     """
-    n = instance.n
     cap = cut_capacities(instance, pa)
-    pos = np.where(pa.ones, 0.0, cap)  # c+ on the undecided pairs
-    neg = np.where(pa.decided, 0.0, instance.c_minus)  # c- on the undecided pairs
-    sums = [(m, m.sum(axis=1), m.sum(axis=0)) for m in (pos, neg, pa.ones.astype(np.intp))]
-    per_element = sum(row + col for _, row, col in sums[:2])
-    gain_cap = np.empty(len(pairs))
-    floor = np.empty((len(pairs), len(SUBSET_VARIANTS)))
-    weight = np.empty(len(pairs))
-    width = subsets.shape[1]
-    for slab in slabs(len(pairs), width * width):
-        u = subsets[slab]
-        i, j = pairs[slab, 0, None], pairs[slab, 1, None]
-        gain_cap[slab] = np.minimum(cap[i, u].sum(axis=1), cap[u, j].sum(axis=1))
-        (pos_out, pos_in), (neg_out, neg_in), (ones_out, ones_in) = (
-            _boundary_sums(u, *m) for m in sums
-        )
-        pos_out[ones_out > 0] = math.inf
-        pos_in[ones_in > 0] = math.inf
-        floor[slab] = np.stack([pos_out + pos_in, pos_out + neg_in, pos_in + neg_out], axis=1)
-        weight[slab] = per_element[u].sum(axis=1)
-    slack = (n * n + 64) * np.finfo(float).eps * (weight + gain_cap + instance.tolerance)
-    return gain_cap, floor, slack
+    i, j = pairs[:, 0, None], pairs[:, 1, None]
+    return np.minimum(cap[i, subsets].sum(axis=1), cap[subsets, j].sum(axis=1))
 
 
 def subset_fixation_pass(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
@@ -648,8 +582,8 @@ def subset_fixation_pass(instance: Instance, pa: PartialAssignment) -> list[Fixa
 
     Candidate subsets are the pair plus its strongest neighbors; the tau
     variants are tried in ``SUBSET_VARIANTS`` order, except those whose
-    floor ``_subset_gates`` shows eats the largest gain the cap allows or
-    whose map it shows is not true. The gates are built at the first
+    boundary bound eats the largest gain the cap allows or is infinite,
+    which shows the map is not true. Caps and bounds are built at the first
     candidate and again after each fixation, which applies immediately.
     """
     tol = instance.tolerance
@@ -661,10 +595,11 @@ def subset_fixation_pass(instance: Instance, pa: PartialAssignment) -> list[Fixa
     fixations: list[Fixation] = []
     rows = np.arange(len(pairs))  # the candidates left, in order
     while rows.size:
-        gain_cap, floor, slack = _subset_gates(instance, working, pairs[rows], subsets[rows])
-        # inf - inf is NaN, which skips: the infinite floor alone rules the map out
+        gain_cap = _subset_gain_caps(instance, working, pairs[rows], subsets[rows])
+        bound = boundary_bound(instance, working, subsets[rows])
+        # inf - inf is NaN, which skips: the infinite bound alone rules the map out
         with np.errstate(invalid="ignore"):
-            tried = gain_cap[:, None] - floor >= tol - slack[:, None]
+            tried = gain_cap[:, None] - bound >= tol
         live = tried.any(axis=1)
         outcomes = (  # lazily, in order, up to the first fixation
             (r, subset_fixation_condition(

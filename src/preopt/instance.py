@@ -7,6 +7,7 @@ objective of a relation x is the sum of c over the arcs of x.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Hashable, Iterable, Sequence
@@ -248,7 +249,9 @@ def load_instance(path: str | Path) -> Instance:
     message, a count or row field that is not a plain ASCII number, malformed
     rows, duplicate pairs, diagonal entries and non-finite values; rejects,
     with a "path:" message, a count too large to allocate and values whose
-    absolute sum overflows.
+    absolute sum overflows. A value matrix larger than physical memory
+    counts as too large before it is allocated: numpy may reserve it lazily
+    and fail only once it is filled, out of memory.
     """
     lines = [
         (lineno, ln.strip())
@@ -266,10 +269,13 @@ def load_instance(path: str | Path) -> Instance:
         raise ValueError(f"{path}: element count must be positive")
     if len(lines) < 2 or lines[1][1].replace(" ", "") != "p,q,c":
         raise ValueError(f"{path}: missing 'p,q,c' header")
+    too_large = f"{path}: element count {n} is too large to allocate"
+    if n * n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ValueError(too_large)
     try:
         c = np.zeros((n, n), dtype=np.float64)
     except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
-        raise ValueError(f"{path}: element count {n} is too large to allocate") from exc
+        raise ValueError(too_large) from exc
     seen = set()
     for lineno, line in lines[2:]:
         parts = line.split(",")

@@ -31,6 +31,17 @@ class InconsistentAssignmentError(ValueError):
     """Raised when a partial assignment admits no transitive completion."""
 
 
+def _pair_matrix(n: int, pairs: Iterable[Pair]) -> np.ndarray:
+    """The (n, n) matrix set at the given ordered pairs of distinct elements
+    of 0..n-1; any other pair raises ``ValueError``."""
+    m = np.zeros((n, n), dtype=bool)
+    for p, q in pairs:
+        if not (0 <= p < n and 0 <= q < n) or p == q:
+            raise ValueError(f"invalid pair ({p}, {q}) for n={n}")
+        m[p, q] = True
+    return m
+
+
 def _bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # float64 sums are exact: each counts at most n < 2**53 products
     return (a.astype(np.float64) @ b.astype(np.float64)) > 0
@@ -86,12 +97,7 @@ class Relation:
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[Pair]) -> "Relation":
-        m = np.zeros((n, n), dtype=bool)
-        for p, q in pairs:
-            if not (0 <= p < n and 0 <= q < n) or p == q:
-                raise ValueError(f"invalid pair ({p}, {q}) for n={n}")
-            m[p, q] = True
-        return cls(m, copy=False)
+        return cls(_pair_matrix(n, pairs), copy=False)
 
     @property
     def n(self) -> int:
@@ -182,13 +188,7 @@ class PartialAssignment:
     def from_pairs(
         cls, n: int, one_pairs: Iterable[Pair] = (), zero_pairs: Iterable[Pair] = ()
     ) -> "PartialAssignment":
-        o = np.zeros((n, n), dtype=bool)
-        z = np.zeros((n, n), dtype=bool)
-        for p, q in one_pairs:
-            o[p, q] = True
-        for p, q in zero_pairs:
-            z[p, q] = True
-        return cls(o, z, copy=False)
+        return cls(_pair_matrix(n, one_pairs), _pair_matrix(n, zero_pairs), copy=False)
 
     @property
     def n(self) -> int:

@@ -6,7 +6,7 @@ rules written out by hand, contraction pair by pair, the bbk
 conditions pair by pair behind their strong and value flags, the min
 cut search queue by queue over neighbor lists, the join energy's floor
 and swap sweeps one model at a time, and subset-u's neighbor subsets one
-pair at a time)."""
+pair at a time and its boundary bound from flip sets)."""
 
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from preopt.bounds import (
     BoundReport,
     TriplePackingBound,
     arc_max_values,
-    boundary_bound,
     exact_bounds_tractable,
     induced_value,
     local_search_lower_bound,
@@ -42,7 +41,9 @@ from preopt.maps import (
     TAU_OUT,
     MapSpec,
     _subset_mask,
+    change_sets,
     is_true_to,
+    tau_loose_sets,
     tau_trueness_loose,
 )
 from preopt.relations import (
@@ -492,6 +493,20 @@ def reference_neighbor_subset(instance: Instance, i: int, j: int, k: int) -> lis
     return sorted([i, j] + order[:k].tolist())
 
 
+def reference_boundary_bound(
+    instance: Instance, pa: PartialAssignment, subset, variant: str, y: Relation | None = None
+) -> float:
+    """Reference for ``bounds.boundary_bound``: c- over the map's flip set
+    P01 plus c+ over its P10, without y from the y-free loose sets, given
+    the planted relation y from that relation's sharp sets. Bounds the
+    boundary loss of every completion, true map or not."""
+    if y is not None:
+        p01, p10 = change_sets(MapSpec.tau(variant, subset, y), pa)
+    else:
+        p01, p10 = tau_loose_sets(variant, frozenset(subset), pa)
+    return float(instance.c_minus[p01].sum() + instance.c_plus[p10].sum())
+
+
 def reference_subset_fixation(
     instance: Instance, pa: PartialAssignment, pair, subset, variant: str,
     *, exact: bool = True, greedy: bool = True,
@@ -512,13 +527,13 @@ def reference_subset_fixation(
         y_full = np.zeros((instance.n, instance.n), dtype=bool)
         y_full[np.ix_(elements, elements)] = tractable.y.matrix
         y = Relation(y_full, copy=False)
-        ub_prime = boundary_bound(instance, pa, elements, variant, y)
+        ub_prime = reference_boundary_bound(instance, pa, elements, variant, y)
         true = is_true_to(MapSpec.tau(variant, elements, y), pa)
     else:
         lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), 1), greedy=greedy)
         excluding = TriplePackingBound(sub_instance, sub_pa).excluding
         ub = float(induced_value(sub_instance, sub_pa, 0)[si, sj] + excluding[si, sj])
-        ub_prime = boundary_bound(instance, pa, elements, variant)
+        ub_prime = reference_boundary_bound(instance, pa, elements, variant)
         true = tau_trueness_loose(variant, frozenset(elements), pa)
 
     report = BoundReport(lb=lb, ub=ub, ub_prime=ub_prime)

@@ -24,6 +24,7 @@ from helpers import (
     random_closed_pa,
     random_consistent_pa,
     random_instance,
+    reference_boundary_bound,
 )
 from preopt import (
     Instance,
@@ -34,6 +35,7 @@ from preopt import (
     run_joint,
 )
 from preopt.bounds import (
+    SUBSET_VARIANTS,
     TriplePackingBound,
     boundary_bound,
     exact_bounds_tractable,
@@ -294,7 +296,7 @@ def test_criterion_07_tractable_exactness():
 @criterion(8)
 def test_criterion_08_bound_dominance():
     rng = np.random.default_rng(8)
-    checked = 0
+    checked = true_maps = 0
     while checked < 150:
         n = int(rng.integers(3, 6))
         inst = random_instance(rng, n)
@@ -329,17 +331,27 @@ def test_criterion_08_bound_dominance():
         inside = np.zeros(n, dtype=bool)
         inside[sub] = True
         delta = np.outer(inside, ~inside) | np.outer(~inside, inside)
+        # the reference bounds every map, the library's every true one
+        row = boundary_bound(inst, pa, np.array([sub]))[0]
         for variant in (TAU_OUT, TAU_IN, TAU_BOTH):
             spec = MapSpec.tau(variant, frozenset(sub), y)
-            loose = boundary_bound(inst, pa, sub, variant)
-            sharp = boundary_bound(inst, pa, sub, variant, y)
+            loose = reference_boundary_bound(inst, pa, sub, variant)
+            sharp = reference_boundary_bound(inst, pa, sub, variant, y)
+            true = is_true_to(spec, pa)
+            true_maps += true
+            bound = row[SUBSET_VARIANTS.index(variant)] if true else math.inf
             for m in completions(pa):
                 out = apply_map(spec, Relation(m)).matrix
                 regret = float(
                     (inst.values * (m.astype(float) - out.astype(float)))[delta].sum()
                 )
                 assert regret <= sharp + 1e-9 <= loose + 2e-9
-    report(8, f"{checked} samples: lb <= optimum <= ub and boundary bounds dominate")
+                assert regret <= bound + 1e-9
+    assert true_maps >= 150
+    report(
+        8, f"{checked} samples: lb <= optimum <= ub and boundary bounds dominate"
+        f" ({true_maps} true maps)"
+    )
 
 
 @criterion(9)

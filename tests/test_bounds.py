@@ -14,6 +14,7 @@ from helpers import (
     random_closed_pa,
     random_closed_pa_any,
     random_instance,
+    reference_boundary_bound,
     reference_greedy_fixation,
     reference_greedy_insertion,
     scalar_exclusion_bound,
@@ -21,6 +22,7 @@ from helpers import (
 )
 from preopt import Instance, bounds, evaluate, ingest_ego_network, oracle
 from preopt.bounds import (
+    SUBSET_VARIANTS,
     TriplePackingBound,
     arc_max_values,
     boundary_bound,
@@ -29,7 +31,7 @@ from preopt.bounds import (
     local_search_lower_bound,
     sign_greedy_relation,
 )
-from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec
+from preopt.maps import TAU_BOTH, TAU_IN, TAU_OUT, MapSpec, is_true_to
 from preopt.relations import InconsistentAssignmentError, PartialAssignment, Relation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -428,7 +430,8 @@ class TestBoundaryBound:
         rng = np.random.default_rng(23)
         inst = random_instance(rng, 4)
         pa = PartialAssignment.empty(4)
-        assert boundary_bound(inst, pa, range(4), TAU_BOTH) == 0.0
+        assert boundary_bound(inst, pa, np.array([range(4)])).tolist() == [[0.0, 0.0, 0.0]]
+        assert reference_boundary_bound(inst, pa, range(4), TAU_BOTH) == 0.0
 
     def test_worked_example_value(self):
         c = np.zeros((4, 4))
@@ -437,13 +440,16 @@ class TestBoundaryBound:
         c[2, 3] = 2.0
         inst = Instance(c)
         pa = PartialAssignment.empty(4)
-        assert boundary_bound(inst, pa, [0, 1], TAU_BOTH) == pytest.approx(4.0)
+        row = boundary_bound(inst, pa, np.array([[0, 1]]))[0]
+        assert row[SUBSET_VARIANTS.index(TAU_BOTH)] == pytest.approx(4.0)
+        assert reference_boundary_bound(inst, pa, [0, 1], TAU_BOTH) == pytest.approx(4.0)
 
     @pytest.mark.parametrize("variant", [TAU_OUT, TAU_IN, TAU_BOTH])
     def test_dominates_actual_regret(self, variant):
+        # the reference bounds every map; the library's bounds the true ones
         rng = np.random.default_rng(29)
         n = 5
-        trials = 0
+        trials = true_maps = 0
         while trials < 40:
             inst = random_instance(rng, n)
             pa = random_closed_pa(rng, n, density=0.2)
@@ -463,9 +469,12 @@ class TestBoundaryBound:
             inside[subset] = True
             delta = np.outer(inside, ~inside) | np.outer(~inside, inside)
             spec = MapSpec.tau(variant, subset, y)
-            loose = boundary_bound(inst, pa, subset, variant)
-            sharp = boundary_bound(inst, pa, subset, variant, y)
+            loose = reference_boundary_bound(inst, pa, subset, variant)
+            sharp = reference_boundary_bound(inst, pa, subset, variant, y)
             assert sharp <= loose + 1e-12
+            bound = boundary_bound(inst, pa, np.array([subset]))[0, SUBSET_VARIANTS.index(variant)]
+            true = is_true_to(spec, pa)
+            true_maps += true
             for m in completions(pa):
                 out = apply_map(spec, Relation(m)).matrix
                 regret = float(
@@ -473,6 +482,9 @@ class TestBoundaryBound:
                 )
                 assert regret <= loose + 1e-9
                 assert regret <= sharp + 1e-9
+                if true:
+                    assert regret <= bound + 1e-9
+        assert true_maps >= 10
 
 
 class TestSignGreedy:

@@ -1,4 +1,5 @@
 import csv
+import os
 from pathlib import Path
 
 import numpy as np
@@ -324,6 +325,22 @@ class TestFix:
         assert result.exit_code == 2, result.output
         assert f"data error: {big}: element count 100000000 is too large" in result.output
         assert result.exception is None or isinstance(result.exception, SystemExit)
+
+    def test_element_count_beyond_physical_memory_is_data_error(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # numpy may reserve a large matrix lazily and fail only once it is
+        # filled, so the count is checked against physical memory first:
+        # here 16 pages of 16 bytes, which hold a 5 x 5 float matrix, not 6 x 6
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 16}.get)
+        fits, big = tmp_path / "fits.csv", tmp_path / "big.csv"
+        fits.write_text("n=5\np,q,c\n0,1,1.0\n")
+        big.write_text("n=6\np,q,c\n0,1,1.0\n")
+        assert runner.invoke(main, ["fix", str(fits)]).exit_code == 0
+        result = runner.invoke(main, ["fix", str(big)])
+        assert (result.exit_code, result.output) == (
+            2, f"data error: {big}: element count 6 is too large to allocate\n"
+        )
 
     def test_element_count_beyond_numpy_limit_is_named(self, runner, tmp_path):
         # past numpy's size limit np.zeros raises ValueError, not MemoryError

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import operator
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from helpers import (
     random_closed_pa_any,
     random_instance,
     reference_boecker_conditions,
+    reference_boundary_bound,
     reference_neighbor_subset,
     reference_subset_fixation,
 )
@@ -477,10 +479,6 @@ class TestSubsetFixation:
             subset = conditions._neighbor_subsets(inst, np.array([[i, j]]), 4)[0].tolist()
             assert subset == expected and all(type(p) is int for p in subset)
             assert len(set(subset)) == len(subset)
-            cap = cut_capacities(inst, PartialAssignment.empty(n))
-            assert conditions._subset_gain_cap(cap, i, j, subset) == conditions._subset_gain_cap(
-                cap, i, j, sorted(set(subset))
-            )
 
     @pytest.mark.parametrize("kind", ["grid", "pm1", "raw", "ties"])
     def test_neighbor_subsets_match_reference(self, kind):
@@ -516,11 +514,16 @@ class TestSubsetMapSideFirst:
     sub-problem, and fixes exactly what the unconditional body fixes."""
 
     def test_matches_unconditional_reference(self):
+        # a call past the map side has a true map, whose boundary bound is
+        # the reference's: the same float on grid and +-1 data, the same to
+        # rounding on raw data, and so are the margins
         rng = np.random.default_rng(25)
         fixed = skipped = 0
         for trial in range(64):
             n = 3 + trial % 6  # 3..8
-            inst = random_instance(rng, n, ("grid", "pm1", "raw")[trial % 3])
+            kind = ("grid", "pm1", "raw")[trial % 3]
+            inst = random_instance(rng, n, kind)
+            same = (lambda a, b: a == pytest.approx(b)) if kind == "raw" else operator.eq
             pa = random_closed_pa_any(rng, n, 0.2)
             pairs = conditions._undecided_pairs(pa)
             if not pairs:
@@ -534,24 +537,28 @@ class TestSubsetMapSideFirst:
                 args = (inst, pa, (i, j), subset, variant)
                 fix, report = subset_fixation_condition(*args, exact=exact, greedy=greedy)
                 ref, ref_report = reference_subset_fixation(*args, exact=exact, greedy=greedy)
-                assert fix == ref
-                assert report.ub_prime == ref_report.ub_prime
+                assert (fix is None) == (ref is None)
+                if fix is not None:
+                    assert (fix.pair, fix.value, fix.condition) == (ref.pair, ref.value, ref.condition)
+                    assert same(fix.margin, ref.margin)
                 if report.provenance == "map-side":
-                    assert ref is None
                     assert (report.lb, report.ub) == (-math.inf, math.inf)
                     skipped += 1
                 else:
                     assert (report.lb, report.ub) == (ref_report.lb, ref_report.ub)
+                    assert same(report.ub_prime, ref_report.ub_prime)
                 fixed += fix is not None
         assert fixed >= 20 and skipped >= 500
 
     def test_gain_cap_skip_at_the_tolerance(self):
         # sub-problem {0, 1}: lb - ub = 5 = the gain cap; the boundary arc
-        # 0 -> 2 is the boundary bound, so the margin is 5 - c_02
+        # 0 -> 2 is the boundary bound, so the margin is 5 - c_02, which the
+        # dyadic steps keep exact for the reference's sums and the library's
         outcomes = set()
-        for steps in (0.99, 1.0, 1.01, 1.1, 2.0):
+        for steps in (9, 10, 11, 12, 20):
             c = np.zeros((3, 3))
-            c[0, 1], c[0, 2] = 5.0, 5.0 - steps * 1e-8  # the tolerance is about 1e-8
+            # the tolerance, about 1e-8, lies between 10 and 11 steps of 2^-30
+            c[0, 1], c[0, 2] = 5.0, 5.0 - steps * 2.0**-30
             inst = Instance(c)
             for exact in (True, False):
                 args = (inst, PartialAssignment.empty(3), (0, 1), [0, 1], TAU_BOTH)
@@ -578,7 +585,7 @@ class TestSubsetMapSideFirst:
         args = (FIG3, pa, (0, 1), [0, 1], TAU_BOTH)
         fix, report = subset_fixation_condition(*args, exact=False)
         assert fix is None and report.provenance == "map-side"
-        assert report.ub_prime == reference_subset_fixation(*args, exact=False)[1].ub_prime
+        assert report.ub_prime == math.inf  # the cut boundary holds an assigned one
         assert counts == {"local_search_lower_bound": 0, "TriplePackingBound": 0}
 
 
@@ -803,17 +810,16 @@ def _zero_join_floors(instance, pa):
     return np.zeros((instance.n, instance.n))
 
 
-def _open_subset_gates(instance, pa, pairs, subsets):
-    """Gain caps, floors and slacks that never skip a variant."""
-    m = len(pairs)
-    return np.full(m, math.inf), np.zeros((m, len(conditions.SUBSET_VARIANTS))), np.zeros(m)
+def _open_gain_caps(instance, pa, pairs, subsets):
+    """Gain caps that never skip a variant whose map may be true."""
+    return np.full(len(pairs), math.inf)
 
 
 def _gates_off(monkeypatch):
-    """Replace each gate's bound by a trivially valid one that never skips."""
+    """Replace each gate's bound by a trivially valid one that never skips;
+    subset-u's boundary bound stays real, and infinite only on untrue maps."""
     monkeypatch.setattr(conditions, "join_floors", _zero_join_floors)
-    monkeypatch.setattr(conditions, "_subset_gain_cap", lambda cap, i, j, subset: math.inf)
-    monkeypatch.setattr(conditions, "_subset_gates", _open_subset_gates)
+    monkeypatch.setattr(conditions, "_subset_gain_caps", _open_gain_caps)
     monkeypatch.setattr(conditions, "_two_hop_flows", np.zeros_like)
 
 
@@ -854,7 +860,7 @@ class TestSoundGates:
             i, j = pairs[int(rng.integers(len(pairs)))]
             extra = [p for p in range(n) if p not in (i, j) and rng.random() < 0.6]
             subset = sorted([i, j, *extra])
-            cap = conditions._subset_gain_cap(cut_capacities(inst, pa), i, j, subset)
+            cap = conditions._subset_gain_caps(inst, pa, np.array([[i, j]]), np.array([subset]))[0]
             sub, sub_pa = inst.restrict(subset), pa.restrict(subset)
             si, sj = subset.index(i), subset.index(j)
             opt_one = oracle.solve_exact(sub, sub_pa.with_assignments([(si, sj, 1)])).value
@@ -872,10 +878,12 @@ class TestSoundGates:
                 assert report.ub_prime >= inst.c_plus[p10].sum()
 
     @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
-    def test_subset_floor_below_boundary_bound(self, kind):
-        # every floor is at most the loose boundary bound and the sharp one
-        # of any planted y (the tractable optimum and random preorders on U);
-        # grid and +-1 sums are exact, raw ones need the slack
+    def test_boundary_bound_equals_reference(self, kind):
+        # on every true map the bound is the reference bound of its flip
+        # sets, the loose ones and the sharp ones of any planted y (the
+        # tractable optimum and random preorders on U): the same float on
+        # grid and +-1 data, the same to rounding on raw data. It is
+        # infinite exactly where the cut boundary holds an assigned one.
         rng = np.random.default_rng(30)
         loose = sharp = 0
         for trial in range(120):
@@ -884,18 +892,17 @@ class TestSoundGates:
             pa = random_closed_pa_any(rng, n)
             width = int(rng.integers(2, n))  # leaves a boundary
             subsets = np.sort([rng.choice(n, size=width, replace=False) for _ in range(5)])
-            pairs = np.array([rng.choice(u, size=2, replace=False) for u in subsets])
-            _, floors, slack = conditions._subset_gates(inst, pa, pairs, subsets)
-            if kind != "raw":
-                slack[:] = 0.0
-            for u, row, s in zip(subsets.tolist(), floors, slack):
+            rounding = 1e-6 * inst.tolerance if kind == "raw" else 0.0
+            for u, row in zip(subsets.tolist(), boundary_bound(inst, pa, subsets)):
                 planted = [transitive_closure_matrix(rng.random((width, width)) < 0.3)]
                 tractable = exact_bounds_tractable(inst.restrict(u), pa.restrict(u))
                 if tractable is not None:
                     planted.append(tractable.y.matrix)
-                for variant, floor in zip(conditions.SUBSET_VARIANTS, row):
+                for variant, bound in zip(conditions.SUBSET_VARIANTS, row):
+                    _, p10 = tau_loose_sets(variant, frozenset(u), pa)
+                    assert math.isinf(bound) == (p10 & pa.ones).any()
                     bounds_and_trueness = [(
-                        boundary_bound(inst, pa, u, variant),
+                        reference_boundary_bound(inst, pa, u, variant),
                         tau_trueness_loose(variant, frozenset(u), pa),
                     )]
                     for y in planted:
@@ -903,17 +910,31 @@ class TestSoundGates:
                         y_full[np.ix_(u, u)] = y
                         y_rel = Relation(y_full, copy=False)
                         bounds_and_trueness.append((
-                            boundary_bound(inst, pa, u, variant, y_rel),
+                            reference_boundary_bound(inst, pa, u, variant, y_rel),
                             is_true_to(MapSpec.tau(variant, u, y_rel), pa),
                         ))
-                    for k, (bound, true) in enumerate(bounds_and_trueness):
-                        if math.isinf(floor):  # an assigned one on P10
-                            assert not true
-                        else:
-                            assert floor <= bound + s
-                        loose += k == 0
-                        sharp += k > 0
-        assert loose >= 1500 and sharp >= 1500
+                    for k, (want, true) in enumerate(bounds_and_trueness):
+                        if true:
+                            assert abs(bound - want) <= rounding
+                            loose += k == 0
+                            sharp += k > 0
+        assert loose >= 400 and sharp >= 1000
+
+    def test_boundary_bound_rows_match_one_block(self, monkeypatch):
+        # the pass reads all rows at once, a call its own row alone
+        rng = np.random.default_rng(33)
+        for trial in range(30):
+            n = 3 + trial % 10  # 3..12
+            inst = random_instance(rng, n, ("grid", "pm1", "raw")[trial % 3])
+            pa = random_closed_pa_any(rng, n, 0.3)
+            pairs = np.argwhere(~np.eye(n, dtype=bool))
+            subsets = conditions._neighbor_subsets(inst, pairs, conditions.SUBSET_NEIGHBORS)
+            whole = boundary_bound(inst, pa, subsets)
+            rows = [boundary_bound(inst, pa, u[None]) for u in subsets]
+            assert np.concatenate(rows).tobytes() == whole.tobytes()
+            monkeypatch.setattr(bounds, "SLAB_ENTRIES", 1)  # one subset per slab
+            assert boundary_bound(inst, pa, subsets).tobytes() == whole.tobytes()
+            monkeypatch.undo()
 
     @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
     def test_subset_gain_caps_match_scalar(self, kind):
@@ -924,10 +945,12 @@ class TestSoundGates:
             pa = random_closed_pa_any(rng, n, 0.3)
             pairs = np.argwhere(~np.eye(n, dtype=bool))
             subsets = conditions._neighbor_subsets(inst, pairs, conditions.SUBSET_NEIGHBORS)
-            caps, _, _ = conditions._subset_gates(inst, pa, pairs, subsets)
+            caps = conditions._subset_gain_caps(inst, pa, pairs, subsets)
             cap = cut_capacities(inst, pa)
             for (i, j), subset, got in zip(pairs.tolist(), subsets.tolist(), caps.tolist()):
-                assert got == conditions._subset_gain_cap(cap, i, j, subset)
+                assert got == min(cap[i, subset].sum(), cap[subset, j].sum())
+                one = conditions._subset_gain_caps(inst, pa, np.array([[i, j]]), np.array([subset]))
+                assert one.tolist() == [got]
 
     def test_subset_gates_keep_fixation_lists(self, monkeypatch):
         rng = np.random.default_rng(32)

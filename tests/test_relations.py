@@ -65,6 +65,15 @@ class TestRelation:
         with pytest.raises(ValueError):
             Relation.from_pairs(3, [(1, 1)])
 
+    @pytest.mark.parametrize(
+        "pair", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)], ids=str
+    )
+    def test_partial_from_pairs_rejects_invalid_pairs(self, pair):
+        # a negative index would wrap around, a diagonal pair would be dropped
+        for pairs in ({"one_pairs": [pair]}, {"zero_pairs": [pair]}):
+            with pytest.raises(ValueError, match=r"invalid pair \(-?\d, -?\d\) for n=3"):
+                PartialAssignment.from_pairs(3, **pairs)
+
     def test_equality_and_hash(self):
         a = Relation.from_pairs(3, [(0, 1)])
         b = Relation.from_pairs(3, [(0, 1)])

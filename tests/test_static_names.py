@@ -10,6 +10,11 @@ And for its unused-import check: ``ast`` lists the names each import binds,
 and each must be read somewhere in the module, quoted annotations included.
 ``from __future__`` imports and the names a module re-exports in its
 ``__all__`` are exempt.
+
+And for a dead-code check: every private (underscore-prefixed) function or
+class a library module defines at module level must be read, as a name or
+an attribute, by some library module, so no library helper serves tests
+alone.
 """
 
 import ast
@@ -21,7 +26,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted(ROOT.glob("src/preopt/*.py")) + sorted(ROOT.glob("tests/*.py"))
+LIBRARY = sorted(ROOT.glob("src/preopt/*.py"))
+SOURCES = LIBRARY + sorted(ROOT.glob("tests/*.py"))
 
 #: names the import system gives every module, plus the builtins
 PROVIDED = set(dir(builtins)) | set(vars(types.ModuleType("m"))) | {
@@ -131,3 +137,43 @@ def test_scan_finds_an_unread_import(tmp_path):
         "    return x\n"
     )
     assert unread_imports(source) == ["C", "os"]
+
+
+def unread_helpers(paths: list[Path]) -> list[str]:
+    """``module.name`` for every private module-level function or class
+    that none of the modules reads."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in paths}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef | ast.ClassDef)
+        and node.name.startswith("_")
+        and node.name not in read
+    )
+
+
+def test_no_library_helper_left_unread():
+    assert unread_helpers(LIBRARY) == []
+
+
+def test_scan_finds_an_unread_helper(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def _used(): pass\n"
+        "def _by_attribute(): pass\n"
+        "def _unused(): pass\n"
+        "class _Dead: pass\n"
+        "def public(): return _used()\n"
+        "def _nested():\n"
+        "    def _inner(): pass\n"
+    )
+    (tmp_path / "b.py").write_text("import a\nX = a._by_attribute\nY = a._nested\n")
+    paths = sorted(tmp_path.glob("*.py"))
+    assert unread_helpers(paths) == ["a._Dead", "a._unused"]
