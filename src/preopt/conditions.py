@@ -33,10 +33,8 @@ tests. Three test a necessary condition and skip the call when it fails:
   (``_subset_gain_caps``) and boundary bounds are built at the first
   candidate and again after each fixation; when the cap minus a variant's
   bound is below the tolerance, the variant cannot fire and is not
-  called. Inside each call the map side comes first: trueness, the cap
-  and the boundary bound, for the call's one row of the same arrays, are
-  computed before the sub-problem's bounds, which are skipped when the
-  map is not true or the pass's test fails on the same floats;
+  called. This pass is the only gate: each call tests trueness first and
+  bounds the sub-problem only for a true map;
 - edge-cut: one (n, n) cut floor bounds every minimum cut from below. It
   starts at the two-hop flows: the paths i->k->j through distinct k are
   arc-disjoint, so the sum of their bottleneck capacities plus the direct
@@ -50,16 +48,16 @@ tests. Three test a necessary condition and skip the call when it fails:
   with no cut and no fixation, and no reused cut can fix the pair either.
 
 bbk-strong-1 tests a sufficient condition in the tractable case, from the
-arrays it holds. An eligible pair's margin is max(lb, opt) - (opt - cut),
-with cut its minimum i-j cut. Every i-j cut holds the arc ij; when
-c_ij > 0 the max-flow's first augmenting path is that arc alone, carrying
-exactly c_ij, and every later path adds a nonnegative amount, so the float
-cut value is at least c_ij (for c_ij = 0, trivially). Float subtraction is monotone, so
-settled = max(lb, opt) - (opt - c_ij) is at most the margin. A pair whose
-settled value reaches the tolerance is fixed with that lower bound as its
-margin and no max-flow; every other eligible pair takes its cut. lb comes
-first in the max, so a NaN lb gives a NaN settled value, which settles
-nothing. bbk-weak keeps one cut per eligible pair.
+arrays it holds. There the lower bound is the exact optimum opt, and an
+eligible pair's margin is opt - (opt - cut), with cut its minimum i-j cut.
+Every i-j cut holds the arc ij; when c_ij > 0 the max-flow's first
+augmenting path is that arc alone, carrying exactly c_ij, and every later
+path adds a nonnegative amount, so the float cut value is at least c_ij
+(for c_ij = 0, trivially). Float subtraction is monotone, so
+settled = opt - (opt - c_ij) is at most the margin. A pair whose settled
+value reaches the tolerance is fixed with it as its margin and no
+max-flow; every other eligible pair, one whose settled value is NaN
+among them, takes its cut. bbk-weak keeps one cut per eligible pair.
 
 Edge-cut also stops each max-flow as soon as its flow value exceeds -c_ij
 minus the tolerance (``_fixing_limit``): the flow so far bounds every i-j
@@ -356,8 +354,9 @@ class BoundState:
 
     ``run_joint`` makes one per assignment version, so bbk-strong-0,
     bbk-strong-1 and bbk-weak share the unconstrained lower bound, the
-    packing and the tractable case. The bounds come from this module's
-    globals, so whatever wraps those names sees every call.
+    packing and the tractable case. In the tractable case the lower bound
+    is the exact optimum, and no local search runs. The bounds come from
+    this module's globals, so whatever wraps those names sees every call.
     """
 
     def __init__(self, instance: Instance, pa: PartialAssignment):
@@ -366,7 +365,9 @@ class BoundState:
 
     @cached_property
     def lower(self) -> float:
-        """The unconstrained local-search lower bound."""
+        """The tractable optimum, else the local-search lower bound."""
+        if self.tractable is not None:
+            return self.tractable.opt
         return local_search_lower_bound(self.instance, self.pa)[0]
 
     @cached_property
@@ -384,26 +385,25 @@ def boecker_conditions(
     instance: Instance, pa: PartialAssignment, b: int, state: BoundState | None = None
 ) -> list[Fixation]:
     """Strong bound-comparison condition bbk-strong-b: one unconstrained lower
-    bound against every pair's upper bound with x_ij = 1 - b (induced value
-    plus packing bound), as one margin array. For b = 1 in the tractable
-    case, each eligible pair takes the exact optima, one minimum cut each,
-    unless c_ij already settles it (module docstring); a settled pair's
-    margin is then a lower bound on the exact one. NaN margins, on the
-    diagonal and decided pairs among them, never fix. ``state`` holds pa's
-    bounds; without it they are computed here.
+    bound (``BoundState.lower``) against every pair's upper bound with
+    x_ij = 1 - b (induced value plus packing bound), as one margin array.
+    For b = 1 in the tractable case, each eligible pair takes the exact
+    optima, one minimum cut each, unless c_ij already settles it (module
+    docstring); a settled pair's margin is then a lower bound on the exact
+    one. NaN margins, on the diagonal and decided pairs among them, never
+    fix. ``state`` holds pa's bounds; without it they are computed here.
     """
     if state is None:
         state = BoundState(instance, pa)
     lb = state.lower
     margin = lb - (induced_value(instance, pa, 1 - b) + state.excluding)
     tractable = state.tractable if b == 1 else None
-    if tractable is not None:
-        # lb first: max keeps a NaN lb, so a NaN settles nothing
-        settled = max(lb, tractable.opt) - (tractable.opt - instance.values)
+    if tractable is not None:  # lb is tractable.opt
+        settled = lb - (lb - instance.values)
         margin[tractable.eligible] = settled[tractable.eligible]
         for i, j in np.argwhere(tractable.eligible & ~(settled >= instance.tolerance)).tolist():
             opt_one, opt_zero = tractable.optima(i, j)
-            margin[i, j] = max(lb, opt_one) - opt_zero
+            margin[i, j] = opt_one - opt_zero
     return [
         Fixation((p, q), b, (BBK_STRONG_ZERO, BBK_STRONG_ONE)[b], float(margin[p, q]))
         for p, q in np.argwhere(margin >= instance.tolerance).tolist()
@@ -462,25 +462,21 @@ def subset_fixation_condition(
     pair: Pair,
     subset,
     variant: str = TAU_BOTH,
-    *,
-    exact: bool = True,
-    greedy: bool = True,
 ) -> tuple[Fixation | None, BoundReport]:
     """Decide one pair with the subset-maximizer condition.
 
     Fixes x_ij = 1 when the tau map is true to the assignment and lb - ub,
     the sub-problem's bounds on its optima with x_ij = 1 and x_ij = 0, beats
-    the bound on the map's boundary loss. In the tractable case (c_ij >= 0
-    and ``exact``) the planted relation is the exact optimum and the map
-    side uses its sharp flip sets; otherwise lb comes from local search, ub
-    from induced-value plus packing bounds, and the map side from the
-    y-free loose sets.
+    ``boundary_bound``, the bound on the map's boundary loss. In the
+    tractable case (c_ij >= 0) the planted relation is the exact optimum
+    and trueness uses its sharp flip sets; otherwise lb comes from local
+    search, ub from induced-value plus packing bounds, and trueness from
+    the y-free loose sets.
 
-    The map side comes first: when the map is not true, or
-    ``_subset_gain_caps`` minus ``boundary_bound`` (the pass's arrays, for
-    this one row) is below the tolerance, the pair cannot be fixed and lb
-    and ub are not computed. The report then holds the trivial bounds -inf
-    and +inf, with provenance "map-side".
+    Trueness comes first: when the map is not true, lb and ub are not
+    computed, and the report holds the trivial bounds -inf and +inf, with
+    provenance "map-side". ``subset_fixation_pass`` calls only the
+    variants its gain caps leave a margin.
     """
     i, j = pair
     elements = sorted(set(int(p) for p in subset))
@@ -488,13 +484,12 @@ def subset_fixation_condition(
         raise ValueError("pair must lie inside the subset")
     if pa.value(i, j) is not None:
         raise InconsistentAssignmentError("pair already decided")
-    tol = instance.tolerance
     sub_instance = instance.restrict(elements)
     sub_pa = pa.restrict(elements)
     si, sj = elements.index(i), elements.index(j)
 
     tractable = None
-    if exact and instance.values[i, j] >= 0.0:
+    if instance.values[i, j] >= 0.0:
         tractable = exact_bounds_tractable(sub_instance, sub_pa)
     if tractable is not None:
         y_full = np.zeros((instance.n, instance.n), dtype=bool)
@@ -502,19 +497,16 @@ def subset_fixation_condition(
         true = is_true_to(MapSpec.tau(variant, elements, Relation(y_full, copy=False)), pa)
     else:
         true = tau_trueness_loose(variant, frozenset(elements), pa)
-    row = np.array([elements])
-    ub_prime = float(boundary_bound(instance, pa, row)[0, SUBSET_VARIANTS.index(variant)])
-    cap = _subset_gain_caps(instance, pa, np.array([pair]), row)[0]
-
-    # lb - ub <= the gain cap and float subtraction is monotone, so a cap
-    # the boundary bound eats leaves no margin for any lb and ub either
-    if not true or not cap - ub_prime >= tol:
+    ub_prime = float(
+        boundary_bound(instance, pa, np.array([elements]))[0, SUBSET_VARIANTS.index(variant)]
+    )
+    if not true:
         return None, BoundReport(-math.inf, math.inf, ub_prime, provenance="map-side")
 
     if tractable is not None:
         lb, ub = tractable.optima(si, sj)
     else:
-        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), 1), greedy=greedy)
+        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), 1))
         excluding = TriplePackingBound(sub_instance, sub_pa).excluding
         ub = float(induced_value(sub_instance, sub_pa, 0)[si, sj] + excluding[si, sj])
 
@@ -523,7 +515,7 @@ def subset_fixation_condition(
         provenance="tractable-exact" if tractable is not None else "local-search+packing",
     )
     margin = lb - ub - ub_prime
-    if margin >= tol:
+    if margin >= instance.tolerance:
         return Fixation(pair, 1, SUBSET_FIX, margin), report
     return None, report
 

@@ -125,6 +125,8 @@ def certify(instance: Instance, pa: PartialAssignment) -> bool:
 
     This is the ground-truth soundness check for a pipeline's fixations.
     """
+    if pa.n != instance.n:
+        raise ValueError("assignment size does not match instance")
     optima = solve_exact(instance)
     return bool(completion_mask(optima.matrices, pa).any())
 

@@ -31,13 +31,17 @@ class InconsistentAssignmentError(ValueError):
     """Raised when a partial assignment admits no transitive completion."""
 
 
+def _check_pair(n: int, p: int, q: int) -> None:
+    """Raise ``ValueError`` unless pq is a pair of distinct elements of 0..n-1."""
+    if not (0 <= p < n and 0 <= q < n) or p == q:
+        raise ValueError(f"invalid pair ({p}, {q}) for n={n}")
+
+
 def _pair_matrix(n: int, pairs: Iterable[Pair]) -> np.ndarray:
-    """The (n, n) matrix set at the given ordered pairs of distinct elements
-    of 0..n-1; any other pair raises ``ValueError``."""
+    """The (n, n) matrix set at the given pairs (``_check_pair``)."""
     m = np.zeros((n, n), dtype=bool)
     for p, q in pairs:
-        if not (0 <= p < n and 0 <= q < n) or p == q:
-            raise ValueError(f"invalid pair ({p}, {q}) for n={n}")
+        _check_pair(n, p, q)
         m[p, q] = True
     return m
 
@@ -220,12 +224,11 @@ class PartialAssignment:
         return out
 
     def with_assignments(self, assignments: Iterable[tuple[int, int, int]]) -> "PartialAssignment":
-        """New assignment with extra pairs set (no closure, no consistency check)."""
+        """New assignment with extra valid pairs set (no closure, no consistency check)."""
         o = self.ones.copy()
         z = self.zeros.copy()
         for p, q, v in assignments:
-            if p == q:
-                raise ValueError("cannot assign a diagonal pair")
+            _check_pair(self.n, p, q)
             if v == 1:
                 o[p, q] = True
             elif v == 0:

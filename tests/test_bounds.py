@@ -98,6 +98,13 @@ class TestLocalSearch:
         with pytest.raises(InconsistentAssignmentError):
             local_search_lower_bound(inst, pa, ((0, 1), 1))
 
+    def test_invalid_constraint_pair_rejected(self):
+        # (-1, 0) would wrap around to (2, 0), (-1, 2) to the diagonal
+        inst = Instance(np.zeros((3, 3)))
+        for pair in ((-1, 0), (0, -1), (-1, 2)):
+            with pytest.raises(ValueError, match="invalid pair"):
+                local_search_lower_bound(inst, PartialAssignment.empty(3), (pair, 1))
+
     @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
     def test_greedy_matches_reference(self, kind):
         rng = np.random.default_rng(26)

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -46,7 +47,7 @@ from preopt.conditions import (
 from preopt.energy import LABELS, build_join_energy, join_floors
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.instance import GeneratorConfig, generate_synthetic
-from preopt.bounds import boundary_bound, exact_bounds_tractable
+from preopt.bounds import boundary_bound, exact_bounds_tractable, induced_value
 from preopt.maps import (
     TAU_BOTH,
     TAU_IN,
@@ -432,6 +433,42 @@ class TestBoundStatePerVersion:
             assert set(builds["TriplePackingBound"]) == versions
 
 
+class TestTractableLowerBound:
+    """In the tractable case the bbk lower bound is the exact optimum, which
+    no local-search witness beats, and no local search runs."""
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_lower_is_tractable_optimum(self, kind, monkeypatch):
+        searches = []  # the unconstrained searches BoundState runs
+        search_lower = bounds.local_search_lower_bound
+        monkeypatch.setattr(
+            conditions, "local_search_lower_bound", _unconstrained_calls(search_lower, searches)
+        )
+        rng = np.random.default_rng(34)
+        tractable = 0
+        for trial in range(60):
+            n = 3 + trial % 8  # 3..10
+            inst = random_instance(rng, n, kind)
+            pa = random_closed_pa_any(rng, n, 0.2)
+            if trial % 2:  # positive on a random preorder x, pins from x: tractable
+                x = transitive_closure_matrix(rng.random((n, n)) < 0.2)
+                inst = Instance(np.where(x, np.abs(inst.values), -np.abs(inst.values)))
+                reveal = rng.random((n, n)) < 0.2
+                np.fill_diagonal(reveal, False)
+                pa = close(PartialAssignment(x & reveal, ~x & reveal))
+            state = conditions.BoundState(inst, pa)
+            search = search_lower(inst, pa)[0]
+            searches.clear()
+            if state.tractable is None:
+                assert state.lower == search and len(searches) == 1
+                continue
+            tractable += 1
+            assert state.lower == state.tractable.opt and searches == []
+            # 2^-10 and +-1 values sum exactly; raw floats to rounding
+            assert search <= state.tractable.opt + (1e-9 if kind == "raw" else 0.0)
+        assert tractable >= 30
+
+
 class TestSubsetFixation:
     def test_worked_example_small_subset(self):
         fix, report = subset_fixation_condition(
@@ -443,13 +480,22 @@ class TestSubsetFixation:
         assert fix is not None and fix.value == 1
 
     def test_whole_set_recovers_weak_comparison(self):
-        fix, report = subset_fixation_condition(
-            FIG3, PartialAssignment.empty(4), (0, 1), range(4), TAU_BOTH,
-            exact=False, greedy=False,
-        )
-        assert report.ub_prime == 0.0
-        assert report.lb == pytest.approx(5.0)
-        assert report.ub == pytest.approx(6.0)
+        # U = V has no boundary, so lb and ub are the active branch's own
+        # bounds on the whole problem: the weak comparison's
+        pa = PartialAssignment.empty(4)
+        fix, report = subset_fixation_condition(FIG3, pa, (0, 1), range(4), TAU_BOTH)
+        assert report.ub_prime == 0.0 and report.provenance == "tractable-exact"
+        exact = exact_bounds_tractable(FIG3, pa).optima(0, 1)
+        assert (report.lb, report.ub) == exact == (11.0, 6.0)
+        assert fix is not None and fix.margin == 5.0
+        c = FIG3.values.copy()
+        c[1, 0] = -1.0  # c_10 < 0: local search and packing
+        inst = Instance(c)
+        fix, report = subset_fixation_condition(inst, pa, (1, 0), range(4), TAU_BOTH)
+        assert report.ub_prime == 0.0 and report.provenance == "local-search+packing"
+        lb = bounds.local_search_lower_bound(inst, pa, ((1, 0), 1))[0]
+        ub = induced_value(inst, pa, 0)[1, 0] + bounds.TriplePackingBound(inst, pa).excluding[1, 0]
+        assert (report.lb, report.ub) == (lb, ub)
         assert fix is None
 
     def test_pass_is_sound(self):
@@ -518,8 +564,9 @@ class TestSubsetMapSideFirst:
         # the reference's: the same float on grid and +-1 data, the same to
         # rounding on raw data, and so are the margins
         rng = np.random.default_rng(25)
-        fixed = skipped = 0
-        for trial in range(64):
+        fixed = 0
+        provenances = collections.Counter()
+        for trial in range(192):
             n = 3 + trial % 6  # 3..8
             kind = ("grid", "pm1", "raw")[trial % 3]
             inst = random_instance(rng, n, kind)
@@ -531,47 +578,53 @@ class TestSubsetMapSideFirst:
             i, j = pairs[int(rng.integers(len(pairs)))]
             extra = [p for p in range(n) if p not in (i, j) and rng.random() < 0.5]
             subset = sorted([i, j, *extra])
-            for variant, exact, greedy in itertools.product(
-                (TAU_BOTH, TAU_OUT, TAU_IN), (True, False), (True, False)
-            ):
+            for variant in (TAU_BOTH, TAU_OUT, TAU_IN):
                 args = (inst, pa, (i, j), subset, variant)
-                fix, report = subset_fixation_condition(*args, exact=exact, greedy=greedy)
-                ref, ref_report = reference_subset_fixation(*args, exact=exact, greedy=greedy)
+                fix, report = subset_fixation_condition(*args)
+                ref, ref_report = reference_subset_fixation(*args)
                 assert (fix is None) == (ref is None)
                 if fix is not None:
                     assert (fix.pair, fix.value, fix.condition) == (ref.pair, ref.value, ref.condition)
                     assert same(fix.margin, ref.margin)
-                if report.provenance == "map-side":
+                if report.provenance == "map-side":  # the map is not true
                     assert (report.lb, report.ub) == (-math.inf, math.inf)
-                    skipped += 1
                 else:
                     assert (report.lb, report.ub) == (ref_report.lb, ref_report.ub)
                     assert same(report.ub_prime, ref_report.ub_prime)
+                provenances[report.provenance] += 1
                 fixed += fix is not None
-        assert fixed >= 20 and skipped >= 500
+        assert fixed >= 20 and provenances["map-side"] >= 250
+        assert provenances["tractable-exact"] and provenances["local-search+packing"]
 
     def test_gain_cap_skip_at_the_tolerance(self):
         # sub-problem {0, 1}: lb - ub = 5 = the gain cap; the boundary arc
         # 0 -> 2 is the boundary bound, so the margin is 5 - c_02, which the
-        # dyadic steps keep exact for the reference's sums and the library's
+        # dyadic steps keep exact for the reference's sums and the library's;
+        # the pass's gate holds exactly when the reference fixes
         outcomes = set()
+        pa, pairs, subsets = PartialAssignment.empty(3), np.array([[0, 1]]), np.array([[0, 1]])
+        v = conditions.SUBSET_VARIANTS.index(TAU_BOTH)
         for steps in (9, 10, 11, 12, 20):
             c = np.zeros((3, 3))
             # the tolerance, about 1e-8, lies between 10 and 11 steps of 2^-30
             c[0, 1], c[0, 2] = 5.0, 5.0 - steps * 2.0**-30
             inst = Instance(c)
+            gate = conditions._subset_gain_caps(inst, pa, pairs, subsets) - boundary_bound(
+                inst, pa, subsets
+            )[:, v]
+            args = (inst, pa, (0, 1), [0, 1], TAU_BOTH)
             for exact in (True, False):
-                args = (inst, PartialAssignment.empty(3), (0, 1), [0, 1], TAU_BOTH)
-                fix, report = subset_fixation_condition(*args, exact=exact)
-                assert fix == reference_subset_fixation(*args, exact=exact)[0]
-                assert (report.provenance == "map-side") == (fix is None)
-                outcomes.add(fix is None)
+                ref = reference_subset_fixation(*args, exact=exact)[0]
+                assert (gate[0] >= inst.tolerance) == (ref is not None)
+            fix, _ = subset_fixation_condition(*args)
+            assert fix == reference_subset_fixation(*args)[0]
+            outcomes.add(fix is None)
         assert outcomes == {True, False}
 
     def test_untrue_map_skips_sub_problem_bounds(self, monkeypatch):
         # the assigned one 0 -> 2 crosses the boundary of {0, 1}
         pa = close(PartialAssignment.from_pairs(4, one_pairs=[(0, 2)]))
-        counts = {"local_search_lower_bound": 0, "TriplePackingBound": 0}
+        counts = {"local_search_lower_bound": 0, "TriplePackingBound": 0, "optima": 0}
 
         def counted(name, func):
             def wrapper(*a, **kw):
@@ -580,13 +633,17 @@ class TestSubsetMapSideFirst:
 
             return wrapper
 
-        for name in counts:
-            monkeypatch.setattr(conditions, name, counted(name, getattr(conditions, name)))
-        args = (FIG3, pa, (0, 1), [0, 1], TAU_BOTH)
-        fix, report = subset_fixation_condition(*args, exact=False)
-        assert fix is None and report.provenance == "map-side"
-        assert report.ub_prime == math.inf  # the cut boundary holds an assigned one
-        assert counts == {"local_search_lower_bound": 0, "TriplePackingBound": 0}
+        for owner, name in ((conditions, "local_search_lower_bound"),
+                            (conditions, "TriplePackingBound"),
+                            (bounds.TractableBounds, "optima")):
+            monkeypatch.setattr(owner, name, counted(name, getattr(owner, name)))
+        c = FIG3.values.copy()
+        c[0, 1] = -5.0  # c_01 < 0: trueness from the loose sets
+        for inst in (FIG3, Instance(c)):
+            fix, report = subset_fixation_condition(inst, pa, (0, 1), [0, 1], TAU_BOTH)
+            assert fix is None and report.provenance == "map-side"
+            assert report.ub_prime == math.inf  # the cut boundary holds an assigned one
+        assert counts == {"local_search_lower_bound": 0, "TriplePackingBound": 0, "optima": 0}
 
 
 class TestRunJoint:
@@ -769,14 +826,33 @@ class TestNanMargin:
             lambda: boecker_weak_condition(inst, pa),
         )
         assert all(run() for run in runs)
-        search = conditions.local_search_lower_bound
+        # a NaN tractable optimum, which the lower bound, the settle and the
+        # optima all read, and NaN constrained searches for bbk-weak's b = 0
+        search, tractable = conditions.local_search_lower_bound, conditions.exact_bounds_tractable
+
+        def nan_opt(instance, assignment):
+            state = tractable(instance, assignment)
+            if state is not None:
+                state.opt = math.nan
+            return state
+
+        monkeypatch.setattr(conditions, "exact_bounds_tractable", nan_opt)
         monkeypatch.setattr(
             conditions, "local_search_lower_bound",
             lambda *args, **kwargs: (math.nan, search(*args, **kwargs)[1]),
         )
-        monkeypatch.setattr(bounds.TractableBounds, "optima", lambda self, i, j: (math.nan, 0.0))
+        cut = []  # the pairs bbk-strong-1 takes a cut for
+        optima = bounds.TractableBounds.optima
+        monkeypatch.setattr(
+            bounds.TractableBounds, "optima",
+            lambda self, i, j: cut.append([i, j]) or optima(self, i, j),
+        )
         for run in runs:
             assert run() == []
+        # a NaN settles nothing: bbk-strong-1 cut every eligible pair
+        cut.clear()
+        boecker_conditions(inst, pa, 1)
+        assert cut == np.argwhere(tractable(inst, pa).eligible).tolist()
 
     def test_edge_join_nan_energy_fixes_nothing(self, monkeypatch):
         pa = PartialAssignment.empty(FIG1.n)

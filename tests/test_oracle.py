@@ -136,6 +136,12 @@ class TestCertify:
         assert not certify(inst, PartialAssignment.from_pairs(2, zero_pairs=[(0, 1)]))
         assert not certify(inst, PartialAssignment.from_pairs(2, one_pairs=[(1, 0)]))
 
+    def test_assignment_size_must_match(self):
+        inst = random_instance(np.random.default_rng(3), 3)
+        for pa in (PartialAssignment.empty(4), PartialAssignment.from_pairs(4, one_pairs=[(0, 3)])):
+            with pytest.raises(ValueError, match="assignment size does not match instance"):
+                certify(inst, pa)
+
     def test_completion_mask_selects_agreeing_rows(self):
         stack = relation_stack(3)
         pa = PartialAssignment.from_pairs(3, one_pairs=[(0, 1)], zero_pairs=[(1, 2)])

@@ -66,13 +66,17 @@ class TestRelation:
             Relation.from_pairs(3, [(1, 1)])
 
     @pytest.mark.parametrize(
-        "pair", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1)], ids=str
+        "pair", [(-1, 0), (0, -1), (3, 0), (0, 3), (1, 1), (-1, 2)], ids=str
     )
     def test_partial_from_pairs_rejects_invalid_pairs(self, pair):
-        # a negative index would wrap around, a diagonal pair would be dropped
+        # a negative index would wrap around, a diagonal pair would be
+        # dropped: (-1, 2) is the diagonal (2, 2) after wrapping
         for pairs in ({"one_pairs": [pair]}, {"zero_pairs": [pair]}):
             with pytest.raises(ValueError, match=r"invalid pair \(-?\d, -?\d\) for n=3"):
                 PartialAssignment.from_pairs(3, **pairs)
+        for value in (0, 1):  # with_assignments keeps the same rule
+            with pytest.raises(ValueError, match=r"invalid pair \(-?\d, -?\d\) for n=3"):
+                PartialAssignment.empty(3).with_assignments([(*pair, value)])
 
     def test_equality_and_hash(self):
         a = Relation.from_pairs(3, [(0, 1)])
