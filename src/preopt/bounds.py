@@ -301,18 +301,15 @@ def _greedy_fixation(instance: Instance, base: PartialAssignment) -> np.ndarray:
 
 
 def local_search_lower_bound(
-    instance: Instance,
-    pa: PartialAssignment,
-    constraint: tuple[Pair, int] | None = None,
-    *,
-    greedy: bool = True,
+    instance: Instance, pa: PartialAssignment, constraint: tuple[Pair, int] | None = None
 ) -> tuple[float, Relation]:
     """Feasible witness and its value; a lower bound on the constrained optimum.
 
     The witness completes pa and satisfies the optional (pair, value)
-    constraint. With greedy=True the better of greedy arc insertion and
-    greedy arc fixation is returned; with greedy=False the minimal witness
-    (the closure's one-arcs, everything else zero) is returned.
+    constraint: the better of greedy arc insertion and greedy arc fixation,
+    insertion on a tie. The closure's own one-arcs need no candidate of
+    their own: insertion starts from them and adds only joins that gain
+    more than the tolerance, so it returns them unchanged or beats them.
     """
     if constraint is not None:
         (p, q), v = constraint
@@ -322,18 +319,10 @@ def local_search_lower_bound(
         base = close(pa.with_assignments([(p, q, v)]))
     else:
         base = close(pa)
-    candidates = [Relation(base.ones)]
-    if greedy:
-        candidates.append(Relation(_greedy_insertion(instance, base)))
-        candidates.append(Relation(_greedy_fixation(instance, base)))
-    best_value = -math.inf
-    witness = candidates[0]
-    for x in candidates:
-        value = evaluate(instance, x)
-        if value > best_value:
-            best_value = value
-            witness = x
-    return best_value, witness
+    inserted = Relation(_greedy_insertion(instance, base))
+    fixed = Relation(_greedy_fixation(instance, base))
+    # max keeps the first of equal values: insertion on a tie
+    return max(((evaluate(instance, x), x) for x in (inserted, fixed)), key=lambda s: s[0])
 
 
 class TractableBounds:

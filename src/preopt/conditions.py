@@ -542,14 +542,10 @@ def _neighbor_subsets(instance: Instance, pairs: np.ndarray, k: int) -> np.ndarr
         mass += a[j]
         mass += a_t[j]
         mass[rows, i] = mass[rows, j] = -math.inf  # below every other element
-        # the k-th largest mass; every element above it is taken, and the
-        # lowest of those equal to it until k are taken
-        kth = np.partition(mass, n - k, axis=1)[:, n - k, None]
-        above = mass > kth
-        tied = mass == kth
-        take = above | (tied & (np.cumsum(tied, axis=1) <= k - above.sum(axis=1, keepdims=True)))
-        take[rows, i] = take[rows, j] = True
-        subsets[slab] = np.nonzero(take)[1].reshape(-1, k + 2)
+        # a stable sort keeps equal masses in element order: ties to the lower
+        subsets[slab, :k] = np.argsort(-mass, axis=1, kind="stable")[:, :k]
+        subsets[slab, k:] = pairs[slab]
+    subsets.sort(axis=1)
     return subsets
 
 

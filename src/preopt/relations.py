@@ -71,15 +71,9 @@ def reach_or_equal(m: np.ndarray) -> np.ndarray:
 
 
 def transitive_closure(rel: Iterable[Pair], n: int) -> set[Pair]:
-    """Transitive closure of an arc set, as a set of ordered pairs."""
-    m = np.zeros((n, n), dtype=bool)
-    for p, q in rel:
-        if not (0 <= p < n and 0 <= q < n):
-            raise IndexError(f"pair ({p}, {q}) out of range for n={n}")
-        if p == q:
-            raise ValueError("diagonal pairs are not part of the relation")
-        m[p, q] = True
-    closed = transitive_closure_matrix(m)
+    """Transitive closure of an arc set, as a set of ordered pairs; every
+    arc must pass ``_check_pair``."""
+    closed = transitive_closure_matrix(_pair_matrix(n, rel))
     return {(int(p), int(q)) for p, q in np.argwhere(closed)}
 
 
@@ -203,9 +197,11 @@ class PartialAssignment:
         return self.ones | self.zeros
 
     def value(self, p: int, q: int) -> int | None:
-        """Assigned value of pair pq, or None if undecided; diagonal is 1."""
-        if p == q:
+        """Assigned value of pair pq, or None if undecided. An in-range
+        diagonal pair is 1; any other pair must pass ``_check_pair``."""
+        if p == q and 0 <= p < self.n:
             return 1
+        _check_pair(self.n, p, q)
         if self.ones[p, q]:
             return 1
         if self.zeros[p, q]:

@@ -1,15 +1,17 @@
 """Shared test utilities: seeded random instances and partial assignments,
-plus the reference definitions the library's closed forms are checked
-against (the self-maps applied to whole relations, brute-force
-enumeration, local search and contraction classes with the join and zero
-rules written out by hand, contraction pair by pair, the bbk
-conditions pair by pair behind their strong and value flags, the min
-cut search queue by queue over neighbor lists, the join energy's floor
-and swap sweeps one model at a time, and subset-u's neighbor subsets one
-pair at a time and its boundary bound from flip sets)."""
+CSV rows read from a closed file, plus the reference definitions the
+library's closed forms are checked against (the self-maps applied to
+whole relations, brute-force enumeration, local search and contraction
+classes with the join and zero rules written out by hand, contraction
+pair by pair, the bbk conditions pair by pair behind their strong and
+value flags, the min cut search queue by queue over neighbor lists, the
+join energy's floor and swap sweeps one model at a time, and subset-u's
+neighbor subsets one pair at a time and its boundary bound from flip
+sets)."""
 
 from __future__ import annotations
 
+import csv
 import math
 from collections import deque
 from itertools import compress
@@ -56,6 +58,12 @@ from preopt.relations import (
     reach_or_equal,
     transitive_closure_matrix,
 )
+
+
+def read_csv_rows(path) -> list[dict[str, str]]:
+    """The rows of a CSV file with a header, the file closed again."""
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
 
 
 def random_instance(rng: np.random.Generator, n: int, kind: str = "grid") -> Instance:
@@ -509,7 +517,7 @@ def reference_boundary_bound(
 
 def reference_subset_fixation(
     instance: Instance, pa: PartialAssignment, pair, subset, variant: str,
-    *, exact: bool = True, greedy: bool = True,
+    *, exact: bool = True,
 ):
     """Reference for ``conditions.subset_fixation_condition``: lb, ub, the
     boundary bound and trueness, always all four, then the fixation test."""
@@ -530,7 +538,7 @@ def reference_subset_fixation(
         ub_prime = reference_boundary_bound(instance, pa, elements, variant, y)
         true = is_true_to(MapSpec.tau(variant, elements, y), pa)
     else:
-        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), 1), greedy=greedy)
+        lb, _ = local_search_lower_bound(sub_instance, sub_pa, ((si, sj), 1))
         excluding = TriplePackingBound(sub_instance, sub_pa).excluding
         ub = float(induced_value(sub_instance, sub_pa, 0)[si, sj] + excluding[si, sj])
         ub_prime = reference_boundary_bound(instance, pa, elements, variant)

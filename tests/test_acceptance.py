@@ -4,7 +4,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. Tolerances are pinned here and nowhere else.
 """
 
-import csv
 import functools
 import math
 import time
@@ -24,6 +23,7 @@ from helpers import (
     random_closed_pa,
     random_consistent_pa,
     random_instance,
+    read_csv_rows,
     reference_boundary_bound,
 )
 from preopt import (
@@ -217,7 +217,7 @@ def test_criterion_04_worked_example():
     assert rep.lb == 5.0 and rep.ub == 0.0 and rep.ub_prime == 4.0
     assert fix is not None and fix.pair == (0, 1) and fix.value == 1
 
-    lb, _ = local_search_lower_bound(FIG3, pa, ((0, 1), 1), greedy=False)
+    lb = evaluate(FIG3, Relation(close(pa.with_assignments([(0, 1, 1)])).ones))
     packing = TriplePackingBound(FIG3, pa)
     ub = induced_value(FIG3, pa, 0)[0, 1] + packing.excluding[0, 1]
     assert lb == 5.0 and ub == 6.0
@@ -472,7 +472,7 @@ def test_criterion_12_ego_network_smoke(tmp_path):
         ["fix", str(instance_csv), "--out", str(stats_csv), "--emit-partial", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output
-    rows = list(csv.DictReader(stats_csv.open()))
+    rows = read_csv_rows(stats_csv)
     assert len(rows) == 1
     row = rows[0]
     assert row["n"] == str(n)

@@ -99,11 +99,15 @@ class TestLocalSearch:
             local_search_lower_bound(inst, pa, ((0, 1), 1))
 
     def test_invalid_constraint_pair_rejected(self):
-        # (-1, 0) would wrap around to (2, 0), (-1, 2) to the diagonal
+        # (-1, 0) would wrap around to (2, 0), (-1, 2) to the diagonal; with
+        # (2, 0) assigned zero, a wrapped (-1, 0) would read as contradicted
         inst = Instance(np.zeros((3, 3)))
-        for pair in ((-1, 0), (0, -1), (-1, 2)):
-            with pytest.raises(ValueError, match="invalid pair"):
-                local_search_lower_bound(inst, PartialAssignment.empty(3), (pair, 1))
+        empty = PartialAssignment.empty(3)
+        zero_20 = PartialAssignment.from_pairs(3, zero_pairs=[(2, 0)])
+        for pa in (empty, zero_20):
+            for pair in ((-1, 0), (0, -1), (-1, 2), (0, 3), (3, 0), (3, 3), (-1, -1)):
+                with pytest.raises(ValueError, match="invalid pair"):
+                    local_search_lower_bound(inst, pa, (pair, 1))
 
     @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
     def test_greedy_matches_reference(self, kind):
@@ -125,17 +129,6 @@ class TestLocalSearch:
                 best = int(np.argmax(values))
                 value, witness = local_search_lower_bound(inst, base)
                 assert value == values[best] and witness == candidates[best]
-
-    def test_non_greedy_returns_minimal_witness(self):
-        c = np.zeros((3, 3))
-        c[0, 1] = 5.0
-        c[1, 2] = 4.0
-        inst = Instance(c)
-        value, witness = local_search_lower_bound(
-            inst, PartialAssignment.empty(3), ((0, 1), 1), greedy=False
-        )
-        assert value == pytest.approx(5.0)
-        assert np.argwhere(witness.matrix).tolist() == [[0, 1]]
 
 
 class TestInducedValue:

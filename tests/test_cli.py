@@ -1,4 +1,3 @@
-import csv
 import os
 from pathlib import Path
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from helpers import read_csv_rows
 from preopt import cli, conditions, oracle
 from preopt.cli import STATS_FIELDS, main
 from preopt.conditions import DIRECTED_CUT, Fixation
@@ -44,7 +44,7 @@ class TestGenerate:
         assert result.exit_code == 0, result.output
         files = sorted(out.glob("synthetic_*.csv"))
         assert len(files) == 100
-        manifest = list(csv.DictReader((out / "manifest.csv").open()))
+        manifest = read_csv_rows(out / "manifest.csv")
         assert len(manifest) == 100
         assert {"instance", "n", "alpha", "p_edges", "truth_seed", "value_seed"} <= set(
             manifest[0]
@@ -120,7 +120,7 @@ class TestFix:
         out_csv = tmp_path / "stats.csv"
         result = runner.invoke(main, ["fix", str(inst), "--out", str(out_csv)])
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(out_csv.open()))
+        rows = read_csv_rows(out_csv)
         assert len(rows) == 1
         assert rows[0]["n"] == "5"
         assert 0.0 <= float(rows[0]["percent_fixed"]) <= 100.0
@@ -166,7 +166,7 @@ class TestFix:
             main, ["fix", str(path), "--conditions", "directed-cut", "--out", str(out_csv)]
         )
         assert result.exit_code == 0
-        row = next(csv.DictReader(out_csv.open()))
+        row = read_csv_rows(out_csv)[0]
         assert row["fixed_zero"] == "0" and row["fixed_one"] == "0"
 
     def test_batch_quantile_summary_and_determinism(self, runner, tmp_path):
@@ -184,7 +184,7 @@ class TestFix:
         assert "median" in res_a.output
 
         def strip_times(path):
-            rows = list(csv.DictReader(Path(path).open()))
+            rows = read_csv_rows(path)
             return [
                 {k: v for k, v in row.items() if not k.endswith("_ns")} for row in rows
             ]
@@ -201,7 +201,7 @@ class TestFix:
         instance = next(out.glob("synthetic_*.csv"))
         stats = tmp_path / "stats.csv"
         assert runner.invoke(main, ["fix", str(instance), "--out", str(stats)]).exit_code == 0
-        row = next(csv.DictReader(stats.open()))
+        row = read_csv_rows(stats)[0]
         assert row["alpha"] == "0.4"
         assert row["p_edges"] == "0.5"
         assert row["seed"] != ""
@@ -224,7 +224,7 @@ class TestFix:
         def strip_times(path):
             return [
                 {k: v for k, v in row.items() if not k.endswith("_ns")}
-                for row in csv.DictReader(Path(path).open())
+                for row in read_csv_rows(path)
             ]
 
         assert strip_times(serial) == strip_times(parallel)
@@ -376,7 +376,7 @@ class TestFix:
             assert result.exit_code == 0, result.output
         lines = out.read_text().splitlines()
         assert lines[0].split(",") == STATS_FIELDS and len(lines) == 3
-        rows = list(csv.DictReader(out.open()))
+        rows = read_csv_rows(out)
         assert [row["instance"] for row in rows] == ["fig1.csv", "fig1.csv"]
 
     def test_out_with_foreign_header_is_usage_error(self, runner, tmp_path):

@@ -142,6 +142,13 @@ class TestBuildJoinEnergy:
         with pytest.raises(ValueError):
             build_join_energy(inst, pa, 0, 1)
 
+    def test_invalid_pair_rejected(self):
+        # (-1, 0) would wrap around to (2, 0) and build a model with i == -1
+        inst = Instance(np.zeros((3, 3)))
+        for pair in ((-1, 0), (0, -1), (0, 3), (3, 3)):
+            with pytest.raises(ValueError, match="invalid pair"):
+                build_join_energy(inst, PartialAssignment.empty(3), *pair)
+
     def test_initial_energy_matches_singleton_rhs(self):
         # labeling i -> U, j -> U', rest -> REST prices exactly the join
         # condition's rhs for singleton subsets

@@ -48,8 +48,10 @@ class TestTransitiveClosure:
         assert transitive_closure(closed, 4) == closed
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(IndexError):
-            transitive_closure({(0, 5)}, 3)
+        # and the diagonal, under the same rule as Relation.from_pairs
+        for pair in ((0, 5), (-1, 0), (0, -1), (1, 1)):
+            with pytest.raises(ValueError, match="invalid pair"):
+                transitive_closure({(0, 1), pair}, 3)
 
 
 class TestRelation:
