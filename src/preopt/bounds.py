@@ -7,9 +7,9 @@ edge-disjoint triple-packing bound for the rest, or are exact in the
 tractable special case where the sign-greedy relation is itself feasible,
 derived once per assignment and then one minimum cut per pair. Induced
 values and the packing's triple table both read each arc's pinned values
-(its value when set to one and when set to zero) and are built in slabs:
-the induced values in O(n^2) working memory, the triple table, one p-slab
-at a time, in O(n^2 + improving triples).
+(``flow.pinned_values``: its value when set to one and when set to zero)
+and are built in slabs: the induced values in O(n^2) working memory, the
+triple table, one p-slab at a time, in O(n^2 + improving triples).
 Boundary bounds cap how much value the boundary of a subset can lose when a
 true tau map replants the subset's interior, one array over subsets and tau
 variants.
@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .flow import FlowNetwork, cut_capacities, min_st_cut
+from .flow import FlowNetwork, cut_capacities, min_st_cut, pin_costs, pinned_values
 from .instance import Instance, evaluate
 from .maps import TAU_BOTH, TAU_IN, TAU_OUT
 from .relations import (
@@ -82,20 +82,10 @@ class BoundReport:
     provenance: str = ""
 
 
-def _pinned_values(instance: Instance, pa: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
-    """Each arc's value when set to one (``hi``) and when set to zero
-    (``lo``), -inf where its pin forbids that value."""
-    hi = np.where(pa.zeros, -np.inf, instance.values)
-    lo = np.where(pa.ones, -np.inf, 0.0)
-    return hi, lo
-
-
 def arc_max_values(instance: Instance, pa: PartialAssignment) -> np.ndarray:
     """Per-arc maximum contribution over all completions: c+ where undecided,
-    the pinned contribution where decided."""
-    m = np.maximum(*_pinned_values(instance, pa))
-    np.fill_diagonal(m, 0.0)
-    return m
+    the pinned contribution where decided, 0 on the diagonal."""
+    return np.maximum(*pinned_values(instance, pa))
 
 
 def _triple_table(
@@ -113,8 +103,8 @@ def _triple_table(
     every arc at its best.
     """
     n = instance.n
-    hi, lo = _pinned_values(instance, pa)
-    m = arc_max_values(instance, pa)
+    hi, lo = pinned_values(instance, pa)
+    m = np.maximum(hi, lo)
     found = []
     for slab in row_slabs(n):
         # [p - slab.start, q, r]: the arcs pq, qr and pr
@@ -216,8 +206,8 @@ def induced_value(instance: Instance, pa: PartialAssignment, b: int) -> np.ndarr
     w are built for one ``row_slabs`` slab of rows i at a time.
     """
     n = instance.n
-    m = arc_max_values(instance, pa)
-    hi, lo = _pinned_values(instance, pa)
+    hi, lo = pinned_values(instance, pa)
+    m = np.maximum(hi, lo)
     m_t, hi_t, lo_t = (np.ascontiguousarray(a.T) for a in (m, hi, lo))
     out = np.empty((n, n))
     every = np.arange(n)
@@ -365,10 +355,10 @@ def exact_bounds_tractable(instance: Instance, pa: PartialAssignment) -> Tractab
 
 
 def sign_greedy_relation(instance: Instance, pa: PartialAssignment) -> Relation:
-    """The candidate maximizer: one where undecided with c >= 0, pins elsewhere."""
-    offdiag = ~np.eye(instance.n, dtype=bool)
-    undecided = ~pa.decided & offdiag
-    return Relation(pa.ones | (undecided & (instance.values >= 0)), copy=False)
+    """The candidate maximizer: each arc at its better pinned value, one on
+    a tie (one where undecided with c >= 0, pins elsewhere)."""
+    hi, lo = pinned_values(instance, pa)
+    return Relation(hi >= lo, copy=False)
 
 
 def boundary_bound(instance: Instance, pa: PartialAssignment, subsets: np.ndarray) -> np.ndarray:
@@ -391,8 +381,7 @@ def boundary_bound(instance: Instance, pa: PartialAssignment, subsets: np.ndarra
     boundary sum is the subset's row (or column) sums minus its inner
     block, built for one ``slabs`` slab of subsets at a time.
     """
-    pos = np.where(pa.decided, 0.0, instance.c_plus)
-    neg = np.where(pa.decided, 0.0, instance.c_minus)
+    pos, neg = (np.where(pa.decided, 0.0, cost) for cost in pin_costs(instance, pa))
     sums = [(m, m.sum(axis=1), m.sum(axis=0)) for m in (pos, neg, pa.ones.astype(np.intp))]
     out = np.empty((len(subsets), len(SUBSET_VARIANTS)))
     width = subsets.shape[1]

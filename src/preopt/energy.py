@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .flow import FlowNetwork, cut_capacities, min_st_cut
+from .flow import FlowNetwork, min_st_cut, pin_costs
 from .instance import Instance
 from .maps import gamma_raise_set
 from .relations import PartialAssignment
@@ -98,15 +98,6 @@ class EnergyModel:
         return lab
 
 
-def _join_base(instance: Instance, pa: PartialAssignment) -> np.ndarray:
-    """The join-plane costs of every pair's model before gamma's raise-set
-    mask: c- where undecided, infinite where assigned zero, 0 where
-    assigned one and on the diagonal."""
-    base = np.where(pa.ones, 0.0, np.where(pa.zeros, math.inf, instance.c_minus))
-    np.fill_diagonal(base, 0.0)
-    return base
-
-
 def join_floors(instance: Instance, pa: PartialAssignment) -> np.ndarray:
     """Lower bound on the minimum energy of ``build_join_energy(instance,
     pa, i, j)`` at [i, j], for every undecided pair at once.
@@ -124,8 +115,7 @@ def join_floors(instance: Instance, pa: PartialAssignment) -> np.ndarray:
     pairs bound nothing.
     """
     n = instance.n
-    cut = cut_capacities(instance, pa)
-    base = _join_base(instance, pa)
+    cut, base = pin_costs(instance, pa)
     not_zero = ~pa.zeros
     cut_t, base_t, not_zero_t = (np.ascontiguousarray(a.T) for a in (cut, base, not_zero))
     out = base + cut_t  # the terms ij and ji
@@ -157,8 +147,8 @@ def build_join_energy(
     """
     if pa.value(i, j) is not None:
         raise ValueError("pair ij must be undecided")
-    cut = cut_capacities(instance, pa)
-    join = np.where(gamma_raise_set(pa, i, j), _join_base(instance, pa), 0.0)
+    cut, join = pin_costs(instance, pa)
+    join = np.where(gamma_raise_set(pa, i, j), join, 0.0)
     return EnergyModel(i=i, j=j, join_cost=join, cut_cost=cut, tolerance=instance.tolerance)
 
 

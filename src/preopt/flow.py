@@ -1,10 +1,10 @@
-"""Max-flow/min-cut and reachability substrates.
+"""Max-flow/min-cut and reachability substrates, and what a pin costs.
 
-The dicut network of a partial assignment is a dense capacity matrix
-(``cut_capacities``) that each caller builds again: directed-cut and
-edge-cut per call, ``TractableBounds`` at its first cut (``run_joint`` shares
-one tractable case per assignment among the bbk conditions),
-``build_join_energy`` per pair, subset-u per fixation and sub-problem. A
+``pinned_values`` is the one place where pins become arc values: each arc's
+value when set to one and when set to zero, -inf where its pin forbids it.
+``pin_costs`` derives what setting each arc to zero (the cut plane) or to
+one (the join plane) gives up; the cut plane is the dicut network's dense
+capacity matrix, ``cut_capacities``. A
 ``FlowNetwork`` takes such a matrix, checks it and keeps it as the residual
 graph: one row of residual capacities per node, plus one bit row per node, a
 Python int whose bit w is set when the residual arc v -> w is positive.
@@ -39,15 +39,28 @@ if TYPE_CHECKING:
 Arc = tuple[int, int, float]
 
 
-def cut_capacities(instance: "Instance", pa: PartialAssignment) -> np.ndarray:
-    """Dense capacities of the dicut network of an assignment.
+def pinned_values(instance: "Instance", pa: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """Each arc's value when set to one (``hi``) and when set to zero
+    (``lo``), -inf where its pin forbids that value. The diagonal is
+    unpinned, at 0 both ways."""
+    hi = np.where(pa.zeros, -math.inf, instance.values)
+    lo = np.where(pa.ones, -math.inf, 0.0)
+    return hi, lo
 
-    Assigned ones are uncuttable (inf), assigned zeros free (0), every other
-    pair costs its positive part c+; the diagonal is 0.
-    """
-    cap = np.where(pa.ones, math.inf, np.where(pa.zeros, 0.0, instance.c_plus))
-    np.fill_diagonal(cap, 0.0)
-    return cap
+
+def pin_costs(instance: "Instance", pa: PartialAssignment) -> tuple[np.ndarray, np.ndarray]:
+    """What setting each arc to zero (``cut``) and to one (``join``) gives
+    up against its best pinned value: c+ and c- where undecided, inf where
+    the pin forbids the value, 0 where the pin sets it and on the diagonal."""
+    hi, lo = pinned_values(instance, pa)
+    best = np.maximum(hi, lo)
+    return best - lo, best - hi
+
+
+def cut_capacities(instance: "Instance", pa: PartialAssignment) -> np.ndarray:
+    """Dense capacities of the dicut network of an assignment: the cut
+    plane of ``pin_costs``."""
+    return pin_costs(instance, pa)[0]
 
 
 class FlowNetwork:

@@ -14,7 +14,14 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .relations import Pair, PartialAssignment, Relation, insert_arc_closed, is_consistent
+from .relations import (
+    Pair,
+    PartialAssignment,
+    Relation,
+    _check_elements,
+    insert_arc_closed,
+    is_consistent,
+)
 from .rng import SplitMix64
 
 #: comparisons against condition inequalities fire only beyond this slack,
@@ -25,7 +32,7 @@ TOLERANCE_SCALE = 1e-9
 class Instance:
     """A preordering instance: n elements and a value for every ordered pair."""
 
-    __slots__ = ("values", "_c_plus", "_c_minus", "_tolerance")
+    __slots__ = ("values", "_tolerance")
 
     def __init__(self, values: np.ndarray, *, copy: bool = True):
         v = np.array(values, dtype=np.float64, copy=copy)
@@ -43,31 +50,11 @@ class Instance:
             raise ValueError("the sum of absolute instance values overflows")
         v.flags.writeable = False
         self.values = v
-        self._c_plus = None
-        self._c_minus = None
         self._tolerance = TOLERANCE_SCALE * max(1.0, mass)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
-
-    @property
-    def c_plus(self) -> np.ndarray:
-        """Positive parts max(c, 0)."""
-        if self._c_plus is None:
-            cp = np.maximum(self.values, 0.0)
-            cp.flags.writeable = False
-            self._c_plus = cp
-        return self._c_plus
-
-    @property
-    def c_minus(self) -> np.ndarray:
-        """Negative parts max(-c, 0)."""
-        if self._c_minus is None:
-            cm = np.maximum(-self.values, 0.0)
-            cm.flags.writeable = False
-            self._c_minus = cm
-        return self._c_minus
 
     @property
     def tolerance(self) -> float:
@@ -78,7 +65,8 @@ class Instance:
         return self.n * (self.n - 1)
 
     def restrict(self, elements: Sequence[int]) -> "Instance":
-        """Sub-instance on the given elements, in the given order."""
+        """Sub-instance on the given distinct elements, in the given order."""
+        _check_elements(self.n, elements)
         idx = np.ix_(elements, elements)
         return Instance(self.values[idx])
 
@@ -113,10 +101,19 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be positive")
+        if not _fits_in_memory(self.n):
+            raise ValueError(f"n={self.n} is too large to allocate")
         if not 0.0 <= self.p_edges <= 1.0:
             raise ValueError("p_edges must lie in [0, 1]")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+
+
+def _fits_in_memory(n: int) -> bool:
+    """Whether an n x n float matrix fits in physical memory. numpy may
+    reserve a larger one lazily and fail only once it is filled, out of
+    memory, so sizes are checked against this before they are allocated."""
+    return n * n * 8 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def generate_ground_truth(n: int, p_edges: float, rng: SplitMix64) -> Relation:
@@ -250,8 +247,7 @@ def load_instance(path: str | Path) -> Instance:
     rows, duplicate pairs, diagonal entries and non-finite values; rejects,
     with a "path:" message, a count too large to allocate and values whose
     absolute sum overflows. A value matrix larger than physical memory
-    counts as too large before it is allocated: numpy may reserve it lazily
-    and fail only once it is filled, out of memory.
+    counts as too large before it is allocated (``_fits_in_memory``).
     """
     lines = [
         (lineno, ln.strip())
@@ -270,7 +266,7 @@ def load_instance(path: str | Path) -> Instance:
     if len(lines) < 2 or lines[1][1].replace(" ", "") != "p,q,c":
         raise ValueError(f"{path}: missing 'p,q,c' header")
     too_large = f"{path}: element count {n} is too large to allocate"
-    if n * n * 8 > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+    if not _fits_in_memory(n):
         raise ValueError(too_large)
     try:
         c = np.zeros((n, n), dtype=np.float64)

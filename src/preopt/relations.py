@@ -37,6 +37,13 @@ def _check_pair(n: int, p: int, q: int) -> None:
         raise ValueError(f"invalid pair ({p}, {q}) for n={n}")
 
 
+def _check_elements(n: int, elements: Sequence[int]) -> None:
+    """Raise ``ValueError`` unless the elements are distinct elements of
+    0..n-1, so that restricting to them neither wraps nor repeats."""
+    if not all(0 <= p < n for p in elements) or len(set(elements)) != len(elements):
+        raise ValueError(f"invalid elements {list(elements)} for n={n}")
+
+
 def _pair_matrix(n: int, pairs: Iterable[Pair]) -> np.ndarray:
     """The (n, n) matrix set at the given pairs (``_check_pair``)."""
     m = np.zeros((n, n), dtype=bool)
@@ -234,6 +241,8 @@ class PartialAssignment:
         return PartialAssignment(o, z, copy=False)
 
     def restrict(self, elements: Sequence[int]) -> "PartialAssignment":
+        """Sub-assignment on the given distinct elements, in the given order."""
+        _check_elements(self.n, elements)
         idx = np.ix_(elements, elements)
         return PartialAssignment(self.ones[idx], self.zeros[idx])
 

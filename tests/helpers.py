@@ -5,9 +5,9 @@ whole relations, brute-force enumeration, local search and contraction
 classes with the join and zero rules written out by hand, contraction
 pair by pair, the bbk conditions pair by pair behind their strong and
 value flags, the min cut search queue by queue over neighbor lists, the
-join energy's floor and swap sweeps one model at a time, and subset-u's
+join energy's floor and swap sweeps one model at a time, subset-u's
 neighbor subsets one pair at a time and its boundary bound from flip
-sets)."""
+sets, and the pin costs as case tables)."""
 
 from __future__ import annotations
 
@@ -512,7 +512,29 @@ def reference_boundary_bound(
         p01, p10 = change_sets(MapSpec.tau(variant, subset, y), pa)
     else:
         p01, p10 = tau_loose_sets(variant, frozenset(subset), pa)
-    return float(instance.c_minus[p01].sum() + instance.c_plus[p10].sum())
+    c = instance.values
+    return float(np.maximum(-c, 0.0)[p01].sum() + np.maximum(c, 0.0)[p10].sum())
+
+
+def reference_pin_costs(
+    instance: Instance, pa: PartialAssignment
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Relation]:
+    """Reference for ``flow.pin_costs``, ``bounds.arc_max_values`` and
+    ``bounds.sign_greedy_relation``, each written as its own case table:
+    the cut plane (inf on an assigned one, 0 on an assigned zero, c+
+    elsewhere), the join plane (0, inf, c-), the arc maxima (c, 0, c+) and
+    the sign-greedy relation (the ones, plus each undecided pair with
+    c >= 0); every diagonal 0, or False."""
+    c = instance.values
+    c_plus, c_minus = np.maximum(c, 0.0), np.maximum(-c, 0.0)
+    cut = np.where(pa.ones, math.inf, np.where(pa.zeros, 0.0, c_plus))
+    join = np.where(pa.ones, 0.0, np.where(pa.zeros, math.inf, c_minus))
+    arc_max = np.where(pa.ones, c, np.where(pa.zeros, 0.0, c_plus))
+    for plane in (cut, join, arc_max):
+        np.fill_diagonal(plane, 0.0)
+    offdiag = ~np.eye(instance.n, dtype=bool)
+    undecided = ~pa.decided & offdiag
+    return cut, join, arc_max, Relation(pa.ones | (undecided & (c >= 0)))
 
 
 def reference_subset_fixation(

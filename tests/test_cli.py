@@ -75,6 +75,19 @@ class TestGenerate:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert not list(out.glob("*.csv"))
 
+    def test_n_beyond_physical_memory_is_usage_error(
+        self, runner, tmp_path, monkeypatch
+    ):
+        # the rule ``fix`` applies to an element count: 16 pages of 16
+        # bytes hold a 5 x 5 float matrix, not 6 x 6
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 16}.get)
+        out = tmp_path / "ens"
+        result = runner.invoke(main, ["generate", "--out", str(out), "--n", "6"])
+        assert (result.exit_code, result.output) == (
+            1, "usage error: n=6 is too large to allocate\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "args, message",
         [

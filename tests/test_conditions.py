@@ -44,7 +44,7 @@ from preopt.conditions import (
     subset_fixation_condition,
     subset_fixation_pass,
 )
-from preopt.energy import LABELS, build_join_energy, join_floors
+from preopt.energy import IN_U, IN_U_PRIME, LABELS, build_join_energy, join_floors
 from preopt.flow import FlowNetwork, cut_capacities, min_st_cut
 from preopt.instance import GeneratorConfig, generate_synthetic
 from preopt.bounds import boundary_bound, exact_bounds_tractable, induced_value
@@ -234,6 +234,64 @@ class TestEdgeJoin:
             inst = random_instance(rng, n)
             fixations = edge_join_condition(inst, PartialAssignment.empty(n))
             assert fixations_sound(inst, fixations)
+
+
+class TestTiePolicy:
+    """A cut or join of margin exactly 0 is sound but fixes nothing: every
+    cut and join condition leaves such a pair undecided."""
+
+    def test_directed_cut_leaves_a_value_within_tolerance(self):
+        # c_01 leaves 0's reachable set, but its -5e-10 is within tol = 1e-9
+        inst = Instance(np.array([[0.0, -5e-10], [0.0, 0.0]]))
+        assert inst.tolerance == 1e-9
+        assert directed_cut_condition(inst, PartialAssignment.empty(2)) == []
+
+    def test_edge_cut_leaves_a_pair_whose_own_cut_ties(self):
+        # the one 0-1 path 0 -> 2 -> 1 makes every 0-1 cut cost 1 = -c_01
+        c = np.zeros((3, 3))
+        c[0, 1], c[0, 2], c[2, 1] = -1.0, 1.0, 1.0
+        inst, pa = Instance(c), PartialAssignment.empty(3)
+        assert min_st_cut(FlowNetwork(cut_capacities(inst, pa)), 0, 1)[0] == 1.0
+        assert edge_cut_condition(inst, pa) == []
+
+    def test_edge_cut_leaves_a_pair_that_an_earlier_cut_ties(self):
+        # the 0-1 cut {0} costs 2 and fixes (0, 1) with margin 1; it also
+        # separates (0, 2) at exactly -c_02 = 2, its minimum cut (two
+        # disjoint paths of capacity 1), which the cut floor (1, one path)
+        # does not rule out
+        c = np.zeros((6, 6))
+        c[0, 1], c[0, 2] = -3.0, -2.0
+        for p, q in ((0, 3), (3, 2), (0, 4), (4, 5), (5, 2)):
+            c[p, q] = 1.0
+        c[2, 1] = 3.0
+        inst, pa = Instance(c), PartialAssignment.empty(6)
+        net = FlowNetwork(cut_capacities(inst, pa))
+        assert [min_st_cut(net, 0, j) for j in (1, 2)] == [(2.0, {0}), (2.0, {0})]
+        fixations = edge_cut_condition(inst, pa)
+        assert [(f.pair, f.value, f.margin) for f in fixations] == [((0, 1), 0, 1.0)]
+
+    def test_edge_join_leaves_a_pair_whose_floor_ties(self):
+        # joining 0 -> 1 lowers 1 -> 0: energy c+_10 = 1 = c_01 on the
+        # only labeling, and the floor reads it exactly
+        inst, pa = two_element_instance(1.0, 1.0), PartialAssignment.empty(2)
+        assert join_floors(inst, pa)[0, 1] == 1.0
+        assert edge_join_condition(inst, pa) == []
+
+    def test_edge_join_leaves_a_pair_whose_swaps_tie(self):
+        # 2 is free in U and 3 in U' (c_20 and c_13 price them elsewhere),
+        # so the floor is 0; together they pay c-_23 = 1, and every other
+        # labeling pays at least 1 too: the join of 0 -> 1 ties at c_01 = 1
+        c = np.zeros((4, 4))
+        c[0, 1], c[2, 0], c[1, 3], c[2, 3] = 1.0, 1.0, 1.0, -1.0
+        inst, pa = Instance(c), PartialAssignment.empty(4)
+        assert join_floors(inst, pa)[0, 1] == 0.0
+        model = build_join_energy(inst, pa, 0, 1)
+        energies = [
+            model.energy(np.array([IN_U, IN_U_PRIME, *rest]))
+            for rest in itertools.product(LABELS, repeat=2)
+        ]
+        assert min(energies) == 1.0
+        assert (0, 1) not in {f.pair for f in edge_join_condition(inst, pa)}
 
 
 def _strong_both(inst: Instance, pa: PartialAssignment) -> list:
@@ -951,7 +1009,7 @@ class TestSoundGates:
                 _, report = subset_fixation_condition(inst, pa, (i, j), subset, variant)
                 _, p10 = tau_loose_sets(variant, frozenset(subset), pa)
                 assert report.lb - report.ub <= cap
-                assert report.ub_prime >= inst.c_plus[p10].sum()
+                assert report.ub_prime >= np.maximum(inst.values, 0.0)[p10].sum()
 
     @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
     def test_boundary_bound_equals_reference(self, kind):

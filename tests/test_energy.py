@@ -124,8 +124,8 @@ class TestBuildJoinEnergy:
         inst = random_instance(rng, 4)
         model = build_join_energy(inst, PartialAssignment.empty(4), 0, 1)
         off = ~np.eye(4, dtype=bool)
-        assert np.allclose(model.join_cost[off], inst.c_minus[off])
-        assert np.allclose(model.cut_cost[off], inst.c_plus[off])
+        assert np.allclose(model.join_cost[off], np.maximum(-inst.values, 0.0)[off])
+        assert np.allclose(model.cut_cost[off], np.maximum(inst.values, 0.0)[off])
 
     def test_assigned_one_forbidden_in_cut_position(self):
         rng = np.random.default_rng(2)
@@ -167,7 +167,8 @@ class TestBuildJoinEnergy:
             model = build_join_energy(inst, pa, i, j)
             energy = model.energy(model.initial_labeling())
             p01, p10 = change_sets(MapSpec.gamma({i}, {j}, i, j), pa)
-            rhs = float(inst.c_minus[p01].sum() + inst.c_plus[p10].sum())
+            c = inst.values
+            rhs = float(np.maximum(-c, 0.0)[p01].sum() + np.maximum(c, 0.0)[p10].sum())
             if math.isinf(energy):
                 # some flip the map needs is already pinned the other way
                 assert (p10 & pa.ones).any() or (p01 & pa.zeros).any()
@@ -190,7 +191,8 @@ class TestBuildJoinEnergy:
             subset = frozenset(int(p) for p in np.flatnonzero(lab == IN_U))
             subset_prime = frozenset(int(p) for p in np.flatnonzero(lab == IN_U_PRIME))
             p01, p10 = change_sets(MapSpec.gamma(subset, subset_prime, i, j), pa)
-            rhs = float(inst.c_minus[p01].sum() + inst.c_plus[p10].sum())
+            c = inst.values
+            rhs = float(np.maximum(-c, 0.0)[p01].sum() + np.maximum(c, 0.0)[p10].sum())
             trueness_broken = (p10 & pa.ones).any() or (p01 & pa.zeros).any()
             count += 1
             if math.isinf(energy):

@@ -12,9 +12,21 @@ from helpers import (
     random_closed_pa_any,
     random_instance,
     reference_min_st_cut,
+    reference_pin_costs,
 )
-from preopt.bounds import TriplePackingBound, _triple_table
-from preopt.flow import FlowNetwork, min_st_cut, reachability_sets
+from preopt.bounds import (
+    TriplePackingBound,
+    _triple_table,
+    arc_max_values,
+    sign_greedy_relation,
+)
+from preopt.flow import (
+    FlowNetwork,
+    cut_capacities,
+    min_st_cut,
+    pin_costs,
+    reachability_sets,
+)
 from preopt import GeneratorConfig, Instance, generate_synthetic, run_joint
 from preopt.relations import PartialAssignment, transitive_closure
 
@@ -228,11 +240,37 @@ class TestNetworkReuse:
                 min_st_cut(net, s, t)
 
 
+class TestPinCosts:
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_match_reference_case_tables(self, kind):
+        # byte for byte, signed zeros included: +-0.0 values off the
+        # diagonal, and a -0.0 diagonal on every other instance
+        rng = np.random.default_rng(61)
+        signed = 0
+        for trial in range(300):
+            n = int(rng.integers(2, 10))
+            c = random_instance(rng, n, kind).values.copy()
+            c[rng.random((n, n)) < 0.15] = 0.0
+            c[rng.random((n, n)) < 0.15] = -0.0
+            np.fill_diagonal(c, -0.0 if trial % 2 else 0.0)
+            inst = Instance(c)
+            signed += int(np.signbit(inst.values).any())
+            pa = random_closed_pa_any(rng, n, float(rng.choice([0.0, 0.3, 0.7])))
+            cut, join, arc_max, greedy = reference_pin_costs(inst, pa)
+            got_cut, got_join = pin_costs(inst, pa)
+            assert got_cut.tobytes() == cut.tobytes()
+            assert got_join.tobytes() == join.tobytes()
+            assert cut_capacities(inst, pa).tobytes() == cut.tobytes()
+            assert arc_max_values(inst, pa).tobytes() == arc_max.tobytes()
+            assert sign_greedy_relation(inst, pa) == greedy
+        assert signed >= 150
+
+
 def dense_network(rng: np.random.Generator, n: int, kind: str) -> np.ndarray:
     """The positive parts of a random instance's values (multiples of 1/1024,
     0 or 1, or raw floats) as capacities, with about one arc in twelve made
     infinite."""
-    cap = random_instance(rng, n, kind).c_plus.copy()
+    cap = np.maximum(random_instance(rng, n, kind).values, 0.0)
     cap[rng.random((n, n)) < 0.08] = math.inf
     np.fill_diagonal(cap, 0.0)
     return cap

@@ -1,4 +1,5 @@
 import math
+import os
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from preopt.instance import (
     save_instance,
     save_partial,
 )
+from preopt.flow import pin_costs
 from preopt.relations import PartialAssignment, Relation
 
 FIG1 = np.array(
@@ -56,9 +58,19 @@ class TestInstance:
         assert math.isfinite(Instance(c).tolerance)
 
     def test_positive_negative_parts(self):
+        # unpinned, the pin costs are the positive and the negative parts
         inst = Instance(np.array([[0.0, 2.0], [-3.0, 0.0]]))
-        assert inst.c_plus[0, 1] == 2.0 and inst.c_plus[1, 0] == 0.0
-        assert inst.c_minus[1, 0] == 3.0 and inst.c_minus[0, 1] == 0.0
+        cut, join = pin_costs(inst, PartialAssignment.empty(2))
+        assert cut[0, 1] == 2.0 and cut[1, 0] == 0.0
+        assert join[1, 0] == 3.0 and join[0, 1] == 0.0
+        # pinned, either way round: the value a pin sets costs nothing,
+        # the one it forbids is infinite
+        for ones, zeros in (([(1, 0)], [(0, 1)]), ([(0, 1)], [(1, 0)])):
+            pa = PartialAssignment.from_pairs(2, one_pairs=ones, zero_pairs=zeros)
+            cut, join = pin_costs(inst, pa)
+            assert cut[ones[0]] == math.inf and join[ones[0]] == 0.0
+            assert cut[zeros[0]] == 0.0 and join[zeros[0]] == math.inf
+            assert (np.diagonal(cut) == 0.0).all() and (np.diagonal(join) == 0.0).all()
 
     def test_values_immutable(self):
         inst = Instance(np.zeros((2, 2)))
@@ -70,6 +82,13 @@ class TestInstance:
         sub = inst.restrict([0, 1, 3])
         assert sub.n == 3
         assert sub.values[0, 2] == FIG1[0, 3]
+
+    @pytest.mark.parametrize("elements", [[0, -1], [1, 1], [0, 3]], ids=str)
+    def test_restrict_rejects_invalid_elements(self, elements):
+        # a negative element would wrap around, a repeated one would be
+        # copied, one past the end would be numpy's IndexError
+        with pytest.raises(ValueError, match=r"invalid elements \[.*\] for n=3"):
+            Instance(FIG1[:3, :3]).restrict(elements)
 
 
 class TestEvaluate:
@@ -148,6 +167,13 @@ class TestGenerator:
             GeneratorConfig(n=3, p_edges=1.5, alpha=0.5, seed=0)
         with pytest.raises(ValueError):
             GeneratorConfig(n=3, p_edges=0.5, alpha=-0.1, seed=0)
+
+    def test_config_rejects_n_beyond_physical_memory(self, monkeypatch):
+        # 16 pages of 16 bytes hold a 5 x 5 float matrix, not 6 x 6
+        monkeypatch.setattr(os, "sysconf", {"SC_PHYS_PAGES": 16, "SC_PAGE_SIZE": 16}.get)
+        GeneratorConfig(n=5, p_edges=0.5, alpha=0.5, seed=0)
+        with pytest.raises(ValueError, match="n=6 is too large to allocate"):
+            GeneratorConfig(n=6, p_edges=0.5, alpha=0.5, seed=0)
 
 
 class TestEgoIngestion:

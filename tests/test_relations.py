@@ -80,6 +80,13 @@ class TestRelation:
             with pytest.raises(ValueError, match=r"invalid pair \(-?\d, -?\d\) for n=3"):
                 PartialAssignment.empty(3).with_assignments([(*pair, value)])
 
+    @pytest.mark.parametrize("elements", [[0, -1], [1, 1], [0, 3]], ids=str)
+    def test_partial_restrict_rejects_invalid_elements(self, elements):
+        # [0, -1] would read pair (0, 2)'s assigned one as pair (0, 1)'s
+        pa = PartialAssignment.from_pairs(3, one_pairs=[(0, 2)])
+        with pytest.raises(ValueError, match=r"invalid elements \[.*\] for n=3"):
+            pa.restrict(elements)
+
     def test_equality_and_hash(self):
         a = Relation.from_pairs(3, [(0, 1)])
         b = Relation.from_pairs(3, [(0, 1)])
