@@ -102,7 +102,7 @@ from .relations import (
     PartialAssignment,
     Relation,
     close,
-    merge_classes,
+    contract_classes,
     mutual_one_classes,
 )
 
@@ -656,11 +656,14 @@ def run_joint(
     Cheap conditions run first: see ``PipelineConfig`` for one round. Every
     decider is deterministic in (instance, assignment), so a condition is
     skipped when the assignment has not changed since it last ran; the run
-    ends once every condition has seen the current assignment. Fixed
-    mutual-one classes are contracted as soon as they appear; the
+    ends once every condition has seen the current assignment. Each batch
+    of fixations is pinned at once and closed, and all of the mutual-one
+    classes it fixes are contracted in one ``contract_classes`` call; the
     returned assignment is expressed on the original elements, with every
     fixation expanded to the original pairs it pins. Aborts with
-    SoundnessError if a batch of fixations has no common completion.
+    SoundnessError naming the condition if a batch of fixations has no
+    common completion with the assignment, a pair pinned both ways
+    included.
     """
     if cfg is None:
         cfg = PipelineConfig()
@@ -691,7 +694,6 @@ def run_joint(
         tick = time.perf_counter_ns()
         fixations = _dispatch(cond, state)
         if fixations:
-            current = state.instance
             try:
                 pa = close(state.pa.with_assignments([(*f.pair, f.value) for f in fixations]))
             except InconsistentAssignmentError as exc:
@@ -699,24 +701,27 @@ def run_joint(
                     f"condition {cond!r} emitted fixations with no common completion"
                 ) from exc
             version += 1
-            # the original elements of each contracted one, in ascending order
-            members: list[list[int]] = [[] for _ in range(current.n)]
-            for original, index in enumerate(group.tolist()):
-                members[index].append(original)
-            expanded = [
-                Fixation((op, oq), f.value, f.condition, f.margin)
-                for f in fixations for op in members[f.pair[0]] for oq in members[f.pair[1]]
-            ]
+            if state.instance.n == orig_n:  # nothing contracted yet: pairs are original
+                expanded = fixations
+            else:
+                # the original elements of each contracted one, in ascending order
+                order = np.argsort(group, kind="stable")
+                ends = np.cumsum(np.bincount(group, minlength=state.instance.n))[:-1]
+                members = [part.tolist() for part in np.split(order, ends)]
+                expanded = [
+                    Fixation((op, oq), f.value, f.condition, f.margin)
+                    for f in fixations for op in members[f.pair[0]] for oq in members[f.pair[1]]
+                ]
             all_fixations.extend(expanded)
-            record.fixed_zero += sum(f.value == 0 for f in expanded)
-            record.fixed_one += sum(f.value == 1 for f in expanded)
-            # merging one class leaves the others mutual-one classes, in order
-            to_new = np.arange(current.n)  # index before the merges -> index now
-            for cls in mutual_one_classes(pa):
-                current, pa, _, old_to_new = merge_classes(current, pa, to_new[cls])
-                to_new = old_to_new[to_new]
-                stats.merged_classes += 1
-            group = to_new[group]
+            ones = sum([f.value for f in expanded])
+            record.fixed_one += ones
+            record.fixed_zero += len(expanded) - ones
+            current = state.instance
+            classes = mutual_one_classes(pa)
+            if classes:
+                current, pa, old_to_new = contract_classes(current, pa, classes)
+                group = old_to_new[group]
+                stats.merged_classes += len(classes)
             state = BoundState(current, pa)
         record.time_ns += time.perf_counter_ns() - tick
         return bool(fixations)

@@ -37,6 +37,13 @@ def _check_pair(n: int, p: int, q: int) -> None:
         raise ValueError(f"invalid pair ({p}, {q}) for n={n}")
 
 
+def _check_pin(n: int, p: int, q: int, v: int) -> None:
+    """Raise ``ValueError`` unless pq passes ``_check_pair`` and v is 0 or 1."""
+    _check_pair(n, p, q)
+    if v != 0 and v != 1:
+        raise ValueError(f"assignment value must be 0 or 1, got {v}")
+
+
 def _check_elements(n: int, elements: Sequence[int]) -> None:
     """Raise ``ValueError`` unless the elements are distinct elements of
     0..n-1, so that restricting to them neither wraps nor repeats."""
@@ -181,7 +188,7 @@ class PartialAssignment:
         np.fill_diagonal(o, False)
         np.fill_diagonal(z, False)
         if (o & z).any():
-            raise ValueError("a pair cannot be assigned both zero and one")
+            raise InconsistentAssignmentError("a pair cannot be assigned both zero and one")
         self.ones = o
         self.zeros = z
 
@@ -227,18 +234,25 @@ class PartialAssignment:
         return out
 
     def with_assignments(self, assignments: Iterable[tuple[int, int, int]]) -> "PartialAssignment":
-        """New assignment with extra valid pairs set (no closure, no consistency check)."""
-        o = self.ones.copy()
-        z = self.zeros.copy()
-        for p, q, v in assignments:
-            _check_pair(self.n, p, q)
-            if v == 1:
-                o[p, q] = True
-            elif v == 0:
-                z[p, q] = True
-            else:
-                raise ValueError(f"assignment value must be 0 or 1, got {v}")
-        return PartialAssignment(o, z, copy=False)
+        """New assignment with extra (p, q, value) pins set, in one array pass
+        (no closure). When some pins are invalid, the first of them in input
+        order raises, with ``_check_pair``'s message or the value's; a pair
+        pinned both ways, or against its assigned value, raises
+        ``InconsistentAssignmentError``."""
+        planes = np.stack((self.zeros, self.ones))  # [value, p, q]
+        rows = list(assignments)
+        if rows:
+            p, q, v = np.array(rows).T
+            try:  # every index in range, at once
+                pins = np.ravel_multi_index((v, p, q), planes.shape)
+            except (TypeError, ValueError):
+                pins = None
+            if pins is None or (p == q).any():
+                for row in rows:
+                    _check_pin(self.n, *row)
+                raise TypeError(f"pins must be integer triples, got {rows}")
+            planes.reshape(-1)[pins] = True
+        return PartialAssignment(planes[1], planes[0], copy=False)
 
     def restrict(self, elements: Sequence[int]) -> "PartialAssignment":
         """Sub-assignment on the given distinct elements, in the given order."""
@@ -306,6 +320,53 @@ def mutual_one_classes(pa: PartialAssignment) -> list[list[int]]:
     return [[p, *np.flatnonzero(mutual[p]).tolist()] for p in lead.tolist()]
 
 
+def contract_classes(
+    instance: "Instance", pa: PartialAssignment, classes: Sequence[Sequence[int]]
+) -> tuple["Instance", PartialAssignment, np.ndarray]:
+    """Contract disjoint classes of mutually joined elements, each into one
+    element, in one pass.
+
+    ``pa`` must be closed and each class sorted, of two or more elements,
+    with all its internal pairs assigned one, as ``mutual_one_classes``
+    lists them. The result is byte for byte that of contracting the classes
+    one at a time, in the given order: the values fold class by class, each
+    class summed over the elements still kept at its turn. In the
+    closure every member of a class has the same row and column, so the
+    contracted assignment is ``pa`` restricted once: to the elements of no
+    class, ascending, then to each class's smallest member, in class order.
+    Returns the contracted instance and assignment, and the old-to-new
+    element index map.
+    """
+    from .instance import Instance
+
+    n = pa.n
+    c = instance.values.copy()
+    rep = np.arange(n)  # element -> the smallest member of its class
+    alive = np.ones(n, dtype=bool)  # the elements after the merges so far
+    for cls in classes:
+        head = cls[0]
+        alive[cls] = False
+        keep = np.flatnonzero(alive)
+        # gathered over exactly the kept elements: the shape sets numpy's
+        # summation order (with one kept element the row sum turns pairwise)
+        c[head, keep] = c[np.ix_(cls, keep)].sum(axis=0)
+        c[keep, head] = c[np.ix_(keep, cls)].sum(axis=1)
+        c[head, head] = 0.0  # +0.0 even where the diagonal held -0.0
+        alive[head] = True
+        rep[cls] = head
+    heads = np.array([cls[0] for cls in classes], dtype=np.int64)
+    alive[heads] = False
+    order = np.concatenate([np.flatnonzero(alive), heads])
+    old_to_new = np.empty(n, dtype=np.int64)
+    old_to_new[order] = np.arange(len(order))
+    idx = np.ix_(order, order)
+    return (
+        Instance(c[idx], copy=False),
+        PartialAssignment(pa.ones[idx], pa.zeros[idx], copy=False),
+        old_to_new[rep],
+    )
+
+
 def merge_classes(
     instance: "Instance", pa: PartialAssignment, elements: Sequence[int]
 ) -> tuple["Instance", PartialAssignment, float, np.ndarray]:
@@ -313,17 +374,13 @@ def merge_classes(
 
     Requires every internal ordered pair of ``elements`` to be assigned one
     in the closure of ``pa``; raises ``InconsistentAssignmentError`` when
-    ``pa`` has no transitive completion. In the closure every member of a
-    class has the same row and column, so the contracted assignment is the
-    closure restricted to the other elements and one representative.
-    Returns the contracted instance, the contracted (closed) assignment,
-    the value offset collected from internal pairs, and the old-to-new
-    element index map. The contracted element sits at the last new index.
-    The optimum of the original constrained problem equals the offset plus
-    the optimum of the contracted one.
+    ``pa`` has no transitive completion. The closure is contracted by
+    ``contract_classes``. Returns the contracted instance, the contracted
+    (closed) assignment, the value offset collected from internal pairs, and
+    the old-to-new element index map. The contracted element sits at the
+    last new index. The optimum of the original constrained problem equals
+    the offset plus the optimum of the contracted one.
     """
-    from .instance import Instance
-
     cls = sorted(set(int(e) for e in elements))
     n = pa.n
     if len(cls) < 2:
@@ -336,19 +393,6 @@ def merge_classes(
     np.fill_diagonal(block, True)
     if not block.all():
         raise ValueError("all internal pairs of the class must be assigned one")
-
-    keep = [p for p in range(n) if p not in set(cls)]
-    m = len(keep)
-    new_n = m + 1
-    c = instance.values
-    offset = float(c[sub].sum())
-
-    new_c = np.zeros((new_n, new_n), dtype=np.float64)
-    new_c[:m, :m] = c[np.ix_(keep, keep)]
-    new_c[:m, m] = c[np.ix_(keep, cls)].sum(axis=1)
-    new_c[m, :m] = c[np.ix_(cls, keep)].sum(axis=0)
-
-    old_to_new = np.empty(n, dtype=np.int64)
-    old_to_new[keep] = np.arange(m)
-    old_to_new[cls] = m
-    return Instance(new_c, copy=False), closed.restrict(keep + [cls[0]]), offset, old_to_new
+    offset = float(instance.values[sub].sum())
+    contracted, restricted, old_to_new = contract_classes(instance, closed, [cls])
+    return contracted, restricted, offset, old_to_new

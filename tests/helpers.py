@@ -3,11 +3,12 @@ CSV rows read from a closed file, plus the reference definitions the
 library's closed forms are checked against (the self-maps applied to
 whole relations, brute-force enumeration, local search and contraction
 classes with the join and zero rules written out by hand, contraction
-pair by pair, the bbk conditions pair by pair behind their strong and
-value flags, the min cut search queue by queue over neighbor lists, the
-join energy's floor and swap sweeps one model at a time, subset-u's
-neighbor subsets one pair at a time and its boundary bound from flip
-sets, and the pin costs as case tables)."""
+pair by pair and class by class, the bbk conditions pair by pair behind
+their strong and value flags, the min cut search queue by queue over
+neighbor lists, the join energy's floor and swap sweeps one model at a
+time, subset-u's neighbor subsets one pair at a time and its boundary
+bound from flip sets, and the pin costs as case tables), plus stand-in
+deciders whose batches contradict themselves or the assignment."""
 
 from __future__ import annotations
 
@@ -32,6 +33,8 @@ from preopt.conditions import (
     BBK_STRONG_ONE,
     BBK_STRONG_ZERO,
     BBK_WEAK,
+    DIRECTED_CUT,
+    EDGE_CUT,
     SUBSET_FIX,
     Fixation,
 )
@@ -783,3 +786,45 @@ def reference_merge_classes(
 
     contracted = close(PartialAssignment(new_ones, new_zeros, copy=False))
     return Instance(new_c, copy=False), contracted, offset, old_to_new
+
+
+def reference_merge_fold(
+    instance: Instance, pa: PartialAssignment
+) -> tuple[Instance, PartialAssignment, np.ndarray]:
+    """Reference for ``relations.contract_classes`` over all mutual-one
+    classes of a closed assignment: ``reference_merge_classes`` once per
+    class, in class order, each class moved to the indices after the merges
+    before it, with the old-to-new maps composed."""
+    to_new = np.arange(pa.n)
+    for cls in reference_mutual_one_classes(pa):
+        instance, pa, _, old_to_new = reference_merge_classes(instance, pa, to_new[cls])
+        to_new = old_to_new[to_new]
+    return instance, pa, to_new
+
+
+def pins_both_ways(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
+    """An unsound directed-cut batch: pair (0, 1) pinned to one and to zero."""
+    return [Fixation((0, 1), 1, DIRECTED_CUT, 1.0), Fixation((0, 1), 0, DIRECTED_CUT, 1.0)]
+
+
+def pins_one_once(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
+    """A directed-cut stand-in that pins pair (0, 1) to one while it is undecided."""
+    return [Fixation((0, 1), 1, DIRECTED_CUT, 1.0)] if pa.value(0, 1) is None else []
+
+
+def pins_zero(instance: Instance, pa: PartialAssignment) -> list[Fixation]:
+    """An edge-cut stand-in that pins pair (0, 1) to zero, whatever it holds:
+    after ``pins_one_once`` a batch against the assignment."""
+    return [Fixation((0, 1), 0, EDGE_CUT, 1.0)]
+
+
+#: (the ``conditions`` deciders to replace, the condition whose batch
+#: contradicts) for a batch that pins a pair both ways and one that pins a
+#: pair against the assignment
+CONTRADICTORY_BATCHES = {
+    "pinned-both-ways": ({"directed_cut_condition": pins_both_ways}, DIRECTED_CUT),
+    "against-the-assignment": (
+        {"directed_cut_condition": pins_one_once, "edge_cut_condition": pins_zero},
+        EDGE_CUT,
+    ),
+}

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from helpers import read_csv_rows
+from helpers import CONTRADICTORY_BATCHES, read_csv_rows
 from preopt import cli, conditions, oracle
 from preopt.cli import STATS_FIELDS, main
 from preopt.conditions import DIRECTED_CUT, Fixation
@@ -633,6 +633,15 @@ class TestExitCodes:
             paths.append(str(write_fig1(tmp_path / str(k))))
         result = runner.invoke(main, [*command, *paths])
         assert_exit(result, 3, "soundness violation: condition 'directed-cut' emitted "
+                    "fixations with no common completion\n")
+
+    @pytest.mark.parametrize("case", CONTRADICTORY_BATCHES)
+    def test_contradictory_batch_exits_3(self, runner, tmp_path, monkeypatch, case):
+        deciders, condition = CONTRADICTORY_BATCHES[case]
+        for name, decider in deciders.items():
+            monkeypatch.setattr(conditions, name, decider)
+        result = runner.invoke(main, ["fix", str(write_fig1(tmp_path))])
+        assert_exit(result, 3, f"soundness violation: condition {condition!r} emitted "
                     "fixations with no common completion\n")
 
     @pytest.mark.parametrize(

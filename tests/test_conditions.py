@@ -10,6 +10,7 @@ import pytest
 
 from helpers import (
     agrees_with,
+    CONTRADICTORY_BATCHES,
     per_pair_edge_cut,
     random_closed_pa_any,
     random_instance,
@@ -21,6 +22,7 @@ from helpers import (
 from preopt import (
     Instance,
     PipelineConfig,
+    SoundnessError,
     bounds,
     conditions,
     ingest_ego_network,
@@ -797,6 +799,16 @@ class TestRunJoint:
         assert stats.merged_classes >= 1
         assert pa.value(0, 1) == 1 and pa.value(1, 0) == 1
         assert oracle.certify(inst, pa)
+
+    @pytest.mark.parametrize("case", CONTRADICTORY_BATCHES)
+    def test_contradictory_batch_is_unsound(self, monkeypatch, case):
+        deciders, condition = CONTRADICTORY_BATCHES[case]
+        for name, decider in deciders.items():
+            monkeypatch.setattr(conditions, name, decider)
+        with pytest.raises(SoundnessError, match=(
+            f"^condition '{condition}' emitted fixations with no common completion$"
+        )):
+            run_joint(FIG1)
 
     def test_single_element_instance(self):
         pa, fixations, stats = run_joint(Instance(np.zeros((1, 1))))

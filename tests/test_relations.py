@@ -10,6 +10,7 @@ from helpers import (
     random_consistent_pa,
     random_instance,
     reference_merge_classes,
+    reference_merge_fold,
     reference_mutual_one_classes,
 )
 from preopt import Instance
@@ -23,6 +24,7 @@ from preopt.relations import (
     implied_zeros,
     insert_arc_closed,
     insert_zero_closed,
+    contract_classes,
     is_consistent,
     merge_classes,
     mutual_one_classes,
@@ -134,6 +136,72 @@ class TestRelation:
             assert np.array_equal(
                 expected, close(pa.with_assignments([(p, q, 0)])).zeros
             )
+
+
+class TestWithAssignments:
+    @staticmethod
+    def _per_pair(pa, assignments):
+        """The ones and zeros of the per-pair loop the bulk pins replace."""
+        ones, zeros = pa.ones.copy(), pa.zeros.copy()
+        for p, q, v in assignments:
+            (ones if v == 1 else zeros)[p, q] = True
+        return ones, zeros
+
+    def test_bulk_pins_match_per_pair_loop(self):
+        rng = np.random.default_rng(31)
+        pinned = 0
+        for n in (12, 20, 30):
+            pa = random_closed_pa_any(rng, n, 0.05)
+            free = np.argwhere(~pa.decided & ~np.eye(n, dtype=bool))
+            picked = free[rng.permutation(len(free))[:150]]
+            rows = [(p, q, int(rng.integers(2))) for p, q in picked.tolist()]
+            rows += rows[:7]  # the same pin twice
+            rows += [(np.int64(p), np.int64(q), np.int64(v)) for p, q, v in rows[7:12]]
+            got = pa.with_assignments(rows)
+            ones, zeros = self._per_pair(pa, rows)
+            assert got.ones.tobytes() == ones.tobytes()
+            assert got.zeros.tobytes() == zeros.tobytes()
+            pinned = max(pinned, len(rows))
+        assert pinned >= 100
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(0, 1, 1), (0, 0, 1), (1, 2, 5)], r"invalid pair \(0, 0\) for n=3"),
+            ([(0, 1, 1), (1, 2, 5), (0, 0, 1)], r"assignment value must be 0 or 1, got 5"),
+            ([(0, 3, 7), (1, 2, 2)], r"invalid pair \(0, 3\) for n=3"),
+            ([(1, 2, -1), (-1, 0, 1)], r"assignment value must be 0 or 1, got -1"),
+            ([(2, 1, 0), (1, 0, 1), (2, 5, 1), (0, 2, 2)], r"invalid pair \(2, 5\) for n=3"),
+        ],
+        ids=["pair-first", "value-first", "pair-before-value-in-one-row", "negative-value", "third"],
+    )
+    def test_first_bad_pin_names_the_error(self, rows, message):
+        pa = PartialAssignment.empty(3)
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            pa.with_assignments(rows)
+        assert type(info.value) is ValueError
+
+    def test_non_integer_pins_rejected(self):
+        with pytest.raises(TypeError, match="pins must be integer triples"):
+            PartialAssignment.empty(3).with_assignments([(0, 1, 1.0)])
+
+    def test_empty_input_copies(self):
+        pa = PartialAssignment.from_pairs(3, one_pairs=[(0, 1)], zero_pairs=[(2, 0)])
+        for rows in ([], (), iter([])):
+            got = pa.with_assignments(rows)
+            assert got == pa and got.ones is not pa.ones and got.zeros is not pa.zeros
+
+    def test_generator_input(self):
+        pa = PartialAssignment.empty(4)
+        got = pa.with_assignments((p, p + 1, p % 2) for p in range(3))
+        assert got == PartialAssignment.from_pairs(4, one_pairs=[(1, 2)], zero_pairs=[(0, 1), (2, 3)])
+
+    def test_contradicting_pins_are_inconsistent(self):
+        with pytest.raises(InconsistentAssignmentError, match="both zero and one"):
+            PartialAssignment.empty(3).with_assignments([(0, 1, 1), (0, 1, 0)])
+        pa = PartialAssignment.from_pairs(3, one_pairs=[(0, 1)])
+        with pytest.raises(InconsistentAssignmentError, match="both zero and one"):
+            pa.with_assignments([(1, 2, 1), (0, 1, 0)])
 
 
 class TestConsistency:
@@ -365,6 +433,91 @@ class TestMergeClasses:
             assert oracle.solve_exact(inst_ab, pa_ab).value == pytest.approx(
                 oracle.solve_exact(inst_ba, pa_ba).value
             )
+
+
+class TestContractClasses:
+    """``contract_classes`` against ``reference_merge_fold``, byte for byte:
+    the per-class merges it replaces fold each class's sums over the
+    elements kept at that merge, so only the same sums in the same shapes
+    give the same floats."""
+
+    @staticmethod
+    def _classes_pa(rng, n, sizes, density):
+        """A closed assignment whose mutual-one classes have the given sizes
+        on shuffled elements, plus pins revealed from a preorder of those
+        classes and the remaining singletons."""
+        perm = rng.permutation(n)
+        block = np.empty(n, dtype=np.int64)
+        start = 0
+        for b, size in enumerate(sizes):
+            block[perm[start:start + size]] = b
+            start += size
+        block[perm[start:]] = np.arange(len(sizes), len(sizes) + n - start)
+        blocks = len(sizes) + n - start
+        # an acyclic order on the blocks keeps them apart
+        rank = rng.permutation(blocks)
+        between = (rank[:, None] < rank[None, :]) & (rng.random((blocks, blocks)) < 0.3)
+        x = transitive_closure_matrix(between)[np.ix_(block, block)] | (block[:, None] == block)
+        np.fill_diagonal(x, False)
+        same = block[:, None] == block
+        reveal = (rng.random((n, n)) < density) | (same & (block < len(sizes))[:, None])
+        np.fill_diagonal(reveal, False)
+        pa = close(PartialAssignment(x & reveal, ~x & reveal))
+        assert sorted(map(len, mutual_one_classes(pa))) == sorted(sizes)
+        return pa
+
+    def _assert_matches_fold(self, inst, pa):
+        classes = mutual_one_classes(pa)
+        got = contract_classes(inst, pa, classes)
+        want = reference_merge_fold(inst, pa)
+        assert got[0].values.tobytes() == want[0].values.tobytes()
+        assert got[1].ones.tobytes() == want[1].ones.tobytes()
+        assert got[1].zeros.tobytes() == want[1].zeros.tobytes()
+        assert got[2].dtype == want[2].dtype and got[2].tobytes() == want[2].tobytes()
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_batches_match_per_class_merges(self, kind):
+        rng = np.random.default_rng(40)
+        for _ in range(150):
+            sizes = rng.integers(2, 5, size=int(rng.integers(2, 5))).tolist()
+            n = sum(sizes) + int(rng.integers(0, 5))
+            inst = random_instance(rng, n, kind)
+            self._assert_matches_fold(inst, self._classes_pa(rng, n, sizes, rng.uniform(0.1, 0.6)))
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_large_class_matches_per_class_merges(self, kind):
+        # nine or more members: numpy's pairwise sum unrolls; with no
+        # singleton left, the last merge keeps one element
+        rng = np.random.default_rng(41)
+        for singletons in (0, 0, 1, 3):
+            for _ in range(10):
+                sizes = [int(rng.integers(9, 13)), int(rng.integers(2, 5))]
+                n = sum(sizes) + singletons
+                inst = random_instance(rng, n, kind)
+                self._assert_matches_fold(inst, self._classes_pa(rng, n, sizes, 0.4))
+
+    @pytest.mark.parametrize("kind", ["grid", "pm1", "raw"])
+    def test_interleaved_classes_match_per_class_merges(self, kind):
+        # the classes' members and smallest members interleave with each
+        # other and with the singletons 4 and 9
+        classes = [[0, 5, 8], [1, 3, 7], [2, 6], [10, 11]]
+        pairs = [(p, q) for cls in classes for p in cls for q in cls if p != q]
+        pa = close(PartialAssignment.from_pairs(12, one_pairs=pairs + [(4, 1), (9, 2)]))
+        assert mutual_one_classes(pa) == classes
+        rng = np.random.default_rng(42)
+        for _ in range(20):
+            inst = random_instance(rng, 12, kind)
+            self._assert_matches_fold(inst, pa)
+        _, _, old_to_new = contract_classes(inst, pa, classes)
+        assert old_to_new.tolist() == [2, 3, 4, 3, 0, 2, 4, 3, 2, 1, 5, 5]
+
+    def test_no_class_restricts_nothing(self):
+        rng = np.random.default_rng(43)
+        inst = random_instance(rng, 5, "raw")
+        pa = random_closed_pa_any(rng, 5, 0.3)
+        got_inst, got_pa, old_to_new = contract_classes(inst, pa, [])
+        assert got_inst == inst and got_pa == pa
+        assert old_to_new.tolist() == list(range(5))
 
 
 class TestMutualClasses:
